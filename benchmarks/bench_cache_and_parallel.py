@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core import ArtifactCache, ValidationPipeline, artifact_key
+from repro.core import ArtifactCache, ValidationPipeline
 from repro.enumeration import enumerate_states, enumerate_states_parallel
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 
@@ -94,10 +94,6 @@ def test_cache_invalidation(tmp_path):
     assert modes["model"] == base["model"]
     assert not cache.has(modes["graph"])
     assert not cache.has(modes["traces"])
-
-    # The monolithic artifact_key remains stable for external consumers
-    # but no longer addresses pipeline-written entries.
-    assert not cache.has(artifact_key(small, max_instructions_per_trace=400))
 
 
 @pytest.mark.parametrize("record_all", [False, True])

@@ -62,9 +62,9 @@ import time
 from pathlib import Path
 
 from repro.enumeration import (
+    WorkerPool,
     enumerate_states,
     enumerate_states_parallel,
-    make_worker_pool,
 )
 from repro.obs import bench
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
@@ -157,7 +157,7 @@ def test_table_3_2_parallel_sweep(benchmark):
             for jobs in JOBS:
                 pool = pools.get(jobs)
                 if pool is None:
-                    pool = pools[jobs] = make_worker_pool(jobs)
+                    pool = pools[jobs] = WorkerPool(jobs)
                 # Retire the worker generation before every timed run:
                 # the pool's context tag is content-based, so a repeat
                 # of the same config would otherwise dispatch into live

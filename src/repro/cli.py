@@ -17,10 +17,7 @@ persists the enumerated state graph as JSON for reuse.  ``--jobs`` shards
 enumeration and trace simulation across worker processes; ``--cache-dir``
 persists the expensive pipeline artifacts (state graph, tours, traces) so
 repeat runs skip straight to simulation, and ``--no-cache`` forces a
-rebuild that refreshes the stored entry.  ``--kernel interpreted``
-switches enumeration off the compiled transition kernel and onto the
-fully validated reference path (bit-identical output, several times
-slower) -- the debugging escape hatch.
+rebuild that refreshes the stored entry.
 
 Observability: ``--trace-out`` writes a Chrome ``trace_event`` file (open
 in chrome://tracing or Perfetto; use a ``.jsonl`` suffix to stream the raw
@@ -89,12 +86,7 @@ from typing import List, Optional
 
 from repro.bugs import BUGS
 from repro.core.report import format_campaign_table
-from repro.enumeration import (
-    KERNEL_MODES,
-    StateGraph,
-    enumerate_states,
-    enumerate_states_parallel,
-)
+from repro.enumeration import StateGraph, enumerate_states
 from repro.enumeration.bfs import InvariantViolation
 from repro.obs import (
     Observer,
@@ -115,7 +107,7 @@ from repro.resilience import (
     atomic_write_text,
     install_term_to_interrupt,
 )
-from repro.tour import IndexedTourGenerator, TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 
 #: Documented exit codes (see module docstring).  When several apply the
 #: most diagnostic wins: invariant violation > budget truncation > missed
@@ -188,16 +180,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for enumeration and trace "
                              "simulation (0 = all CPUs)")
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=list(KERNEL_MODES),
-                        default="compiled",
-                        help="transition kernel for enumeration: 'compiled' "
-                             "precompiles choice tables and the state codec "
-                             "(default); 'interpreted' is the fully "
-                             "validated reference path.  Both produce "
-                             "bit-identical graphs")
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -450,18 +432,10 @@ def cmd_enumerate(args) -> int:
         with obs.span("phase.model_build"):
             model = build_pp_control_model(_model_config(args))
         with obs.span("phase.enumerate", jobs=jobs or 0):
-            if jobs is None or jobs > 1:
-                graph, stats = enumerate_states_parallel(
-                    model, jobs=jobs, obs=obs,
-                    checkpoint=checkpoint, resume=args.resume, budget=budget,
-                    kernel=args.kernel,
-                )
-            else:
-                graph, stats = enumerate_states(
-                    model, obs=obs,
-                    checkpoint=checkpoint, resume=args.resume, budget=budget,
-                    kernel=args.kernel,
-                )
+            graph, stats = enumerate_states(
+                model, obs=obs, jobs=jobs,
+                checkpoint=checkpoint, resume=args.resume, budget=budget,
+            )
     print(stats.format_table())
     _print_resilience_status(stats)
     if args.graph_out:
@@ -472,8 +446,7 @@ def cmd_enumerate(args) -> int:
     if observer is not None:
         run_report = RunReport.from_observer(
             "enumerate", observer,
-            config={**_model_config_dict(args),
-                    "jobs": args.jobs, "kernel": args.kernel},
+            config={**_model_config_dict(args), "jobs": args.jobs},
             enumeration=dataclasses.asdict(stats),
         )
     _finish_observer(args, observer, run_report)
@@ -487,10 +460,7 @@ def cmd_tours(args) -> int:
     else:
         model = build_pp_control_model(_model_config(args))
         graph, _ = enumerate_states(model)
-    generator_cls = (
-        TourGenerator if args.generator == "reference" else IndexedTourGenerator
-    )
-    tours = generator_cls(
+    tours = IndexedTourGenerator(
         graph, max_instructions_per_trace=args.limit or None
     ).generate()
     stats = tours.stats
@@ -524,7 +494,6 @@ def cmd_validate(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         budget=_budget(args),
-        kernel=args.kernel,
         incremental=args.incremental,
     )
     with obs.span("cli.validate"):
@@ -552,7 +521,7 @@ def cmd_validate(args) -> int:
             command="validate",
             config={**_model_config_dict(args),
                     "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs, "kernel": args.kernel,
+                    "jobs": args.jobs,
                     "bugs": args.bug or []},
             cache=pipeline.cache_info,
         )
@@ -582,7 +551,6 @@ def cmd_campaign(args) -> int:
                 checkpoint_every=args.checkpoint_every,
                 budget=_budget(args),
                 resume=args.resume,
-                kernel=args.kernel,
                 incremental=args.incremental,
             )
         _print_cache_status(campaign.pipeline)
@@ -600,7 +568,7 @@ def cmd_campaign(args) -> int:
             command="campaign",
             config={**_model_config_dict(args),
                     "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs, "kernel": args.kernel},
+                    "jobs": args.jobs},
             cache=campaign.pipeline.cache_info,
         )
     _finish_observer(args, observer, run_report)
@@ -876,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate the PP control state graph")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.add_argument("--graph-out", help="write the state graph as JSON")
@@ -887,17 +854,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="reuse a JSON state graph")
     p.add_argument("--limit", type=int, default=400,
                    help="instructions per trace (0 = unlimited)")
-    p.add_argument("--generator", choices=("indexed", "reference"),
-                   default="indexed",
-                   help="tour generator: the CSR+distance-index one "
-                        "(default) or the reference Fig. 3.3 loop; both "
-                        "produce bit-identical tours")
     p.set_defaults(func=cmd_tours)
 
     p = sub.add_parser("validate", help="run the full validation pipeline")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_cache_flags(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
@@ -912,7 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="Table 2.1: all bugs x all methods")
     _add_model_flags(p)
     _add_jobs_flag(p)
-    _add_kernel_flag(p)
     _add_cache_flags(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)

@@ -11,13 +11,12 @@
    and report data-value differences.
 """
 
-from repro.core.cache import ArtifactCache, artifact_key, code_version
+from repro.core.cache import ArtifactCache, code_version
 from repro.core.pipeline import ValidationPipeline, PipelineArtifacts
 from repro.core.report import ValidationReport, format_campaign_table
 
 __all__ = [
     "ArtifactCache",
-    "artifact_key",
     "code_version",
     "ValidationPipeline",
     "PipelineArtifacts",

@@ -10,34 +10,31 @@ content-addressed key.
 
 Keying scheme
 -------------
-Two keying schemes coexist.  The pipeline stores **per-phase** entries
-(translated model fingerprint, state graph, tours, traces) addressed by
-:func:`phase_key`: each phase's key chains the parent phase's key with a
-*per-phase* code digest (:func:`phase_code_version`) that hashes only the
-source subtrees feeding that phase (:data:`PHASE_MODULES`) -- so an edit
-to ``obs/`` or ``serve/`` invalidates nothing, and an edit to ``tour/``
-keeps the enumerated graph.  :func:`pipeline_phase_keys` derives the full
-chain for one build.
-
-The original **monolithic** :func:`artifact_key` remains for callers that
-cache one opaque blob per build; its key is the SHA-256 of a canonical
-JSON payload of every input that determines the artifacts:
+The pipeline stores **per-phase** entries (translated model
+fingerprint, state graph, tours, traces) addressed by :func:`phase_key`:
+each phase's key is the SHA-256 of a canonical JSON payload of
 
 - ``schema``: the on-disk format version (:data:`CACHE_SCHEMA_VERSION`);
-- ``code``: a digest of every ``repro`` source file, so *any* code change
-  invalidates every entry -- conservative but sound, and cheap to compute;
-- ``model_config``: the full :class:`~repro.pp.fsm_model.PPModelConfig`
-  (or any dataclass config) as a field dict;
-- the enumeration/generation flags: ``record_all_conditions``,
+- ``code``: a *per-phase* code digest (:func:`phase_code_version`) that
+  hashes only the source subtrees feeding that phase
+  (:data:`PHASE_MODULES`) -- so an edit to ``obs/`` or ``serve/``
+  invalidates nothing, and an edit to ``tour/`` keeps the enumerated
+  graph;
+- ``parent``: the upstream phase's key, which chains every upstream
+  input in;
+- ``payload``: the phase's own inputs -- the model config (any dataclass
+  config as a field dict, anything else as its type-tagged ``repr``) and
+  model-edit digests, ``record_all_conditions``,
   ``max_instructions_per_trace``, ``seed``.
 
-Changing any of these changes the key, so stale entries are never *read*
--- they are simply orphaned (and can be removed with :meth:`ArtifactCache.prune`).
+:func:`pipeline_phase_keys` derives the full chain for one build.
+Changing any input changes the key, so stale entries are never *read*
+-- they are simply orphaned (and can be removed with
+:meth:`ArtifactCache.prune`).
 
 Deliberately **absent** from the key: ``jobs`` (enumeration, vector
 generation, and comparison workers), comparison scheduling/``chunksize``,
-the transition kernel, the tour generator choice, and transition-event
-memoization.  All of these are output-invariant -- every configuration
+and transition-event memoization.  All of these are output-invariant -- every configuration
 produces bit-identical artifacts (golden-tested) -- so a cached build is
 shared across all of them.
 
@@ -126,7 +123,7 @@ PHASES = ("model", "graph", "tours", "traces")
 #:
 #: - ``model``: the Synchronous-Murphi core, the HDL translator and the PP
 #:   model builders -- everything that determines the translated model.
-#: - ``graph``: the BFS engines plus ``smurphi`` (the state codec and the
+#: - ``graph``: the BFS engine plus ``smurphi`` (the state codec and the
 #:   compiled transition kernel live there and shape expansion directly).
 #: - ``tours``: the Fig. 3.3 generators plus ``vectors`` (the instruction
 #:   cost function and transition-event memo are defined there).
@@ -237,35 +234,6 @@ def config_payload(model_config: Any) -> Any:
     }
 
 
-def artifact_key(
-    model_config: Any,
-    *,
-    record_all_conditions: bool = False,
-    max_instructions_per_trace: Optional[int] = None,
-    seed: int = 0,
-    extra: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Content address for one pipeline build's artifacts (monolithic).
-
-    This is the original whole-pipeline key (config + flags + seed + the
-    package-wide :func:`code_version`); the pipeline itself now stores
-    per-phase entries keyed by :func:`phase_key`, but this function remains
-    the address for callers that cache one opaque blob per build.
-    """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "code": code_version(),
-        "model_config": config_payload(model_config),
-        "record_all_conditions": bool(record_all_conditions),
-        "max_instructions_per_trace": max_instructions_per_trace,
-        "seed": seed,
-    }
-    if extra:
-        payload["extra"] = extra
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def phase_key(
     phase: str, code: str, parent: Optional[str], payload: Any
 ) -> str:
@@ -346,11 +314,11 @@ def pipeline_phase_keys(
 
 
 class ArtifactCache:
-    """On-disk store of pipeline artifacts addressed by :func:`artifact_key`.
+    """On-disk store of pipeline artifacts addressed by :func:`phase_key`.
 
-    >>> cache = ArtifactCache("/tmp/repro-cache")        # doctest: +SKIP
-    >>> key = artifact_key(PPModelConfig(), seed=0)      # doctest: +SKIP
-    >>> cache.load(key) or cache.store(key, artifacts)   # doctest: +SKIP
+    >>> cache = ArtifactCache("/tmp/repro-cache")               # doctest: +SKIP
+    >>> key = pipeline_phase_keys(PPModelConfig())["graph"]     # doctest: +SKIP
+    >>> cache.load(key) or cache.store(key, artifacts)          # doctest: +SKIP
     """
 
     def __init__(self, cache_dir):

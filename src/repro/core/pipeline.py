@@ -19,8 +19,6 @@ from repro.enumeration import (
     StateGraph,
     WorkerPool,
     enumerate_states,
-    enumerate_states_parallel,
-    make_worker_pool,
 )
 from repro.harness.compare import ComparisonResult, run_vector_traces
 from repro.incremental.diff import LOCALIZED, NO_OP, diff_models
@@ -91,7 +89,7 @@ class ValidationPipeline:
         Enumerate with one arc per unique transition condition -- the
         paper's proposed fix for the fewer-behaviours blind spot (Fig 4.2).
     jobs:
-        Worker processes for enumeration (:func:`enumerate_states_parallel`)
+        Worker processes for enumeration (:func:`enumerate_states`)
         and trace simulation; ``1`` keeps everything in-process, ``None``
         uses every CPU.
     cache_dir:
@@ -121,13 +119,8 @@ class ValidationPipeline:
         expanded portion, and the build is **not** cached -- a truncated
         artifact must never masquerade as the full one.
     retry:
-        :class:`~repro.resilience.RetryPolicy` for parallel enumeration's
+        :class:`~repro.resilience.RetryPolicy` for the worker pool's
         worker-crash recovery (``jobs > 1`` only).
-    kernel:
-        Transition kernel for enumeration: ``"compiled"`` (default) or
-        ``"interpreted"`` (see :mod:`repro.enumeration.kernel`).  Both
-        produce bit-identical graphs, so the kernel is deliberately *not*
-        part of the artifact cache key -- cached builds are shared.
     edits:
         Ordered :class:`~repro.incremental.ModelEdit` rewrites layered on
         the control model (see :mod:`repro.incremental.edits`).  Their
@@ -160,7 +153,6 @@ class ValidationPipeline:
         checkpoint_every: int = 1,
         budget: Optional[Budget] = None,
         retry: Optional[RetryPolicy] = None,
-        kernel: str = "compiled",
         edits: Sequence[ModelEdit] = (),
         incremental: bool = True,
         phase_code_overrides: Optional[Dict[str, str]] = None,
@@ -177,7 +169,6 @@ class ValidationPipeline:
         self.checkpoint_every = checkpoint_every
         self.budget = budget
         self.retry = retry
-        self.kernel = kernel
         self.edits = tuple(edits)
         self.incremental = incremental
         self.phase_code_overrides = dict(phase_code_overrides or {})
@@ -250,7 +241,7 @@ class ValidationPipeline:
             return pool
         if pool is not None:
             pool.shutdown()
-        pool = make_worker_pool(effective, retry=self.retry, obs=self.obs)
+        pool = WorkerPool(effective, policy=self.retry, obs=self.obs)
         self._pool = pool
         weakref.finalize(self, WorkerPool.shutdown, pool)
         return pool
@@ -467,30 +458,18 @@ class ValidationPipeline:
             if cache is not None and "graph" not in self.phase_hits:
                 self._record_phase("graph", False, obs)
             with obs.span("phase.enumerate", jobs=jobs or 0):
-                if jobs is None or jobs > 1:
-                    graph, stats = enumerate_states_parallel(
-                        model, jobs=jobs,
-                        record_all_conditions=self.record_all_conditions,
-                        obs=obs,
-                        checkpoint=checkpoint,
-                        resume=resume,
-                        budget=self.budget,
-                        retry=self.retry,
-                        faults=faults,
-                        kernel=self.kernel,
-                        pool=self.worker_pool(jobs),
-                    )
-                else:
-                    graph, stats = enumerate_states(
-                        model,
-                        record_all_conditions=self.record_all_conditions,
-                        obs=obs,
-                        checkpoint=checkpoint,
-                        resume=resume,
-                        budget=self.budget,
-                        faults=faults,
-                        kernel=self.kernel,
-                    )
+                graph, stats = enumerate_states(
+                    model,
+                    record_all_conditions=self.record_all_conditions,
+                    obs=obs,
+                    checkpoint=checkpoint,
+                    resume=resume,
+                    budget=self.budget,
+                    faults=faults,
+                    jobs=jobs,
+                    pool=self.worker_pool(jobs),
+                    retry=self.retry,
+                )
             if cache is not None and not stats.truncated:
                 cache.store(
                     keys["graph"],
@@ -791,7 +770,6 @@ class ValidationPipeline:
             graph, stats, counts = incremental_enumerate(
                 model, old_graph, dirty,
                 record_all_conditions=self.record_all_conditions,
-                kernel=self.kernel,
                 obs=obs,
             )
         report.region_states = counts["region_states"]

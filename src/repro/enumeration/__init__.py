@@ -13,9 +13,13 @@ from repro.enumeration.kernel import (
     compile_model,
     resolve_kernel,
 )
-from repro.enumeration.bfs import enumerate_states, EnumerationError, InvariantViolation
+from repro.enumeration.bfs import (
+    EnumerationError,
+    InvariantViolation,
+    enumerate_states,
+    enumerate_states_parallel,
+)
 from repro.enumeration.frontier import FrontierCodec, SharedFrontier
-from repro.enumeration.parallel import enumerate_states_parallel, make_worker_pool
 from repro.enumeration.pool import WorkerPool
 from repro.enumeration.stats import EnumerationStats
 from repro.enumeration.analysis import (
@@ -44,7 +48,6 @@ __all__ = [
     "WorkerPool",
     "enumerate_states",
     "enumerate_states_parallel",
-    "make_worker_pool",
     "EnumerationError",
     "InvariantViolation",
     "EnumerationStats",

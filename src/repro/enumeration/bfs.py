@@ -10,36 +10,45 @@ mask implementations with *fewer* behaviours (Fig. 4.2).  The fix the
 paper proposes, recording every unique transition condition, is available
 via ``record_all_conditions=True`` and is benchmarked as an ablation.
 
-Transition kernels
-------------------
-The hot loop -- expanding one state into its ordered successor list --
-is delegated to a *transition kernel* (:mod:`repro.enumeration.kernel`).
-``kernel="compiled"`` (the default) precompiles the model's choice
-tables and state codec and skips per-transition re-validation; it
-produces a graph **bit-identical** to ``kernel="interpreted"``, the
-fully validated reference path kept as a debugging escape hatch.
+One loop, two executors
+-----------------------
+:func:`bfs_waves` is the only BFS loop: it runs the bookkeeping --
+interning, the ``max_states`` cap, invariant checks, arc dedup -- once
+per wave of the frontier, in (source id, choice order), which is exactly
+the order a FIFO one-state-at-a-time search observes.  Each wave's rows
+come from an *executor*: in-process (``jobs=1``, no ``fork``, kernels
+without a guard mask), streaming ``kern.expand(key)`` one state at a
+time; or packed spans on a worker pool
+(:class:`~repro.enumeration.frontier.SpanExecutor`).  Span results are
+replayed in submission order, so the graph, the cap point and the first
+:class:`InvariantViolation` are identical at every job count.  The
+expansion itself is a *transition kernel* (:mod:`repro.enumeration.kernel`).
 
-Resilience
-----------
-Long enumerations survive interruption: ``checkpoint=`` snapshots the
-coordinator state (graph, frontier, counters) to an atomic on-disk
-:class:`~repro.resilience.CheckpointStore` at wave boundaries, and
-``resume=`` continues from such a snapshot to a **bit-identical** final
-graph.  ``budget=`` bounds the run (wall clock / memory / states) at wave
-boundaries; on exhaustion the partial graph is returned with
-``stats.truncated=True`` instead of raising.  ``faults=`` injects
-deterministic failures for the chaos suite.
+Resilience: ``checkpoint=`` snapshots the coordinator state at wave
+boundaries and ``resume=`` continues from a snapshot to a
+**bit-identical** graph, whichever executor wrote or reads it;
+``budget=`` truncates at a wave boundary (``stats.truncated=True``)
+instead of raising; ``faults=`` injects deterministic failures for the
+chaos suite.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
-from collections import deque
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.enumeration.frontier import SpanExecutor, can_dispatch
 from repro.enumeration.graph import StateGraph
-from repro.enumeration.kernel import KernelSpec, flush_kernel_metrics, resolve_kernel
+from repro.enumeration.kernel import (
+    Kernel,
+    KernelSpec,
+    Transition,
+    flush_kernel_metrics,
+    resolve_kernel,
+)
+from repro.enumeration.pool import WorkerPool
 from repro.enumeration.stats import EnumerationStats
 from repro.obs.observer import Observer, resolve
 from repro.resilience.budget import Budget, BudgetMeter
@@ -50,6 +59,7 @@ from repro.resilience.checkpoint import (
     resolve_resume,
 )
 from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryPolicy
 from repro.smurphi.model import SyncModel
 
 logger = logging.getLogger("repro.enumeration")
@@ -82,6 +92,84 @@ def rebuild_seen_arcs(graph: StateGraph, record_all_conditions: bool) -> Set[Tup
     return {(e.src, e.dst) for e in graph.edges()}
 
 
+def reset_graph(model: SyncModel, kern: Kernel, check_invariants: bool) -> StateGraph:
+    """A fresh graph holding only the (validated) reset state, id 0."""
+    graph = StateGraph(model.choice_names)
+    reset = model.reset_state()
+    model.validate_state(reset)
+    reset_id, _ = graph.intern_state(kern.reset_key())
+    assert reset_id == StateGraph.RESET
+    if check_invariants:
+        violated = model.check_invariants(reset)
+        if violated:
+            raise InvariantViolation(reset_id, dict(reset), tuple(violated))
+    return graph
+
+
+#: A wave's row source: ``rows(wave, index)`` yields ``(state id,
+#: successor row)`` for every state of BFS wave number ``index``, in wave
+#: order; a row is an iterable of ``(condition, packed successor)``.
+RowSource = Callable[[List[int], int], Iterable[Tuple[int, Iterable[Transition]]]]
+
+
+def bfs_waves(
+    model: SyncModel,
+    graph: StateGraph,
+    wave: List[int],
+    rows: RowSource,
+    unpack: Callable[[int], Dict],
+    seen_arcs: Set[Tuple],
+    record_all_conditions: bool = False,
+    max_states: Optional[int] = None,
+    needs_check: Optional[Callable[[int], bool]] = None,
+    waves: int = 0,
+    transitions: int = 0,
+) -> Iterator[Tuple[int, List[int], List[int], int]]:
+    """The BFS loop: expand ``wave`` after wave, interning into ``graph``.
+
+    Every successor is interned (new ids in discovery order), new states
+    are checked against the ``max_states`` cap and -- when
+    ``needs_check(packed key)`` says so -- the model's invariants, and an
+    arc is recorded the first time its dedup key (``(src, dst)``, plus
+    the condition under ``record_all_conditions``) is seen.  After each
+    wave yields ``(waves completed, wave, next wave, transitions)``; the
+    caller runs its wave-boundary work there and stops by breaking out.
+    """
+    while wave:
+        next_wave: List[int] = []
+        for src_id, row in rows(wave, waves):
+            for condition, packed_dst in row:
+                transitions += 1
+                dst_id, is_new = graph.intern_state(packed_dst)
+                if is_new:
+                    if max_states is not None and graph.num_states > max_states:
+                        raise EnumerationError(
+                            f"state count exceeded cap of {max_states} "
+                            f"while enumerating {model.name!r}"
+                        )
+                    if needs_check is not None and needs_check(packed_dst):
+                        nxt = unpack(packed_dst)
+                        violated = model.check_invariants(nxt)
+                        if violated:
+                            raise InvariantViolation(dst_id, nxt, tuple(violated))
+                    next_wave.append(dst_id)
+                arc_key: Tuple
+                if record_all_conditions:
+                    arc_key = (src_id, dst_id, condition)
+                else:
+                    arc_key = (src_id, dst_id)
+                if arc_key not in seen_arcs:
+                    seen_arcs.add(arc_key)
+                    graph.add_edge(src_id, dst_id, condition)
+        waves += 1
+        yield waves, wave, next_wave, transitions
+        wave = next_wave
+
+
+def _always(_key: int) -> bool:
+    return True
+
+
 def enumerate_states(
     model: SyncModel,
     max_states: Optional[int] = None,
@@ -93,6 +181,10 @@ def enumerate_states(
     budget: Optional[Budget] = None,
     faults: Optional[FaultPlan] = None,
     kernel: KernelSpec = "compiled",
+    *,
+    jobs: Optional[int] = 1,
+    pool: Optional[WorkerPool] = None,
+    retry: Optional[RetryPolicy] = None,
 ) -> Tuple[StateGraph, EnumerationStats]:
     """Fully enumerate ``model`` from reset; return its state graph and stats.
 
@@ -112,32 +204,33 @@ def enumerate_states(
         Evaluate the model's invariants on every reachable state.
     obs:
         Observability sink (:class:`repro.obs.Observer`); receives per-wave
-        frontier sizes plus end-of-run counters (``enum.states``,
-        ``enum.transitions_explored``, ``enum.edges``, ``enum.waves``).
-        ``None`` is the no-op fast path.  Hot-loop accounting stays in
-        local variables and flushes at wave boundaries, so instrumentation
-        cost is independent of transition count.
-    checkpoint:
-        :class:`~repro.resilience.CheckpointConfig`: snapshot the
-        coordinator state every ``every_waves`` wave boundaries.
-    resume:
-        ``True`` (load the newest checkpoint from ``checkpoint.store``) or
-        a payload dict from :meth:`CheckpointStore.load`; the resumed run
-        finishes with a graph byte-identical to an uninterrupted one.
+        frontier sizes plus end-of-run ``enum.*`` counters, identical
+        whatever ``jobs``.  Runs with a worker pool add ``enum.shard.*``
+        (labeled by worker pid), recovery and ``enum.pool.*`` counters.
+        ``None`` is the no-op fast path.
+    checkpoint / resume:
+        :class:`~repro.resilience.CheckpointConfig` snapshots every
+        ``every_waves`` wave boundaries; ``resume`` is ``True`` (newest
+        checkpoint in ``checkpoint.store``) or a payload dict, and the
+        resumed graph is byte-identical to an uninterrupted one.
     budget:
         :class:`~repro.resilience.Budget` checked at wave boundaries; on
         exhaustion the partial graph is returned with
-        ``stats.truncated=True`` (and a final checkpoint is written when
-        checkpointing is on, so the run is resumable with a larger budget).
+        ``stats.truncated=True`` (plus a final checkpoint when
+        checkpointing is on).
     faults:
-        Deterministic :class:`~repro.resilience.FaultPlan` for the chaos
-        suite (the sequential engine honours the SIGINT-at-wave fault).
+        Deterministic :class:`~repro.resilience.FaultPlan`: signals and
+        stalls at wave boundaries, worker kills and stalls at a
+        ``(wave, span)`` of the packed dispatch.
     kernel:
-        Transition kernel: ``"compiled"`` (default; precompiled choice
-        tables + specialized codec + reduced validation), ``"interpreted"``
-        (the fully validated reference path), or a pre-built kernel object
-        from :mod:`repro.enumeration.kernel`.  Both modes produce
-        bit-identical graphs and identical ``enum.*`` counter totals.
+        ``"compiled"`` (default), ``"interpreted"`` or a kernel object
+        from :mod:`repro.enumeration.kernel` -- the seam the kernel tests
+        and benchmark compare through.  All produce bit-identical graphs.
+    jobs / pool / retry:
+        Worker processes (``None``: ``pool.jobs`` or every CPU), a shared
+        :class:`~repro.enumeration.pool.WorkerPool` (without one, a run
+        that dispatches owns a private pool), and the
+        :class:`~repro.resilience.RetryPolicy` for worker crashes.
     """
     obs = resolve(obs)
     kern = resolve_kernel(model, kernel)
@@ -146,142 +239,113 @@ def enumerate_states(
     digest = model_digest(model, record_all_conditions)
     resume_payload = resolve_resume(resume, checkpoint, digest)
     meter = BudgetMeter(budget)
+    if jobs is None:
+        jobs = pool.jobs if pool is not None else (os.cpu_count() or 1)
     checkpoints_written = 0
     truncated = False
     budget_outcome: Optional[str] = None
 
-    # For first-condition mode we must not record a second arc between the
-    # same (src, dst) pair; for all-conditions mode dedup on the condition too.
-    seen_arcs: Set[Tuple]
-    # BFS wave accounting: ids are assigned in discovery order and the
-    # frontier is FIFO, so the states of wave k+1 are exactly the ids
-    # discovered while wave k was being expanded.  Peeking an id beyond
-    # the current wave's last id therefore marks a wave boundary.
     if resume_payload is not None:
         graph = StateGraph.from_json(resume_payload["graph_json"])
         seen_arcs = rebuild_seen_arcs(graph, record_all_conditions)
-        transitions_explored = int(resume_payload["transitions_explored"])
-        frontier = deque(resume_payload["frontier"])
-        waves = int(resume_payload["waves_completed"]) + 1
-        wave_last = frontier[-1] if frontier else graph.num_states - 1
-        wave_size = len(frontier)
+        transitions = int(resume_payload["transitions_explored"])
+        frontier: List[int] = list(resume_payload["frontier"])
+        waves = int(resume_payload["waves_completed"])
         resumed = True
         logger.info(
             "resuming %s from checkpoint: %d states, %d edges, "
             "%d frontier states, %d waves completed",
-            model.name, graph.num_states, graph.num_edges,
-            len(frontier), waves - 1,
+            model.name, graph.num_states, graph.num_edges, len(frontier), waves,
         )
     else:
-        graph = StateGraph(model.choice_names)
-        reset = model.reset_state()
-        model.validate_state(reset)
-        reset_id, _ = graph.intern_state(kern.reset_key())
-        assert reset_id == StateGraph.RESET
-        if check_invariants:
-            violated = model.check_invariants(reset)
-            if violated:
-                raise InvariantViolation(reset_id, dict(reset), tuple(violated))
+        graph = reset_graph(model, kern, check_invariants)
         seen_arcs = set()
-        transitions_explored = 0
-        frontier = deque([reset_id])
-        waves = 1
-        wave_last = reset_id
-        wave_size = 1
+        transitions = 0
+        frontier = [StateGraph.RESET]
+        waves = 0
         resumed = False
 
-    while frontier:
-        if frontier[0] > wave_last:
-            obs.observe("enum.wave.frontier_states", wave_size)
-            obs.event("enum.wave", wave=waves - 1, frontier=wave_size,
-                      states=graph.num_states,
-                      transitions=transitions_explored)
-            obs.heartbeat("enumerate", wave=waves - 1, frontier=wave_size,
-                          states=graph.num_states,
-                          transitions=transitions_explored)
-            waves += 1
-            previous_last = wave_last
-            wave_last = graph.num_states - 1
-            wave_size = wave_last - previous_last
-            # Resilience hooks run at the boundary, where the coordinator
-            # state (graph + untouched frontier) is consistent.
-            waves_completed = waves - 1
+    # The executor: packed spans on a worker pool where that is possible,
+    # otherwise in-process, streaming one state's row at a time.
+    spans: Optional[SpanExecutor] = None
+    if can_dispatch(kern, jobs):
+        spans = SpanExecutor(kern, jobs, obs, ("enumerate", digest, obs.enabled),
+                             pool=pool, retry=retry, faults=faults)
+
+    def rows(ids: List[int], index: int):
+        if spans is not None:
+            return spans.rows(graph, ids, index)
+        return ((src, kern.expand(graph.state_key(src))) for src in ids)
+
+    try:
+        for waves, done, frontier, transitions in bfs_waves(
+            model, graph, frontier, rows, kern.unpack, seen_arcs,
+            record_all_conditions=record_all_conditions,
+            max_states=max_states,
+            needs_check=_always if check_invariants else None,
+            waves=waves,
+            transitions=transitions,
+        ):
+            obs.observe("enum.wave.frontier_states", len(done))
+            obs.event("enum.wave", wave=waves - 1, frontier=len(done),
+                      states=graph.num_states, transitions=transitions)
+            obs.heartbeat("enumerate", wave=waves - 1, frontier=len(done),
+                          states=graph.num_states, transitions=transitions)
+            if not frontier:
+                break
+            # Wave boundary: the coordinator state (graph + the untouched
+            # next wave) is consistent here, so this is where budgets bite,
+            # checkpoints land (always on truncation, so the run resumes
+            # with a larger budget) and scripted signals fire (after the
+            # checkpoint, like a real Ctrl-C).
             budget_outcome = meter.exhausted(graph.num_states)
-            if budget_outcome is not None:
-                truncated = True
-                if checkpoint is not None:
-                    checkpoint.store.save(build_payload(
-                        graph, list(frontier), transitions_explored,
-                        waves_completed, digest, model.name,
-                    ))
-                    checkpoints_written += 1
+            truncated = budget_outcome is not None
+            if checkpoint is not None and (
+                truncated or waves % checkpoint.every_waves == 0
+            ):
+                checkpoint.store.save(build_payload(
+                    graph, frontier, transitions, waves, digest, model.name,
+                ))
+                checkpoints_written += 1
+                obs.event("enum.checkpoint", wave=waves, states=graph.num_states)
+            if truncated:
                 logger.warning(
                     "budget exhausted (%s) after %d waves: returning partial "
                     "graph with %d states (%d unexpanded)",
-                    budget_outcome, waves_completed, graph.num_states,
-                    len(frontier),
+                    budget_outcome, waves, graph.num_states, len(frontier),
                 )
                 break
-            if checkpoint is not None and waves_completed % checkpoint.every_waves == 0:
-                checkpoint.store.save(build_payload(
-                    graph, list(frontier), transitions_explored,
-                    waves_completed, digest, model.name,
-                ))
-                checkpoints_written += 1
-                obs.event("enum.checkpoint", wave=waves_completed,
-                          states=graph.num_states)
             if faults is not None:
-                faults.boundary_hook(waves_completed)
-        src_id = frontier.popleft()
-        for condition, packed_dst in kern.expand(graph.state_key(src_id)):
-            transitions_explored += 1
-            dst_id, is_new = graph.intern_state(packed_dst)
-            if is_new:
-                if max_states is not None and graph.num_states > max_states:
-                    raise EnumerationError(
-                        f"state count exceeded cap of {max_states} "
-                        f"while enumerating {model.name!r}"
-                    )
-                if check_invariants:
-                    nxt = kern.unpack(packed_dst)
-                    violated = model.check_invariants(nxt)
-                    if violated:
-                        raise InvariantViolation(dst_id, nxt, tuple(violated))
-                frontier.append(dst_id)
-            arc_key: Tuple
-            if record_all_conditions:
-                arc_key = (src_id, dst_id, condition)
-            else:
-                arc_key = (src_id, dst_id)
-            if arc_key not in seen_arcs:
-                seen_arcs.add(arc_key)
-                graph.add_edge(src_id, dst_id, condition)
+                faults.boundary_hook(waves)
+    finally:
+        if spans is not None:
+            spans.close()
 
     elapsed = time.perf_counter() - started
-    if not truncated:
-        obs.observe("enum.wave.frontier_states", wave_size)
-        obs.event("enum.wave", wave=waves - 1, frontier=wave_size,
-                  states=graph.num_states, transitions=transitions_explored)
     obs.heartbeat("enumerate", wave=waves - 1, frontier=0,
-                  states=graph.num_states, transitions=transitions_explored)
+                  states=graph.num_states, transitions=transitions)
     obs.inc("enum.states", graph.num_states)
-    obs.inc("enum.transitions_explored", transitions_explored)
+    obs.inc("enum.transitions_explored", transitions)
     obs.inc("enum.edges", graph.num_edges)
     obs.inc("enum.waves", waves)
     obs.gauge("enum.bits_per_state", model.state_bits())
-    obs.observe("enum.seconds", elapsed, mode="sequential")
+    obs.observe("enum.seconds", elapsed)
+    # Coordinator-side kernel deltas (in-process expansions land here;
+    # worker-side ones arrive through the merged span registries).
     flush_kernel_metrics(obs, kern, kernel_before)
     logger.info(
-        "enumerated %s: %d states, %d edges, %d transitions, %d waves in %.3fs",
-        model.name, graph.num_states, graph.num_edges,
-        transitions_explored, waves, elapsed,
+        "enumerated %s (jobs=%d): %d states, %d edges, %d transitions, "
+        "%d waves in %.3fs",
+        model.name, jobs, graph.num_states, graph.num_edges,
+        transitions, waves, elapsed,
     )
+    retried, respawns = spans.recovery() if spans is not None else (0, 0)
     stats = EnumerationStats(
         model_name=model.name,
         num_states=graph.num_states,
         bits_per_state=model.state_bits(),
         num_edges=graph.num_edges,
-        transitions_explored=transitions_explored,
+        transitions_explored=transitions,
         elapsed_seconds=elapsed,
         approx_memory_bytes=_approx_memory(graph, model.state_bits()),
         truncated=truncated,
@@ -289,8 +353,18 @@ def enumerate_states(
         frontier_remaining=len(frontier) if truncated else 0,
         resumed=resumed,
         checkpoints_written=checkpoints_written,
+        shards_retried=retried,
+        pool_respawns=respawns,
+        degraded=spans is not None and spans.pool.degraded,
     )
     return graph, stats
+
+
+def enumerate_states_parallel(
+    model: SyncModel, jobs: Optional[int] = None, **kwargs
+) -> Tuple[StateGraph, EnumerationStats]:
+    """:func:`enumerate_states` with ``jobs`` defaulting to every CPU."""
+    return enumerate_states(model, jobs=jobs, **kwargs)
 
 
 def _approx_memory(graph: StateGraph, bits_per_state: int) -> int:

@@ -1,6 +1,8 @@
-"""Shared-memory, array-packed wave frontiers for parallel enumeration.
+"""The BFS engine's worker-pool executor: packed shared-memory spans.
 
-State keys are already fixed-width bit-packed integers
+:class:`SpanExecutor` expands the waves of
+:func:`~repro.enumeration.bfs.enumerate_states` on a
+:class:`~repro.enumeration.pool.WorkerPool`.  State keys are already fixed-width bit-packed integers
 (:class:`~repro.smurphi.state.StateCodec` assigns every declared variable
 a bit-field), so a BFS wave does not need to travel to the workers as a
 pickled Python list of arbitrary-precision ints.  This module packs a
@@ -11,9 +13,18 @@ wave into a flat little-endian ``uint64`` word array inside one
   and hands workers only ``(segment name, span start, span stop)`` --
   a few dozen bytes per dispatch regardless of wave size;
 - **workers** attach the segment read-only, decode just their span
-  (:meth:`SharedFrontier.keys`), and detach;
+  (:meth:`SharedFrontier.keys`), expand it with the fork-inherited
+  compiled kernel, and return a packed ``uint64`` successor buffer plus
+  one guard-mask word per state.  The coordinator recovers the condition
+  tuples from its own kernel's choice tables (mask -> signature ->
+  table), so no condition tuple and no successor list is ever pickled;
 - the coordinator **unlinks** the segment at the wave boundary (and on
   retire/degrade paths), so a wave can never outlive its run.
+
+Waves below :data:`DISPATCH_MIN_STATES` states, and every wave once the
+pool has degraded, are expanded in-process by the coordinator instead.
+Span results are replayed in submission order, so the graph is identical
+whatever the job count, dispatch or retry history.
 
 States wider than 64 bits use ``words_per_state = ceil(bits / 64)``
 little-endian words per key; the packing is pure arithmetic, so
@@ -34,12 +45,44 @@ protection we want if the coordinator itself dies.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
 from array import array
 from multiprocessing import shared_memory
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.enumeration.graph import StateGraph
+from repro.enumeration.kernel import Kernel, Transition
+from repro.enumeration.pool import WorkerPool, in_worker
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import RetryPolicy
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
+
+#: Frontier size below which the coordinator expands in-process instead of
+#: dispatching to workers.  Calibrated so the round-trip is always
+#: amortized by a few thousand expansions, while the golden test models'
+#: larger waves (``fill_words=2`` and up) still exercise dispatch.
+DISPATCH_MIN_STATES = 192
+
+#: Minimum frontier states per packed span: spans this size keep every
+#: round-trip worth thousands of transitions while still oversplitting
+#: large waves (up to jobs*4 spans) so a skewed span cannot stall a wave.
+_MIN_SPAN_STATES = 64
+
+#: Transition kernel published by the coordinator immediately before the
+#: pool forks; workers inherit the ready-built choice tables, codec
+#: closures and warm successor memo without pickling.
+_WORKER_KERNEL: Optional[Kernel] = None
+#: Whether workers collect per-span metrics snapshots (False keeps the
+#: no-sink path overhead-free).
+_WORKER_COLLECT: bool = False
+#: Fault plan inherited by workers (chaos testing only; None in production).
+_WORKER_FAULTS: Optional[FaultPlan] = None
 
 
 class FrontierCodec:
@@ -186,3 +229,210 @@ class SharedFrontier:
             shm.unlink()
         except FileNotFoundError:
             pass
+
+
+def _expand_span_packed(
+    payload: Tuple[str, int, int, int, int, int], attempt: int = 0
+) -> Tuple[array, array, Optional[Dict[str, Any]]]:
+    """Expand one span of a shared-memory packed frontier.
+
+    ``payload`` is ``(segment_name, total_states, start, stop, wave,
+    span)``; ``(wave, span)`` is the address a :class:`FaultPlan`
+    targets (its hooks fire only inside real workers).  Returns
+    ``(masks, successors, metrics)``: one guard-signature bitmask per
+    source state and the flat packed key buffer of every transition, in
+    expansion order.  Pure: safe to retry on a fresh worker generation.
+    """
+    name, total, start, stop, wave, span = payload
+    if in_worker() and _WORKER_FAULTS is not None:
+        _WORKER_FAULTS.worker_hook(wave, span, attempt)
+    started = time.perf_counter()
+    kern = _WORKER_KERNEL
+    assert kern is not None, "packed dispatch requires an inherited kernel"
+    fcodec = FrontierCodec(kern.codec.total_bits)
+    frontier = SharedFrontier.attach(name, fcodec, total)
+    try:
+        keys = frontier.keys(start, stop - start)
+    finally:
+        frontier.close()
+    kernel_before = kern.counters()
+    expand_masked = kern.expand_masked
+    append_key = fcodec.append_key
+    masks = array("Q")
+    succs = array("Q")
+    transitions = 0
+    for key in keys:
+        mask, row = expand_masked(key)
+        masks.append(mask)
+        transitions += len(row)
+        for _, dst in row:
+            append_key(succs, dst)
+    if not _WORKER_COLLECT:
+        return masks, succs, None
+    registry = MetricsRegistry()
+    worker = str(os.getpid())
+    registry.inc("enum.shard.states", len(keys), worker=worker)
+    registry.inc("enum.shard.transitions", transitions, worker=worker)
+    registry.observe(
+        "enum.shard.seconds", time.perf_counter() - started, worker=worker
+    )
+    # Kernel deltas only from real workers: in-process runs share the
+    # coordinator's kernel object, whose advance the final
+    # flush_kernel_metrics already reports -- counting both would break
+    # the expansions == num_states identity.
+    if in_worker():
+        for cname, value in kern.counters().items():
+            delta = value - kernel_before.get(cname, 0)
+            if delta:
+                registry.inc(f"enum.kernel.{cname}", delta, worker=worker)
+    return masks, succs, registry.snapshot()
+
+
+def _span_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
+    """Adaptive packed-span layout: contiguous ``(start, stop)`` pairs.
+
+    Oversplits to ``jobs * 4`` spans for load balance, but never below
+    :data:`_MIN_SPAN_STATES` states per span so dispatch stays amortized.
+    """
+    num_spans = max(1, min(jobs * 4, count // _MIN_SPAN_STATES))
+    size = -(-count // num_spans)
+    return [(start, min(count, start + size)) for start in range(0, count, size)]
+
+
+def can_dispatch(kern: Kernel, jobs: int) -> bool:
+    """Whether a run may use the :class:`SpanExecutor`: more than one
+    job, ``fork`` (workers inherit the kernel), and a compiled kernel
+    whose guard signature fits one 64-bit mask word."""
+    return (
+        jobs > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and hasattr(kern, "expand_masked")
+        and len(kern.tables.guards) <= 64
+    )
+
+
+class SpanExecutor:
+    """Expands BFS waves on a :class:`WorkerPool` as packed spans.
+
+    Publishes the fork-inherited worker globals, then binds ``pool`` (or
+    a private pool it shuts down in :meth:`close`).  An unchanged
+    ``context`` tag reuses the live worker generation; a fault plan
+    forces a fresh one that inherits exactly that plan.
+    """
+
+    def __init__(
+        self,
+        kern: Kernel,
+        jobs: int,
+        obs: Observer,
+        context: Any,
+        pool: Optional[WorkerPool] = None,
+        retry: Optional[RetryPolicy] = None,
+        faults: Optional[FaultPlan] = None,
+    ):
+        global _WORKER_KERNEL, _WORKER_COLLECT, _WORKER_FAULTS
+        # Publish BEFORE declaring the pool context: workers fork lazily
+        # at the first dispatch and must inherit exactly this state.
+        _WORKER_KERNEL = kern
+        _WORKER_COLLECT = obs.enabled
+        _WORKER_FAULTS = faults
+        self.kern = kern
+        self.jobs = jobs
+        self.obs = obs
+        self.faults = faults
+        self.owned = pool is None
+        if pool is None:
+            pool = WorkerPool(jobs, policy=retry, obs=obs)
+        else:
+            pool.obs = obs
+            if retry is not None:
+                pool.policy = retry
+        pool.set_context(context)
+        if faults is not None:
+            pool.retire()
+        self.pool = pool
+        self.codec = FrontierCodec(kern.codec.total_bits)
+        self._conditions: Dict[int, Tuple[Tuple, ...]] = {}
+        self._recovery_before = pool.recovery_snapshot()
+
+    def rows(
+        self, graph: StateGraph, wave: List[int], index: int
+    ) -> Iterator[Tuple[int, Sequence[Transition]]]:
+        """``(state id, successor row)`` for every state of BFS wave
+        number ``index``, in wave order."""
+        keys = [graph.state_key(src) for src in wave]
+        if not self.pool.available or len(keys) < DISPATCH_MIN_STATES:
+            return self._in_process(wave, keys)
+        frontier = SharedFrontier.create(keys, self.codec)
+        try:
+            spans = _span_bounds(len(keys), self.jobs)
+            payloads = [
+                (frontier.name, len(keys), start, stop, index, span)
+                for span, (start, stop) in enumerate(spans)
+            ]
+            self.pool.note_dispatch(frontier.nbytes)
+            results = self.pool.run_tasks(
+                _expand_span_packed, payloads,
+                timeout=self.pool.policy.shard_timeout,
+            )
+        finally:
+            # The coordinator owns the segment: unlink at the wave
+            # boundary on every path (success, retry exhaustion, genuine
+            # error), so killed workers cannot leak it.
+            frontier.unlink()
+        return zip(wave, self._replay(results))
+
+    def _in_process(
+        self, wave: List[int], keys: List[int]
+    ) -> Iterator[Tuple[int, Sequence[Transition]]]:
+        # A small (or degraded) wave, reported as one coordinator shard so
+        # shard totals still sum to the run's totals.
+        started = time.perf_counter()
+        transitions = 0
+        expand = self.kern.expand
+        for src, key in zip(wave, keys):
+            row = expand(key)
+            transitions += len(row)
+            yield src, row
+        if self.obs.enabled:
+            worker = str(os.getpid())
+            self.obs.inc("enum.shard.states", len(keys), worker=worker)
+            self.obs.inc("enum.shard.transitions", transitions, worker=worker)
+            self.obs.observe("enum.shard.seconds",
+                             time.perf_counter() - started, worker=worker)
+
+    def _replay(self, results) -> Iterator[Iterator[Transition]]:
+        unpack_keys = self.codec.unpack_keys
+        for masks, succs, metrics in results:
+            self.obs.merge(metrics)
+            pos = 0
+            for mask in masks:
+                conds = self._conditions_for(mask)
+                yield zip(conds, unpack_keys(succs, pos, len(conds)))
+                pos += len(conds)
+
+    def _conditions_for(self, mask: int) -> Tuple[Tuple, ...]:
+        conds = self._conditions.get(mask)
+        if conds is None:
+            guards = self.kern.tables.guards
+            sig = tuple(bool((mask >> i) & 1) for i in range(len(guards)))
+            conds = tuple(cond for _, cond in self.kern.tables.table(sig))
+            self._conditions[mask] = conds
+        return conds
+
+    def recovery(self) -> Tuple[int, int]:
+        """``(spans retried, pool respawns)`` since this executor opened."""
+        retried, respawns = self.pool.recovery_snapshot()
+        return retried - self._recovery_before[0], respawns - self._recovery_before[1]
+
+    def close(self) -> None:
+        """Release the pool (or retire a fault-laden generation) and globals."""
+        global _WORKER_KERNEL, _WORKER_COLLECT, _WORKER_FAULTS
+        if self.owned:
+            self.pool.shutdown()
+        elif self.faults is not None:
+            # Never let a fault-laden worker generation outlive its run.
+            self.pool.retire()
+        _WORKER_KERNEL = None
+        _WORKER_COLLECT = False
+        _WORKER_FAULTS = None

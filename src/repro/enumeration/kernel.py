@@ -1,8 +1,8 @@
 """Transition kernels: the pluggable expansion hot path of enumeration.
 
-Both enumeration engines spend nearly all their time computing, for one
-packed state key, the ordered list of ``(condition, packed_successor)``
-pairs.  A *kernel* owns exactly that computation:
+The BFS engine spends nearly all its time computing, for one packed
+state key, the ordered list of ``(condition, packed_successor)`` pairs.
+A *kernel* owns exactly that computation:
 
 - :class:`InterpretedKernel` is the reference path: unpack the state
   dict, re-enumerate choices through :meth:`SyncModel.enumerate_choices`,
@@ -46,7 +46,7 @@ from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
 from repro.smurphi.model import SyncModel
 from repro.smurphi.state import StateCodec
 
-#: Kernel selector values accepted by the engines and the CLI.
+#: Kernel selector values accepted by the engine's ``kernel=`` seam.
 KERNEL_MODES = ("compiled", "interpreted")
 
 #: One expanded transition: (condition tuple, packed successor key).
@@ -54,8 +54,9 @@ Transition = Tuple[Tuple, int]
 
 
 class InterpretedKernel:
-    """The reference expansion path, byte-compatible with the pre-kernel
-    engines: full :meth:`SyncModel.step` validation on every transition."""
+    """The reference expansion path: full :meth:`SyncModel.step`
+    validation on every transition.  It produces no guard mask, so the
+    engine always runs it in-process."""
 
     kind = "interpreted"
     compile_seconds = 0.0
@@ -71,9 +72,9 @@ class InterpretedKernel:
         return self.codec.unpack(key)
 
     def expand(self, key: int) -> Iterator[Transition]:
-        # A generator on purpose: the sequential engine interleaves each
-        # step with its bookkeeping exactly as the pre-kernel loop did,
-        # preserving error ordering for pathological models.
+        # A generator on purpose: the in-process executor interleaves
+        # each step with the loop's bookkeeping, preserving error
+        # ordering for pathological models.
         model, codec = self.model, self.codec
         state = codec.unpack(key)
         names = model.choice_names
@@ -136,7 +137,7 @@ class CompiledKernel:
         The mask (bit ``i`` = guard ``i`` of ``tables.guards`` fired) plus
         the successor keys fully determine the expansion: any process
         holding an equivalent kernel can recover the condition tuples from
-        ``tables.table(signature)``, which is what lets parallel workers
+        ``tables.table(signature)``, which is what lets pool workers
         ship one integer instead of pickled per-transition conditions.
         """
         memo = self._memo
@@ -205,7 +206,7 @@ class CompiledKernel:
         }
 
 
-#: Anything an engine accepts as its ``kernel=`` argument.
+#: Anything the engine accepts as its ``kernel=`` argument.
 Kernel = Union[InterpretedKernel, CompiledKernel]
 KernelSpec = Union[str, None, Kernel]
 
@@ -221,7 +222,7 @@ def compile_model(
     Repeat calls with the same options return the same kernel, so the
     successor memo and choice tables built by one enumeration are reused
     by the next (campaigns, ``record_all_conditions`` ablations --
-    expansion does not depend on the arc-recording mode -- and parallel
+    expansion does not depend on the arc-recording mode -- and pool
     workers, which inherit the coordinator's kernel by fork).
     """
     cache = model.__dict__.setdefault("_kernel_cache", {})
@@ -235,7 +236,7 @@ def compile_model(
 
 
 def resolve_kernel(model: SyncModel, kernel: KernelSpec = "compiled") -> Kernel:
-    """Normalize an engine's ``kernel=`` argument to a kernel object.
+    """Normalize the engine's ``kernel=`` argument to a kernel object.
 
     ``"compiled"`` (or ``None``) compiles/reuses the model's cached
     compiled kernel; ``"interpreted"`` builds the reference kernel; a

@@ -1,13 +1,11 @@
 """A persistent, crash-recovering worker pool shared across pipeline phases.
 
-Before this module, every parallel phase paid its own pool: enumeration
-built a ``ProcessPoolExecutor`` per call, vector generation and trace
-comparison each built a ``multiprocessing.Pool`` per call.  At small
-scale the spawn cost alone inverted the speedup (jobs=4 slower than
-jobs=1).  :class:`WorkerPool` is the shared substrate: one pool object
-per pipeline, living across BFS waves *and* across phases, with the
-retry/respawn/degrade semantics of the old enumeration coordinator
-generalized so every phase gets crash recovery.
+:class:`WorkerPool` is the shared substrate of every multi-process
+phase: one pool object per pipeline, living across BFS waves *and*
+across phases (enumeration's packed-span executor, vector generation,
+trace comparison), with one retry/respawn/degrade policy so every phase
+gets crash recovery.  Paying spawn once per pipeline, not per call or
+per wave, is what keeps small runs from inverting the speedup.
 
 Process model: **fork inheritance with context generations.**  Models,
 kernels, generators and core configs hold closures that do not pickle,
@@ -35,6 +33,10 @@ Lifecycle observability: ``enum.pool.spawns`` / ``enum.pool.reuse_hits``
 / ``enum.pool.dispatch_bytes`` counters and a ``pool`` span around each
 worker-generation spawn make the dispatch overhead visible in
 ``repro report``.
+
+Test seam: workers are built by this module's ``ProcessPoolExecutor``
+(looked up at call time), so tests intercept pool creation by
+monkeypatching ``repro.enumeration.pool.ProcessPoolExecutor``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import concurrent.futures
 import logging
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -78,11 +81,9 @@ def in_worker() -> bool:
 
 
 def _default_executor_factory(**kwargs: Any):
-    # Looked up through the parallel module so its executor symbol stays
-    # the single interception point for pool creation.
-    from repro.enumeration import parallel
-
-    return parallel.ProcessPoolExecutor(**kwargs)
+    # Looked up at call time so this module's ``ProcessPoolExecutor``
+    # stays the single interception point for pool creation.
+    return ProcessPoolExecutor(**kwargs)
 
 
 class WorkerPool:

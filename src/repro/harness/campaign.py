@@ -75,10 +75,6 @@ class ValidationCampaign:
         enumeration.  A budget-truncated build still runs the campaign --
         over the partial trace set -- and ``enum_stats.truncated`` flags
         that the bug-detection numbers cover only the explored fraction.
-    kernel:
-        Transition kernel for enumeration (``"compiled"`` default,
-        ``"interpreted"`` the validated reference path), forwarded to the
-        pipeline.
     """
 
     def __init__(
@@ -94,7 +90,6 @@ class ValidationCampaign:
         checkpoint_every: int = 1,
         budget=None,
         resume: bool = False,
-        kernel: str = "compiled",
         incremental: bool = True,
     ):
         from repro.core.pipeline import ValidationPipeline
@@ -114,7 +109,6 @@ class ValidationCampaign:
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             budget=budget,
-            kernel=kernel,
             incremental=incremental,
         )
         artifacts = self.pipeline.build(resume=resume)

@@ -516,12 +516,12 @@ def _bench_enum_sequential() -> BenchResult:
 
 @register_benchmark("enum.parallel")
 def _bench_enum_parallel() -> BenchResult:
-    from repro.enumeration import enumerate_states_parallel
+    from repro.enumeration import enumerate_states
     from repro.pp.fsm_model import PPControlModel, PPModelConfig
 
     def run():
         model = PPControlModel(PPModelConfig(fill_words=_FILL_WORDS)).build()
-        return enumerate_states_parallel(model, jobs=_PARALLEL_JOBS)
+        return enumerate_states(model, jobs=_PARALLEL_JOBS)
 
     wall, (_, stats) = _best_of(run)
     return BenchResult(
@@ -551,7 +551,7 @@ def _bench_enum_parallel_full() -> BenchResult:
     still crossing the dispatch threshold every wave.  The exhaustive
     Table 3.2 sweep lives in ``benchmarks/bench_table_3_2.py``.
     """
-    from repro.enumeration import enumerate_states_parallel, make_worker_pool
+    from repro.enumeration import WorkerPool, enumerate_states
     from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 
     scale = os.environ.get("REPRO_BENCH_FULL_SCALE", "branch")
@@ -562,11 +562,11 @@ def _bench_enum_parallel_full() -> BenchResult:
         "full": PPModelConfig.full(),
     }
     config = configs[scale]
-    pool = make_worker_pool(_PARALLEL_JOBS)
+    pool = WorkerPool(_PARALLEL_JOBS)
 
     def run():
         model = build_pp_control_model(config)
-        return enumerate_states_parallel(model, jobs=_PARALLEL_JOBS, pool=pool)
+        return enumerate_states(model, jobs=_PARALLEL_JOBS, pool=pool)
 
     try:
         wall, (_, stats) = _best_of(run)

@@ -17,7 +17,7 @@ size, via :meth:`set_value`), and
 Fork-safety contract
 --------------------
 The sampler thread lives only in the process that called :meth:`start`.
-``fork()`` (the parallel engines' worker start method) copies the
+``fork()`` (the worker pool's start method) copies the
 *object* but never the thread, so workers inherit a dormant sampler and
 spawn nothing; :meth:`stop` checks the owning pid and degrades to a
 state reset when called from a child.  This is locked down by the

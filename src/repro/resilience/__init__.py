@@ -3,7 +3,7 @@
 The methodology's long breadth-first enumerations (the PP control model
 explores hundreds of thousands of states) and multi-hour comparison
 campaigns must survive worker crashes, OOM kills and Ctrl-C.  This
-package supplies the pieces the enumeration engines and the pipeline
+package supplies the pieces the enumeration engine and the pipeline
 thread together:
 
 - :mod:`repro.resilience.checkpoint` -- atomic on-disk snapshots of the

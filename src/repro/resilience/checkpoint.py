@@ -81,7 +81,7 @@ def build_payload(
     config_digest: str,
     model_name: str,
 ) -> Dict[str, Any]:
-    """The JSON-able coordinator snapshot both enumeration engines share."""
+    """The JSON-able coordinator snapshot every executor of the engine shares."""
     return {
         "schema": CHECKPOINT_SCHEMA,
         "model": model_name,

@@ -3,17 +3,22 @@
 A :class:`FaultPlan` scripts failures at exact, reproducible points so the
 chaos suite (``tests/test_resilience.py``) can prove every recovery path:
 
-- **kill a worker** expanding shard S of wave W (``os._exit`` inside the
-  forked worker -- indistinguishable from an OOM kill);
-- **stall a shard** past the coordinator's per-shard timeout;
+- **kill a worker** expanding packed span S of wave W (``os._exit``
+  inside the forked worker -- indistinguishable from an OOM kill);
+- **stall a span** past the coordinator's per-span timeout;
 - **deliver SIGINT** to the coordinator at a wave boundary, after the
   checkpoint for that boundary is written (a scripted Ctrl-C);
 - **corrupt on-disk artifacts** (cache pickles, manifests, checkpoints)
   with a seeded byte-flip or truncation via :func:`corrupt_file`.
 
-Worker-side hooks only fire inside forked pool workers (guarded by a flag
-the pool initializer sets), so degraded in-process expansion can never
-kill the coordinator.  All of this is test machinery: production runs
+Worker-side hooks fire inside
+:func:`~repro.enumeration.frontier._expand_span_packed`, and only in
+forked pool workers (guarded by a flag the pool initializer sets), so
+in-process and degraded expansion can never kill the coordinator.  A
+``(wave, span)`` target therefore only fires on a wave large enough to
+be dispatched (:data:`~repro.enumeration.frontier.DISPATCH_MIN_STATES`)
+in a run with ``jobs > 1``; a fault plan never changes how a wave is
+expanded.  All of this is test machinery: production runs
 simply pass ``faults=None`` everywhere.
 """
 
@@ -34,13 +39,13 @@ class FaultPlan:
     """A seeded, scripted set of failures for one enumeration run."""
 
     seed: int = 0
-    #: Kill the worker expanding ``(wave, shard)``; ``kill_attempts`` is how
+    #: Kill the worker expanding ``(wave, span)``; ``kill_attempts`` is how
     #: many successive attempts die (large values force retry exhaustion
-    #: and the degraded-to-sequential path).
+    #: and the degraded-to-in-process path).
     kill_shard: Optional[Tuple[int, int]] = None
     kill_attempts: int = 1
-    #: Stall the worker expanding ``(wave, shard)`` for ``slow_seconds`` on
-    #: its first ``slow_attempts`` attempts (trips the shard timeout).
+    #: Stall the worker expanding ``(wave, span)`` for ``slow_seconds`` on
+    #: its first ``slow_attempts`` attempts (trips the span timeout).
     slow_shard: Optional[Tuple[int, int]] = None
     slow_seconds: float = 0.0
     slow_attempts: int = 1
@@ -56,11 +61,11 @@ class FaultPlan:
     #: killed deterministically *mid-job*, with checkpoints on disk.
     slow_every_wave: float = 0.0
 
-    def worker_hook(self, wave: int, shard: int, attempt: int) -> None:
-        """Run inside a pool worker at the start of shard expansion."""
-        if self.slow_shard == (wave, shard) and attempt < self.slow_attempts:
+    def worker_hook(self, wave: int, span: int, attempt: int) -> None:
+        """Run inside a pool worker at the start of a packed span."""
+        if self.slow_shard == (wave, span) and attempt < self.slow_attempts:
             time.sleep(self.slow_seconds)
-        if self.kill_shard == (wave, shard) and attempt < self.kill_attempts:
+        if self.kill_shard == (wave, span) and attempt < self.kill_attempts:
             os._exit(3)
 
     def boundary_hook(self, waves_completed: int) -> None:

@@ -8,7 +8,7 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the parallel coordinator reacts to a failed wave shard.
+    """How the worker pool reacts to a failed task (a wave's packed span).
 
     A shard *fails* when its worker dies (the pool turns up broken) or
     when its result does not arrive within ``shard_timeout`` seconds (a

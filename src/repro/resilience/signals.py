@@ -1,6 +1,6 @@
 """Route SIGTERM into the SIGINT-at-wave checkpoint/interrupt logic.
 
-The enumeration engines already survive Ctrl-C: checkpoints are written
+The enumeration engine already survives Ctrl-C: checkpoints are written
 at wave boundaries *before* a ``KeyboardInterrupt`` can propagate, so an
 interrupted run always leaves a resumable snapshot behind (the chaos
 suite byte-compares the resumed graph against an uninterrupted one).

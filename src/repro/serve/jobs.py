@@ -60,7 +60,6 @@ EXIT_CHECKPOINTED = 75
 _COMMON_DEFAULTS: Dict[str, Any] = {
     "fill_words": 1,
     "extra_pipe_stages": 0,
-    "kernel": "compiled",
     # Namespacing knob: a tag is part of the job identity, so campaigns
     # that must NOT dedupe against each other (load tests, A/B reruns)
     # submit distinct tags.
@@ -114,8 +113,6 @@ def normalize_params(kind: str, params: Optional[Dict[str, Any]]) -> Dict[str, A
         )
     normalized = dict(allowed)
     normalized.update(params)
-    if normalized["kernel"] not in ("compiled", "interpreted"):
-        raise JobSpecError(f"unknown kernel {normalized['kernel']!r}")
     if kind == "validate":
         normalized["bugs"] = sorted(int(b) for b in normalized["bugs"] or [])
         from repro.incremental.edits import EDIT_CATALOG
@@ -402,7 +399,6 @@ def _run_enumerate(model_config, params, paths, budget, faults, resume,
         resume=resume,
         budget=budget,
         faults=faults,
-        kernel=params["kernel"],
     )
     # The graph JSON is the job's byte-comparable artifact: the chaos
     # suite diffs it against an uninterrupted run after kill/resume.
@@ -432,7 +428,6 @@ def _run_validate(model_config, params, paths, cache_dir, budget, faults,
         observer=observer,
         checkpoint_dir=str(paths.checkpoints),
         budget=budget,
-        kernel=params["kernel"],
         edits=resolve_edits(params["edits"]),
         incremental=params["incremental"],
     )
@@ -470,7 +465,6 @@ def _run_campaign(model_config, params, paths, cache_dir, budget, faults,
         checkpoint_dir=str(paths.checkpoints),
         budget=budget,
         resume=resume,
-        kernel=params["kernel"],
     )
     results = campaign.evaluate_all_bugs()
     found = sum(r.outcomes["generated"].detected for r in results)

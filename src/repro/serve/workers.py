@@ -3,7 +3,7 @@
 Each worker is an asyncio task that pulls one job at a time off the
 :class:`~repro.serve.queue.AdmissionQueue` and runs it in a forked child
 process (:func:`~repro.serve.jobs.spawn_job_process`).  The failure
-handling mirrors the parallel enumeration coordinator's, one level up:
+handling mirrors the enumeration worker pool's, one level up:
 
 - a child that dies (SIGKILL, OOM, a crash) is **retried** with
   exponential backoff per :class:`~repro.resilience.RetryPolicy`; every
@@ -11,7 +11,7 @@ handling mirrors the parallel enumeration coordinator's, one level up:
   kill is never repeated;
 - a job whose retries are exhausted **degrades** to in-daemon execution
   (a thread), which is slower and unprotected but cannot crash-loop --
-  the same ladder the enumeration engines use;
+  the same ladder the enumeration worker pool uses;
 - a **drain** (SIGTERM to the daemon) SIGTERMs running children, whose
   own handler checkpoints and exits ``EXIT_CHECKPOINTED``; the job is
   journalled back to ``queued`` *resumable* and the next daemon start

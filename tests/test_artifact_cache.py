@@ -6,7 +6,8 @@ import pickle
 
 import pytest
 
-from repro.core import ArtifactCache, ValidationPipeline, artifact_key, code_version
+from repro.core import ArtifactCache, ValidationPipeline, code_version
+from repro.core.cache import pipeline_phase_keys
 from repro.pp.fsm_model import PPModelConfig
 
 SMALL = dict(model_config=PPModelConfig(fill_words=1), max_instructions_per_trace=300)
@@ -20,22 +21,27 @@ def warm_cache_dir(tmp_path_factory):
     return cache_dir
 
 
+def build_key(model_config, **flags):
+    """The end of a build's key chain: it covers every input."""
+    return pipeline_phase_keys(model_config, **flags)["traces"]
+
+
 class TestKeying:
     def test_key_is_stable(self):
-        assert artifact_key(PPModelConfig(), seed=3) == artifact_key(
+        assert build_key(PPModelConfig(), seed=3) == build_key(
             PPModelConfig(), seed=3
         )
 
     def test_key_changes_with_config(self):
-        base = artifact_key(PPModelConfig(fill_words=2))
-        assert artifact_key(PPModelConfig(fill_words=3)) != base
-        assert artifact_key(PPModelConfig(fill_words=2, extra_pipe_stages=1)) != base
+        base = build_key(PPModelConfig(fill_words=2))
+        assert build_key(PPModelConfig(fill_words=3)) != base
+        assert build_key(PPModelConfig(fill_words=2, extra_pipe_stages=1)) != base
 
     def test_key_changes_with_flags_and_seed(self):
-        base = artifact_key(PPModelConfig(), seed=0)
-        assert artifact_key(PPModelConfig(), seed=1) != base
-        assert artifact_key(PPModelConfig(), record_all_conditions=True) != base
-        assert artifact_key(PPModelConfig(), max_instructions_per_trace=100) != base
+        base = build_key(PPModelConfig(), seed=0)
+        assert build_key(PPModelConfig(), seed=1) != base
+        assert build_key(PPModelConfig(), record_all_conditions=True) != base
+        assert build_key(PPModelConfig(), max_instructions_per_trace=100) != base
 
     def test_code_version_is_memoized_hex(self):
         first = code_version()
@@ -300,7 +306,7 @@ class TestArtifactKeyEdgeCases:
         from repro.core.cache import config_payload
 
         assert repr(ConfigA()) == repr(ConfigB())
-        assert artifact_key(ConfigA()) != artifact_key(ConfigB())
+        assert build_key(ConfigA()) != build_key(ConfigB())
         assert config_payload(ConfigA())["type"] != config_payload(ConfigB())["type"]
 
     def test_same_non_dataclass_type_keys_by_repr(self):
@@ -311,26 +317,8 @@ class TestArtifactKeyEdgeCases:
             def __repr__(self):
                 return f"Config(n={self.n})"
 
-        assert artifact_key(Config(1)) == artifact_key(Config(1))
-        assert artifact_key(Config(1)) != artifact_key(Config(2))
-
-    def test_extra_dict_ordering_is_canonical(self):
-        # json.dumps(sort_keys=True) canonicalizes insertion order; two
-        # logically equal extras must address the same entry.
-        cfg = PPModelConfig(fill_words=1)
-        assert artifact_key(cfg, extra={"a": 1, "b": 2}) == artifact_key(
-            cfg, extra={"b": 2, "a": 1}
-        )
-
-    def test_extra_participates_in_the_key(self):
-        cfg = PPModelConfig(fill_words=1)
-        base = artifact_key(cfg)
-        assert artifact_key(cfg, extra={"variant": "x"}) != base
-        assert artifact_key(cfg, extra={"variant": "y"}) != artifact_key(
-            cfg, extra={"variant": "x"}
-        )
-        # An explicitly empty extra is the same build as no extra at all.
-        assert artifact_key(cfg, extra=None) == base
+        assert build_key(Config(1)) == build_key(Config(1))
+        assert build_key(Config(1)) != build_key(Config(2))
 
 
 class TestPhaseCodeDigests:

@@ -54,28 +54,13 @@ class TestJobsFlag:
 
 
 class TestKernelFlag:
-    def test_interpreted_matches_compiled_graph(self, tmp_path, capsys):
-        compiled = tmp_path / "compiled.json"
-        interpreted = tmp_path / "interpreted.json"
-        assert main(["enumerate", "--fill-words", "1",
-                     "--graph-out", str(compiled)]) == 0
-        assert main(["enumerate", "--fill-words", "1",
-                     "--kernel", "interpreted",
-                     "--graph-out", str(interpreted)]) == 0
-        assert compiled.read_text() == interpreted.read_text()
+    """The transition kernel is not a CLI knob (compiled == interpreted
+    is covered in test_kernel.py)."""
 
     def test_unknown_kernel_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--kernel", "vectorized"])
         assert "--kernel" in capsys.readouterr().err
-
-    def test_kernel_recorded_in_run_report(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        assert main(["enumerate", "--fill-words", "1",
-                     "--kernel", "interpreted",
-                     "--metrics-out", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert payload["config"]["kernel"] == "interpreted"
 
 
 class TestCacheFlags:

@@ -213,12 +213,12 @@ class TestSegmentLifetime:
         failure paths, so no segment may outlive the run -- and the
         graph must still be bit-identical to the undisturbed one.
         """
-        from repro.enumeration import parallel as parallel_mod
+        from repro.enumeration import frontier as frontier_mod
 
         global _ORIG_SPAN_TASK
-        _ORIG_SPAN_TASK = parallel_mod._expand_span_packed
+        _ORIG_SPAN_TASK = frontier_mod._expand_span_packed
         monkeypatch.setattr(
-            parallel_mod, "_expand_span_packed", _killing_span_task
+            frontier_mod, "_expand_span_packed", _killing_span_task
         )
         before = _shm_segments()
         golden, _ = enumerate_states(
@@ -234,13 +234,14 @@ class TestSegmentLifetime:
         _assert_no_leak(before)
 
     def test_legacy_fault_path_leaks_nothing(self):
-        """Fault-plan runs use the legacy pickled-shard dispatch; they
-        must not create (let alone leak) any segment either."""
+        """A fault plan's scripted kill lands on a packed span (wave 4 of
+        the fill_words=2 model has 298 states, past the dispatch
+        threshold); the killed worker must not strand the segment."""
         before = _shm_segments()
-        model = build_pp_control_model(PPModelConfig(fill_words=1))
+        model = build_pp_control_model(PPModelConfig(fill_words=2))
         graph, stats = enumerate_states_parallel(
             model, jobs=2, retry=FAST_RETRY,
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=1),
+            faults=FaultPlan(kill_shard=(4, 1), kill_attempts=1),
         )
         assert stats.shards_retried >= 1
         _assert_no_leak(before)

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core import ValidationPipeline
+from repro.enumeration import enumerate_states
 from repro.incremental.diff import LOCALIZED, NO_OP, STRUCTURAL, diff_models
 from repro.incremental.edits import (
     EDIT_CATALOG,
@@ -20,7 +21,9 @@ from repro.incremental.edits import (
     resolve_edits,
 )
 from repro.incremental.recent import RecentBuilds
-from repro.obs import Observer
+from repro.incremental.replay import incremental_enumerate
+from repro.incremental.splice import dirty_flags
+from repro.obs import Observer, ProgressReporter, read_heartbeats
 from repro.pp.fsm_model import PPModelConfig, pp_control_model
 from repro.smurphi.fingerprint import fingerprint_model
 
@@ -221,6 +224,69 @@ class TestAdoptionAndSplice:
         report = warm.incremental_report
         assert report.classification == LOCALIZED
         assert _artifact_bytes(warm) == _cold_bytes(stacked)
+
+
+class TestReplayAccounting:
+    """Region replay runs through the engine's one BFS loop; its stats,
+    counters and heartbeats are pinned for one localized edit."""
+
+    def test_localized_edit_accounting(self, tmp_path):
+        base = pp_control_model(SMALL)
+        old_graph, _ = enumerate_states(base.build())
+        edits = resolve_edits(["send-clears-stpend"])
+        model = EditedPPControl(base, edits).build()
+        dirty = dirty_flags(model, old_graph, [e.scope for e in edits])
+        path = str(tmp_path / "hb.jsonl")
+        observer = Observer(progress=ProgressReporter(path=path, min_interval=0.0))
+        graph, stats, counts = incremental_enumerate(
+            model, old_graph, dirty, obs=observer
+        )
+        observer.close()
+
+        fields = dataclasses.asdict(stats)
+        fields.pop("elapsed_seconds")
+        assert fields == {
+            "model_name": "pp_control(fill_words=1)",
+            "num_states": 1493, "bits_per_state": 21, "num_edges": 8683,
+            # Only kernel expansions count as explored; replayed arcs don't.
+            "transitions_explored": 1906, "approx_memory_bytes": 236759,
+            "truncated": False, "budget_outcome": None,
+            "frontier_remaining": 0, "resumed": False,
+            "checkpoints_written": 0, "shards_retried": 0,
+            "pool_respawns": 0, "degraded": False,
+        }
+        assert counts == {"replayed": 1416, "expanded": 77, "region_states": 77}
+        metrics = observer.metrics
+        assert {name: metrics.total(name) for name in metrics.counter_names()} \
+            == {"incremental.region_states": 77,
+                "incremental.replayed_states": 1416}
+        # One heartbeat per wave boundary (completed waves, states so
+        # far, replayed/expanded so far), then a final one.
+        beats = [(r["phase"], r["fields"]) for r in read_heartbeats(path)]
+        expected = [
+            (1, 7, 1, 0), (2, 38, 7, 0), (3, 194, 38, 0), (4, 491, 194, 0),
+            (5, 662, 460, 31), (6, 840, 631, 31), (7, 1435, 807, 33),
+            (8, 1451, 1359, 76), (9, 1464, 1374, 77), (10, 1476, 1387, 77),
+            (11, 1493, 1399, 77), (11, 1493, 1416, 77),
+        ]
+        assert beats == [
+            ("incremental", {"wave": w, "states": n, "replayed": r, "expanded": e})
+            for w, n, r, e in expected
+        ]
+        assert graph.to_json() == enumerate_states(model)[0].to_json()
+
+    def test_all_conditions_replay_matches_cold(self):
+        base = pp_control_model(SMALL)
+        old_graph, _ = enumerate_states(base.build(), record_all_conditions=True)
+        edits = resolve_edits(["send-clears-stpend"])
+        model = EditedPPControl(base, edits).build()
+        dirty = dirty_flags(model, old_graph, [e.scope for e in edits])
+        graph, stats, _ = incremental_enumerate(
+            model, old_graph, dirty, record_all_conditions=True
+        )
+        cold, cold_stats = enumerate_states(model, record_all_conditions=True)
+        assert graph.to_json() == cold.to_json()
+        assert stats.num_edges == cold_stats.num_edges
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,23 @@ class TestPPGolden:
         )
         assert graph.to_json() == pp_golden
 
+    def test_interpreted_at_jobs2_runs_in_process(self, pp_golden, monkeypatch):
+        """An interpreted kernel cannot produce a guard mask, so jobs=2
+        selects the in-process executor: golden graph, no worker forked."""
+        import repro.enumeration.pool as pool_mod
+
+        def no_pool(*args, **kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("the in-process executor must not fork")
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+        obs = Observer()
+        graph, stats = enumerate_states(
+            small_model(), jobs=2, kernel="interpreted", obs=obs
+        )
+        assert graph.to_json() == pp_golden
+        assert obs.metrics.total("enum.pool.spawns") == 0
+        assert stats.pool_respawns == 0
+
     @pytest.mark.parametrize("record_all", [False, True])
     def test_record_modes(self, record_all):
         interpreted, _ = enumerate_states(

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.enumeration import WorkerPool, make_worker_pool
+from repro.enumeration import WorkerPool
 from repro.enumeration.pool import TASK_FAILURES, in_worker
 from repro.obs import Observer
 from repro.resilience import RetryPolicy
@@ -59,14 +59,14 @@ class TestLifecycle:
         assert WorkerPool(-3).jobs == 1
 
     def test_shutdown_refuses_worker_dispatch(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         pool.shutdown()
         assert pool.closed
         assert not pool.available
         assert pool.run_tasks(_double, [5]) == [10]  # in-process fallback
 
     def test_ordered_results_any_completion_order(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context("t")
             assert pool.run_tasks(_double, list(range(20))) == \
@@ -77,7 +77,7 @@ class TestLifecycle:
 
 class TestContextGenerations:
     def test_same_tag_reuses_workers(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context(("phase", 1))
             first = set(pool.run_tasks(_pid_task, range(8)))
@@ -91,7 +91,7 @@ class TestContextGenerations:
             pool.shutdown()
 
     def test_changed_tag_reforks(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context(("phase", 1))
             first = set(pool.run_tasks(_pid_task, range(8)))
@@ -103,7 +103,7 @@ class TestContextGenerations:
             pool.shutdown()
 
     def test_retire_then_dispatch_reforks_lazily(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context("t")
             pool.run_tasks(_double, [1])
@@ -117,7 +117,7 @@ class TestContextGenerations:
 class TestRecovery:
     def test_killed_worker_respawns_and_retries(self):
         obs = Observer()
-        pool = make_worker_pool(2, retry=FAST_RETRY, obs=obs)
+        pool = WorkerPool(2, policy=FAST_RETRY, obs=obs)
         try:
             pool.set_context("t")
             results = pool.run_tasks(_suicide_first_attempt, [10, 20, 30, 40])
@@ -131,7 +131,7 @@ class TestRecovery:
             pool.shutdown()
 
     def test_budget_exhaustion_degrades_to_in_process(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context("t")
             results = pool.run_tasks(_suicide_always, [7, 8])
@@ -146,7 +146,7 @@ class TestRecovery:
             pool.shutdown()
 
     def test_genuine_task_exception_propagates_unretried(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context("t")
             retried_before = pool.tasks_retried
@@ -157,7 +157,7 @@ class TestRecovery:
             pool.shutdown()
 
     def test_recovery_snapshot_diffs(self):
-        pool = make_worker_pool(2, retry=FAST_RETRY)
+        pool = WorkerPool(2, policy=FAST_RETRY)
         try:
             pool.set_context("t")
             before = pool.recovery_snapshot()
@@ -175,7 +175,7 @@ class TestRecovery:
 class TestMetrics:
     def test_lifecycle_counters(self):
         obs = Observer()
-        pool = make_worker_pool(2, retry=FAST_RETRY, obs=obs)
+        pool = WorkerPool(2, policy=FAST_RETRY, obs=obs)
         try:
             pool.set_context("a")
             pool.run_tasks(_double, [1])
@@ -196,7 +196,7 @@ class TestMetrics:
 
     def test_spawn_emits_pool_span(self):
         obs = Observer()
-        pool = make_worker_pool(2, retry=FAST_RETRY, obs=obs)
+        pool = WorkerPool(2, policy=FAST_RETRY, obs=obs)
         try:
             pool.set_context("t")
             pool.run_tasks(_double, [1])

@@ -162,23 +162,34 @@ class TestGoldenResume:
         assert stats.checkpoints_written > 0
 
     def test_cross_engine_resume(self, tmp_path, golden_json):
-        """A sequential checkpoint resumes on the parallel engine and back."""
+        """A jobs=1 checkpoint resumes at jobs=2 and back: checkpoints move
+        between the engine's in-process and packed-span executors."""
         checkpoint = CheckpointConfig(tmp_path, every_waves=1)
         with pytest.raises(KeyboardInterrupt):
             enumerate_states(
-                small_model(), checkpoint=checkpoint,
+                small_model(), jobs=1, checkpoint=checkpoint,
                 faults=FaultPlan(sigint_after_wave=4),
             )
-        parallel, _ = enumerate_states_parallel(
+        # The resumed wave 4 (297 states) crosses DISPATCH_MIN_STATES, so
+        # the jobs=2 run really expands it on the pool.
+        obs = Observer()
+        spans, _ = enumerate_states(
             small_model(), jobs=2, checkpoint=checkpoint, resume=True,
-            retry=FAST_RETRY,
+            retry=FAST_RETRY, obs=obs,
         )
-        assert parallel.to_json() == golden_json
+        assert spans.to_json() == golden_json
+        assert obs.metrics.total("enum.pool.spawns") >= 1
 
-        sequential, _ = enumerate_states(
-            small_model(), checkpoint=checkpoint, resume=True,
+        other = CheckpointConfig(tmp_path / "jobs2", every_waves=1)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_states(
+                small_model(), jobs=2, checkpoint=other, retry=FAST_RETRY,
+                faults=FaultPlan(sigint_after_wave=5),
+            )
+        in_process, _ = enumerate_states(
+            small_model(), jobs=1, checkpoint=other, resume=True,
         )
-        assert sequential.to_json() == golden_json
+        assert in_process.to_json() == golden_json
 
     def test_resume_from_explicit_payload(self, tmp_path, golden_json):
         checkpoint = CheckpointConfig(tmp_path, every_waves=2)
@@ -204,11 +215,17 @@ class TestGoldenResume:
 # ---------------------------------------------------------------------------
 
 
+#: (wave, span) the kill/stall hooks target: wave 4 of the fill_words=1
+#: model has 297 states, past DISPATCH_MIN_STATES, so at jobs=2 it is
+#: dispatched as four packed spans.
+PACKED_SPAN = (4, 1)
+
+
 class TestWorkerCrashRecovery:
     def test_killed_worker_is_retried(self, golden_json):
         graph, stats = enumerate_states_parallel(
             small_model(), jobs=2, retry=FAST_RETRY,
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=1),
+            faults=FaultPlan(kill_shard=PACKED_SPAN, kill_attempts=1),
         )
         assert graph.to_json() == golden_json
         assert stats.shards_retried > 0
@@ -220,7 +237,7 @@ class TestWorkerCrashRecovery:
             small_model(), jobs=2,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.01,
                               shard_timeout=30.0),
-            faults=FaultPlan(kill_shard=(2, 1), kill_attempts=99),
+            faults=FaultPlan(kill_shard=PACKED_SPAN, kill_attempts=99),
         )
         assert graph.to_json() == golden_json
         assert stats.degraded
@@ -231,11 +248,22 @@ class TestWorkerCrashRecovery:
             small_model(), jobs=2,
             retry=RetryPolicy(max_retries=2, backoff_seconds=0.01,
                               shard_timeout=0.5),
-            faults=FaultPlan(slow_shard=(2, 1), slow_seconds=30.0,
+            faults=FaultPlan(slow_shard=PACKED_SPAN, slow_seconds=30.0,
                              slow_attempts=1),
         )
         assert graph.to_json() == golden_json
         assert stats.shards_retried > 0
+
+    def test_fault_plan_never_picks_the_executor(self, golden_json):
+        """Wave 2 (31 states) is below DISPATCH_MIN_STATES, so it runs
+        in-process and a kill aimed at it never fires."""
+        graph, stats = enumerate_states_parallel(
+            small_model(), jobs=2, retry=FAST_RETRY,
+            faults=FaultPlan(kill_shard=(2, 0), kill_attempts=99),
+        )
+        assert graph.to_json() == golden_json
+        assert stats.shards_retried == 0
+        assert not stats.degraded
 
     def test_genuine_model_errors_are_not_retried(self):
         """Only crash/timeout failures retry; model bugs propagate at once."""
@@ -255,17 +283,16 @@ class TestWorkerCrashRecovery:
 
     def test_fork_unavailable_falls_back_to_sequential(self, monkeypatch,
                                                        golden_json):
-        import repro.enumeration.parallel as parallel_mod
+        import repro.enumeration.pool as pool_mod
 
         monkeypatch.setattr(
-            parallel_mod.multiprocessing, "get_all_start_methods",
-            lambda: ["spawn"],
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"],
         )
 
         def no_pool(*args, **kwargs):  # pragma: no cover - fails the test
             raise AssertionError("pool must not be created without fork")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
         graph, stats = enumerate_states_parallel(small_model(), jobs=4)
         assert graph.to_json() == golden_json
         assert stats.pool_respawns == 0
