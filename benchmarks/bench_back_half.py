@@ -23,28 +23,17 @@ Floors are configurable via ``BENCH_BACKHALF_MIN_TOUR_SPEEDUP`` (default
 3.0) and ``BENCH_BACKHALF_MIN_VECTOR_SPEEDUP`` (default 2.0) so noisy CI
 runners can relax them.  Scale is selected with ``BENCH_BACKHALF_SCALE``:
 ``pp`` (default) is the paper-scale fill_words=2 model, ``small`` is
-fill_words=1 for CI smoke runs.  Machine-readable results are written to
-``BENCH_backhalf.json`` at the repo root (the legacy
-``repro.bench-backhalf/1`` document), and each timed configuration also
-appends one shared-schema (``repro.bench-result/1``) line to
-``BENCH_history.jsonl`` for the ``repro bench`` regression gate.
+fill_words=1 for CI smoke runs.
 """
 
-import json
 import os
 import pickle
 import time
-from pathlib import Path
 
 from repro.enumeration import enumerate_states
-from repro.obs import bench
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.tour import IndexedTourGenerator, TourGenerator
 from repro.vectors import TransitionEventMemo, VectorGenerator, pp_instruction_cost
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_OUT = REPO_ROOT / "BENCH_backhalf.json"
-HISTORY_OUT = REPO_ROOT / "BENCH_history.jsonl"
 
 SCALES = {"small": 1, "pp": 2}
 SCALE = os.environ.get("BENCH_BACKHALF_SCALE", "pp")
@@ -158,64 +147,6 @@ def test_back_half_speedup(benchmark):
     print(f"  vectors   jobs=4    : {par_seconds:7.3f} s "
           f"({parallel_speedup:.2f}x, reported only; "
           f"cpus={os.cpu_count()})")
-
-    payload = {
-        "schema": "repro.bench-backhalf/1",
-        "scale": SCALE,
-        "fill_words": SCALES[SCALE],
-        "seed": SEED,
-        "max_instructions_per_trace": LIMIT,
-        "repeats": REPEATS,
-        "cpus": os.cpu_count(),
-        "graph": {"states": graph.num_states, "edges": graph.num_edges},
-        "tours": len(tours),
-        "floors": {
-            "tour": MIN_TOUR_SPEEDUP,
-            "vector": MIN_VECTOR_SPEEDUP,
-        },
-        "phases": {
-            "tours": {
-                "before_seconds": ref_seconds,
-                "after_seconds": idx_seconds,
-                "speedup": tour_speedup,
-                "bit_identical": True,
-            },
-            "vectors": {
-                "before_seconds": base_seconds,
-                "after_seconds": warm_seconds,
-                "speedup": vector_speedup,
-                "fresh_memo_seconds": fresh_seconds,
-                "fresh_memo_speedup": fresh_speedup,
-                "jobs4_seconds": par_seconds,
-                "jobs4_speedup": parallel_speedup,
-                "bit_identical": True,
-            },
-        },
-    }
-    BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  results written to {BENCH_OUT}")
-
-    # Shared-schema history entries for the regression gate.  The jobs=1
-    # vs jobs=4 vector pair shares a context family, so the parallel-
-    # efficiency check can compare them automatically.
-    base_context = {
-        "scale": SCALE, "fill_words": SCALES[SCALE], "seed": SEED,
-        "limit": LIMIT, "repeats": REPEATS, "cpus": os.cpu_count(),
-    }
-    for name, family, jobs, seconds in (
-        ("backhalf.tours.reference", "backhalf.tours.reference", 1, ref_seconds),
-        ("backhalf.tours.indexed", "backhalf.tours.indexed", 1, idx_seconds),
-        ("backhalf.vectors.baseline", "backhalf.vectors.baseline", 1, base_seconds),
-        ("backhalf.vectors.warm-jobs1", "backhalf.vectors.warm", 1, warm_seconds),
-        ("backhalf.vectors.fresh-jobs4", "backhalf.vectors.fresh", 4, par_seconds),
-        ("backhalf.vectors.fresh-jobs1", "backhalf.vectors.fresh", 1, fresh_seconds),
-    ):
-        bench.append_history(str(HISTORY_OUT), bench.BenchResult(
-            name=name,
-            context={**base_context, "family": family, "jobs": jobs},
-            metrics={"wall_seconds": bench.metric(seconds)},
-        ))
-    print(f"  history entries appended to {HISTORY_OUT}")
 
     assert tour_speedup >= MIN_TOUR_SPEEDUP, (
         f"indexed tour speedup {tour_speedup:.2f}x below the "

@@ -19,13 +19,9 @@ Claims measured, each cell against a cold build of the *same* model:
 Scale is selected with ``BENCH_INCR_SCALE``: ``pp`` (default) is the
 paper-scale fill_words=2 model, ``small`` is fill_words=1 for CI smoke
 runs (floors default off there -- timing, identity and classification
-are still asserted).  Results go to ``BENCH_incremental.json`` (schema
-``repro.bench-incremental/1``) and one shared-schema
-(``repro.bench-result/1``) line per cell is appended to
-``BENCH_history.jsonl`` for the ``repro bench`` regression gate.
+are still asserted).
 """
 
-import json
 import os
 import shutil
 import time
@@ -33,12 +29,7 @@ from pathlib import Path
 
 from repro.core import ValidationPipeline
 from repro.incremental.edits import resolve_edits
-from repro.obs import bench
 from repro.pp.fsm_model import PPModelConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_OUT = REPO_ROOT / "BENCH_incremental.json"
-HISTORY_OUT = REPO_ROOT / "BENCH_history.jsonl"
 
 SCALES = {"small": 1, "pp": 2}
 SCALE = os.environ.get("BENCH_INCR_SCALE", "pp")
@@ -164,57 +155,6 @@ def test_incremental_speedups_and_byte_identity(benchmark, tmp_path):
           f"{localized_report.dirty_states} dirty state(s), "
           f"{localized_report.spliced_tours} trace(s) spliced, "
           f"{localized_report.regenerated_traces} regenerated)")
-
-    payload = {
-        "schema": "repro.bench-incremental/1",
-        "scale": SCALE,
-        "fill_words": SCALES[SCALE],
-        "repeats": REPEATS,
-        "edit": EDIT,
-        "floors": {"noop": MIN_NOOP, "localized": MIN_LOCALIZED},
-        "byte_identical": True,
-        "cells": {
-            "cold": {"seconds": cold},
-            "warm": {"seconds": warm, "speedup": cold / warm},
-            "noop": {
-                "seconds": noop,
-                "speedup": noop_speedup,
-                "adopted_phases": list(noop_report.adopted_phases),
-            },
-            "localized": {
-                "seconds": localized,
-                "speedup": localized_speedup,
-                "dirty_states": localized_report.dirty_states,
-                "region_states": localized_report.region_states,
-                "spliced_tours": localized_report.spliced_tours,
-                "regenerated_traces": localized_report.regenerated_traces,
-            },
-        },
-        "model": {"states": base_states, "traces": base_traces},
-    }
-    BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  results written to {BENCH_OUT}")
-
-    for cell, seconds in (("cold", cold), ("warm", warm), ("noop", noop),
-                          ("localized", localized)):
-        context = {
-            "family": "incremental", "cell": cell, "scale": SCALE,
-            "fill_words": SCALES[SCALE], "repeats": REPEATS,
-            "cpus": os.cpu_count(),
-        }
-        if cell == "localized":
-            context["edit"] = EDIT
-        bench.append_history(str(HISTORY_OUT), bench.BenchResult(
-            name=f"incremental.{cell}",
-            context=context,
-            metrics={
-                "wall_seconds": bench.metric(seconds),
-                "speedup_vs_cold": bench.metric(
-                    cold / seconds, "x", higher_is_better=True,
-                ),
-            },
-        ))
-    print(f"  history entries appended to {HISTORY_OUT}")
 
     if MIN_NOOP:
         assert noop_speedup >= MIN_NOOP, (

@@ -14,29 +14,18 @@ Claims measured:
 
 Scale is selected with ``BENCH_KERNEL_SCALE``: ``pp`` (default) is the
 paper-scale fill_words=2 model, ``small`` is fill_words=1 for CI smoke
-runs.  Machine-readable results are written to ``BENCH_kernel.json`` at
-the repo root (the legacy ``repro.bench-kernel/1`` document), and every
-kernel x jobs run also appends one shared-schema
-(``repro.bench-result/1``) line to ``BENCH_history.jsonl`` so the
-regression gate (``repro bench``) sees these numbers too.
+runs.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.enumeration import (
     compile_model,
     enumerate_states,
     enumerate_states_parallel,
 )
-from repro.obs import bench
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_OUT = REPO_ROOT / "BENCH_kernel.json"
-HISTORY_OUT = REPO_ROOT / "BENCH_history.jsonl"
 
 SCALES = {"small": 1, "pp": 2}
 SCALE = os.environ.get("BENCH_KERNEL_SCALE", "pp")
@@ -103,39 +92,6 @@ def test_compiled_kernel_speedup(benchmark):
               f"{row['transitions_per_second']:12,.0f} transitions/s")
     print(f"  sequential speedup : {speedup_seq:.2f}x (floor {MIN_SPEEDUP}x)")
     print(f"  jobs=4 speedup     : {speedup_par:.2f}x (reported only)")
-
-    payload = {
-        "schema": "repro.bench-kernel/1",
-        "scale": SCALE,
-        "fill_words": SCALES[SCALE],
-        "min_speedup_floor": MIN_SPEEDUP,
-        "sequential_speedup": speedup_seq,
-        "jobs4_speedup": speedup_par,
-        "bit_identical": True,
-        "runs": rows,
-    }
-    BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"  results written to {BENCH_OUT}")
-
-    # Shared-schema history entries: one line per kernel x jobs run, so
-    # the regression gate tracks these numbers across commits too.
-    for row in rows:
-        bench.append_history(str(HISTORY_OUT), bench.BenchResult(
-            name=f"kernel.{row['kernel']}-jobs{row['jobs']}",
-            context={
-                "family": f"kernel.{row['kernel']}", "jobs": row["jobs"],
-                "scale": SCALE, "fill_words": SCALES[SCALE],
-                "repeats": REPEATS, "cpus": os.cpu_count(),
-            },
-            metrics={
-                "wall_seconds": bench.metric(row["seconds"]),
-                "states_per_second": bench.metric(
-                    row["states_per_second"], "states/s",
-                    higher_is_better=True,
-                ),
-            },
-        ))
-    print(f"  history entries appended to {HISTORY_OUT}")
 
     assert speedup_seq >= MIN_SPEEDUP, (
         f"compiled kernel speedup {speedup_seq:.2f}x below the "

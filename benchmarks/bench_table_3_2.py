@@ -32,7 +32,7 @@ runner cannot exhibit parallel speedup no matter how good the dispatch
 path is; ``BENCH_TABLE32_MIN_SPEEDUP`` overrides the computed floor
 (CI uses a relaxed explicit floor on shared runners).
 
-Environment knobs (precedent: ``BENCH_KERNEL_*`` / ``REPRO_BENCH_*``):
+Environment knobs:
 
 - ``BENCH_TABLE32_SCALE``: largest sweep row to run -- ``default``,
   ``branch``, ``mid`` or ``full`` (default ``full``; CI runs the
@@ -42,38 +42,18 @@ Environment knobs (precedent: ``BENCH_KERNEL_*`` / ``REPRO_BENCH_*``):
   scale's highest job count, replacing the CPU-aware default.
 - ``BENCH_TABLE32_REPEATS``: best-of-N timing (default 1 -- the full
   scale takes ~a minute per enumeration).
-
-Results go to ``BENCH_table_3_2.json`` (schema ``repro.bench-table32/1``).
-Cells additionally append shared-schema ``repro.bench-result/1`` lines
-to ``BENCH_history.jsonl`` so the ``repro bench`` regression gate and
-the parallel-efficiency check cover the sweep -- but only cells that
-make sound gate baselines: history is written only when
-``BENCH_TABLE32_REPEATS >= 3`` (best-of-1 timings once seeded the gate
-with warm-up skew and produced phantom regressions), and jobs>1 cells
-are recorded only when the machine has at least that many CPUs (on a
-1-CPU container a jobs=4 wall time is scheduling noise, not a
-baseline).  Skipped cells still appear in ``BENCH_table_3_2.json``.
 """
 
 import hashlib
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.enumeration import (
     WorkerPool,
     enumerate_states,
     enumerate_states_parallel,
 )
-from repro.obs import bench
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_OUT = REPO_ROOT / "BENCH_table_3_2.json"
-HISTORY_OUT = REPO_ROOT / "BENCH_history.jsonl"
-
-BENCH_TABLE32_SCHEMA = "repro.bench-table32/1"
 
 #: Sweep rows, smallest to largest; the env knob picks the largest row.
 SCALES = [
@@ -88,10 +68,6 @@ SCALE = os.environ.get("BENCH_TABLE32_SCALE", "full")
 JOBS = [int(j) for j in
         os.environ.get("BENCH_TABLE32_JOBS", "1,2,4").split(",")]
 REPEATS = max(1, int(os.environ.get("BENCH_TABLE32_REPEATS", "1")))
-
-#: Minimum best-of repeats before a cell is trusted as a shared
-#: regression-gate baseline in ``BENCH_history.jsonl``.
-HISTORY_MIN_REPEATS = 3
 
 
 def _speedup_floor(jobs: int) -> float:
@@ -133,9 +109,8 @@ def test_table_3_2_parallel_sweep(benchmark):
 
     # Untimed warm-up: the first enumeration of a process pays one-off
     # costs (imports, allocator growth, fork machinery) that land on
-    # whichever cell happens to run first -- a committed history batch
-    # once showed the sequential cell 4x slower than its jobs=2 sibling
-    # for exactly this reason.
+    # whichever cell happens to run first -- the sequential cell once
+    # measured 4x slower than its jobs=2 sibling for exactly this reason.
     warm_config = SCALES[0][1]
     enumerate_states(build_pp_control_model(warm_config))
 
@@ -184,7 +159,6 @@ def test_table_3_2_parallel_sweep(benchmark):
                 cells[jobs] = {
                     "wall_seconds": par_seconds,
                     "speedup_vs_sequential": seq_seconds / par_seconds,
-                    "bit_identical": True,
                 }
 
             print(f"{name:<9}{stats.num_states:>10,}"
@@ -202,19 +176,9 @@ def test_table_3_2_parallel_sweep(benchmark):
 
             rows.append({
                 "scale": name,
-                "config": {
-                    "fill_words": config.fill_words,
-                    "extra_pipe_stages": config.extra_pipe_stages,
-                    "spill_words": config.spill_words,
-                    "model_branches": config.model_branches,
-                },
                 "states": stats.num_states,
                 "edges": stats.num_edges,
-                "bits_per_state": stats.bits_per_state,
-                "reachable_fraction": stats.reachable_fraction,
-                "memory_mb": stats.approx_memory_bytes / 1e6,
-                "sequential_seconds": seq_seconds,
-                "parallel": {str(j): cells[j] for j in JOBS},
+                "parallel": cells,
             })
     finally:
         for pool in pools.values():
@@ -226,80 +190,9 @@ def test_table_3_2_parallel_sweep(benchmark):
 
     top_jobs = max(JOBS)
     floor = _speedup_floor(top_jobs)
-    top_speedup = largest["parallel"][str(top_jobs)]["speedup_vs_sequential"]
+    top_speedup = largest["parallel"][top_jobs]["speedup_vs_sequential"]
     print(f"largest scale ({largest['scale']}): jobs={top_jobs} speedup "
           f"{top_speedup:.2f}x (floor {floor:.2f}x, cpus={os.cpu_count()})")
-
-    payload = {
-        "schema": BENCH_TABLE32_SCHEMA,
-        "scale": SCALE,
-        "jobs": JOBS,
-        "repeats": REPEATS,
-        "cpus": os.cpu_count(),
-        "speedup_floor": {"jobs": top_jobs, "floor": floor},
-        "paper": {"states": 229571, "edges": 1172848, "bits_per_state": 98},
-        "rows": rows,
-    }
-    BENCH_OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"results written to {BENCH_OUT}")
-
-    # Shared-schema history entries: one per (scale, jobs) cell, plus the
-    # sequential baseline.  Each scale is its own context family, so the
-    # parallel-efficiency check compares jobs within a scale -- never a
-    # 2,135-state row against a 205K-state one.  History lines become
-    # shared regression-gate baselines, so only measurement-quality
-    # cells are written: repeats >= HISTORY_MIN_REPEATS, and jobs <=
-    # cpus (a 1-CPU container's jobs=4 wall time is scheduling noise).
-    cpus = os.cpu_count() or 1
-    if REPEATS < HISTORY_MIN_REPEATS:
-        print(f"history: skipped entirely (repeats={REPEATS} < "
-              f"{HISTORY_MIN_REPEATS}; single-sample timings make noisy "
-              f"gate baselines -- set BENCH_TABLE32_REPEATS="
-              f"{HISTORY_MIN_REPEATS} to record)")
-    else:
-        appended = 0
-        skipped = 0
-        for row in rows:
-            family = f"table32.enum.{row['scale']}"
-            context = {
-                "family": family, "scale": row["scale"],
-                "states": row["states"], "cpus": cpus,
-                "repeats": REPEATS, "kernel": "compiled",
-            }
-            bench.append_history(str(HISTORY_OUT), bench.BenchResult(
-                name=f"{family}.sequential",
-                context={**context, "jobs": 1},
-                metrics={
-                    "wall_seconds": bench.metric(row["sequential_seconds"]),
-                    "states_per_second": bench.metric(
-                        row["states"] / row["sequential_seconds"],
-                        "states/s", higher_is_better=True,
-                    ),
-                },
-            ))
-            appended += 1
-            for jobs in JOBS:
-                if jobs <= 1:
-                    continue  # the sequential entry is the family's jobs=1
-                if jobs > cpus:
-                    skipped += 1
-                    continue
-                cell = row["parallel"][str(jobs)]
-                bench.append_history(str(HISTORY_OUT), bench.BenchResult(
-                    name=f"{family}.jobs{jobs}",
-                    context={**context, "jobs": jobs},
-                    metrics={
-                        "wall_seconds": bench.metric(cell["wall_seconds"]),
-                        "states_per_second": bench.metric(
-                            row["states"] / cell["wall_seconds"],
-                            "states/s", higher_is_better=True,
-                        ),
-                    },
-                ))
-                appended += 1
-        note = (f"; {skipped} jobs>cpus cell(s) left out (cpus={cpus} -- "
-                f"recorded in {BENCH_OUT.name} only)" if skipped else "")
-        print(f"history: {appended} entries appended to {HISTORY_OUT}{note}")
 
     assert top_speedup >= floor, (
         f"jobs={top_jobs} speedup {top_speedup:.2f}x at the "

@@ -34,11 +34,8 @@ arms the opt-in sampling profiler and writes a collapsed-stack profile
 (render with flamegraph.pl / speedscope); ``--heartbeat-out`` streams
 machine-readable JSONL progress heartbeats while a live status line is
 rewritten on stderr whenever it is a terminal (``--progress`` forces it
-on, ``--no-progress`` off).  ``repro bench`` runs the registered
-benchmark suite, appends one ``repro.bench-result/1`` line per benchmark
-to ``BENCH_history.jsonl`` keyed by git SHA, and gates on regressions
-against the trailing history (``--report-only`` demotes failures to
-warnings).
+on, ``--no-progress`` off).  Performance is measured outside the CLI,
+by ``python3 bench/run.py`` (see ``bench/README.md``).
 
 Resilience: ``--checkpoint-dir`` snapshots enumeration at wave boundaries
 (``--checkpoint-every`` controls the cadence) and ``--resume`` continues
@@ -62,8 +59,7 @@ Exit codes (stable; scripts and CI may rely on them):
   model itself is wrong, which outranks any validation verdict.
 - ``4`` -- a resource budget truncated the run; results cover only the
   explored fraction and are reported before exiting.
-- ``5`` -- ``repro bench`` detected a performance regression against the
-  trailing history baseline (suppressed by ``--report-only``).
+- ``5`` -- retired (was a benchmark regression); never reused.
 - ``130`` -- the run was interrupted (SIGINT *or* SIGTERM; the one-shot
   commands route both through the same wave-boundary checkpoint logic,
   so with ``--checkpoint-dir`` the partial work is resumable with
@@ -80,7 +76,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from typing import List, Optional
 
@@ -117,7 +112,6 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT_VIOLATION = 3
 EXIT_BUDGET_TRUNCATED = 4
-EXIT_PERF_REGRESSION = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell convention
 
 
@@ -678,57 +672,6 @@ def cmd_checkpoints(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    """Run registered benchmarks, extend the history, gate on regressions."""
-    from repro.obs import bench
-
-    names = bench.registered_benchmarks()
-    if args.list:
-        for name in names:
-            print(name)
-        return EXIT_OK
-    if args.only:
-        unknown = sorted(set(args.only) - set(names))
-        if unknown:
-            print(f"unknown benchmark(s) {unknown}; registered: {names}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        names = [n for n in names if n in set(args.only)]
-    for name in names:
-        result = bench.run_benchmark(name)
-        bench.append_history(args.history, result)
-        cells = ", ".join(
-            f"{metric_name}={cell['value']:.4g} {cell['unit']}"
-            for metric_name, cell in sorted(result.metrics.items())
-        )
-        print(f"{name:<24} {cells}")
-    entries = bench.load_history(args.history)
-    sha = bench.provenance_sha()
-    print(f"history: {len(entries)} entries in {args.history} "
-          f"(now at {bench.short_sha(sha)})")
-    if sha.endswith("-dirty"):
-        print("WARNING: working tree has uncommitted tracked changes; "
-              "new history entries are stamped <sha>-dirty")
-    for warning in bench.parallel_efficiency_warnings(entries):
-        print(f"WARNING: {warning}")
-    regressions = bench.detect_regressions(
-        entries, threshold=args.threshold, window=args.window
-    )
-    if not regressions:
-        print(f"regression gate: ok (threshold {args.threshold:.0%}, "
-              f"window {args.window})")
-        return EXIT_OK
-    label = "WARNING" if args.report_only else "REGRESSION"
-    for regression in regressions:
-        print(f"{label}: {regression.describe()}")
-    if args.report_only:
-        print(f"regression gate: {len(regressions)} finding(s), "
-              "demoted to warnings (--report-only)")
-        return EXIT_OK
-    print(f"regression gate: FAILED ({len(regressions)} finding(s))")
-    return EXIT_PERF_REGRESSION
-
-
 def cmd_cache(args) -> int:
     """List, summarize and prune a pipeline artifact cache directory."""
     from repro.core.cache import ArtifactCache
@@ -780,16 +723,6 @@ def cmd_report(args) -> int:
         print(f"cannot read run report {args.report}: {exc}", file=sys.stderr)
         return 2
     print(report.render())
-    history_path = args.history
-    if history_path is None and os.path.exists("BENCH_history.jsonl"):
-        history_path = "BENCH_history.jsonl"
-    if history_path:
-        from repro.obs import bench
-
-        for warning in bench.parallel_efficiency_warnings(
-            bench.load_history(history_path)
-        ):
-            print(f"WARNING: {warning}")
     if args.curve:
         if not report.coverage_curve:
             print("run report has no coverage-curve data", file=sys.stderr)
@@ -926,32 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report", help="path to a run report JSON file")
     p.add_argument("--curve", metavar="CSV",
                    help="also export the Fig 4.1 coverage-curve data as CSV")
-    p.add_argument("--history", metavar="PATH",
-                   help="benchmark history JSONL to check for parallel-"
-                        "efficiency warnings (default: BENCH_history.jsonl "
-                        "when present)")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("bench",
-                       help="run registered benchmarks, append to the "
-                            "history timeline, gate on regressions")
-    p.add_argument("--history", default="BENCH_history.jsonl", metavar="PATH",
-                   help="benchmark history JSONL timeline "
-                        "(default: BENCH_history.jsonl)")
-    p.add_argument("--threshold", type=float, default=0.25, metavar="FRAC",
-                   help="fractional slowdown vs the baseline median that "
-                        "fails the gate (default 0.25 = 25%%)")
-    p.add_argument("--window", type=int, default=5, metavar="N",
-                   help="trailing entries per series whose median forms "
-                        "the baseline (default 5)")
-    p.add_argument("--report-only", action="store_true",
-                   help="print regressions as warnings and exit 0 "
-                        "(for noisy shared runners)")
-    p.add_argument("--only", action="append", metavar="NAME",
-                   help="run only this registered benchmark (repeatable)")
-    p.add_argument("--list", action="store_true",
-                   help="list registered benchmarks and exit")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve",
                        help="run the validation service: a crash-tolerant "

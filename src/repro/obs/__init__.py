@@ -25,24 +25,13 @@ runtime signals:
   profiler with collapsed-stack / flamegraph export
   (:mod:`repro.obs.prof`);
 - :class:`ProgressReporter` -- live heartbeats: a stderr status line
-  plus machine-readable JSONL (:mod:`repro.obs.progress`);
-- the benchmark registry -- a shared ``repro.bench-result/1`` schema,
-  the ``BENCH_history.jsonl`` timeline keyed by git SHA, and the
-  regression gate behind ``repro bench`` (:mod:`repro.obs.bench`).
+  plus machine-readable JSONL (:mod:`repro.obs.progress`).
+
+:mod:`repro.obs.bench` holds only the git provenance (``provenance_sha``)
+that ``bench/run.py`` stamps on its records; performance itself is
+measured by ``bench/`` (see ``bench/README.md``).
 """
 
-from repro.obs.bench import (
-    BENCH_RESULT_SCHEMA,
-    BenchResult,
-    append_history,
-    detect_regressions,
-    load_history,
-    parallel_efficiency_warnings,
-    register_benchmark,
-    registered_benchmarks,
-    run_benchmark,
-    validate_bench_result,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA,
@@ -70,16 +59,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BENCH_RESULT_SCHEMA",
-    "BenchResult",
-    "append_history",
-    "detect_regressions",
-    "load_history",
-    "parallel_efficiency_warnings",
-    "register_benchmark",
-    "registered_benchmarks",
-    "run_benchmark",
-    "validate_bench_result",
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
     "MetricsRegistry",
