@@ -14,7 +14,8 @@ Claims measured:
    floor is asserted on the pipeline-realistic *warm* memo (the tour cost
    function touches every arc first, exactly as ``ValidationPipeline``
    does); the fresh-memo speedup is reported alongside.
-3. **Parallel vector generation (jobs=4) is byte-identical to jobs=1.**
+3. **Parallel vector generation on a ``WorkerPool(4)`` is byte-identical
+   to the in-process run.**
    Its speedup is reported but not floor-asserted: per-tour RNG streams
    make it deterministic at any worker count, but wall-clock gains need
    actual cores (this is report-only so single-CPU CI runners pass).
@@ -30,7 +31,7 @@ import os
 import pickle
 import time
 
-from repro.enumeration import enumerate_states
+from repro.enumeration import WorkerPool, enumerate_states
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.tour import IndexedTourGenerator, TourGenerator
 from repro.vectors import TransitionEventMemo, VectorGenerator, pp_instruction_cost
@@ -125,11 +126,17 @@ def test_back_half_speedup(benchmark):
     fresh_speedup = base_seconds / fresh_seconds
 
     # Parallel: identity asserted, speedup report-only (needs real cores).
-    par_seconds, par_traces = _best_of(
-        lambda: VectorGenerator(control, graph, seed=SEED).generate(tours, jobs=4)
-    )
+    pool = WorkerPool(4)
+    try:
+        par_seconds, par_traces = _best_of(
+            lambda: VectorGenerator(control, graph, seed=SEED).generate(
+                tours, pool=pool
+            )
+        )
+    finally:
+        pool.shutdown()
     assert pickle.dumps(par_traces.traces) == base_dump, (
-        "jobs=4 traces are not byte-identical to jobs=1"
+        "WorkerPool(4) traces are not byte-identical to in-process ones"
     )
     parallel_speedup = base_seconds / par_seconds
 
@@ -144,7 +151,7 @@ def test_back_half_speedup(benchmark):
           f"({vector_speedup:.2f}x, floor {MIN_VECTOR_SPEEDUP}x)")
     print(f"  vectors   fresh memo: {fresh_seconds:7.3f} s "
           f"({fresh_speedup:.2f}x, reported only)")
-    print(f"  vectors   jobs=4    : {par_seconds:7.3f} s "
+    print(f"  vectors   pool(4)   : {par_seconds:7.3f} s "
           f"({parallel_speedup:.2f}x, reported only; "
           f"cpus={os.cpu_count()})")
 

@@ -101,6 +101,7 @@ from repro.resilience import (
     CheckpointStore,
     atomic_write_text,
     install_term_to_interrupt,
+    restore_term_handler,
 )
 from repro.tour import IndexedTourGenerator, arc_coverage
 
@@ -913,9 +914,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     # One-shot commands treat `kill` like Ctrl-C: SIGTERM becomes
     # KeyboardInterrupt, checkpoints land at wave boundaries, and the
     # exit path below points at --resume.  The daemon is exempt -- it
-    # owns SIGTERM for graceful drain.
-    if args.func is not cmd_serve:
-        install_term_to_interrupt()
+    # owns SIGTERM for graceful drain.  The handler is restored on
+    # return, so an in-process caller keeps its own disposition: a fork
+    # child that inherits this handler dies on SIGTERM only once its
+    # main thread runs Python code, and one blocked on a lock never does.
+    previous_term = (
+        install_term_to_interrupt() if args.func is not cmd_serve else None
+    )
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -940,6 +945,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 0
+    finally:
+        restore_term_handler(previous_term)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

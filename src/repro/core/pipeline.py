@@ -1,4 +1,10 @@
-"""End-to-end validation pipeline (Fig. 3.1)."""
+"""End-to-end validation pipeline (Fig. 3.1).
+
+A :class:`ValidationPipeline` fixes its worker count (``jobs``) at
+construction; enumeration, vector generation and trace comparison all
+reach worker processes through its one
+:class:`~repro.enumeration.pool.WorkerPool`.
+"""
 
 from __future__ import annotations
 
@@ -89,9 +95,11 @@ class ValidationPipeline:
         Enumerate with one arc per unique transition condition -- the
         paper's proposed fix for the fewer-behaviours blind spot (Fig 4.2).
     jobs:
-        Worker processes for enumeration (:func:`enumerate_states`)
-        and trace simulation; ``1`` keeps everything in-process, ``None``
-        uses every CPU.
+        Worker processes, decided once for the pipeline's life: ``1``
+        keeps everything in-process, ``None`` uses every CPU.  Above one,
+        enumeration, vector generation and trace comparison all dispatch
+        through the same :class:`~repro.enumeration.pool.WorkerPool`
+        (:meth:`worker_pool`).
     cache_dir:
         Directory for the persistent artifact cache; ``None`` disables
         caching.  Entries are keyed by config + flags + seed + code version
@@ -223,28 +231,22 @@ class ValidationPipeline:
             "checkpoint_dir": self.checkpoint_dir,
         }
 
-    def worker_pool(self, jobs: Optional[int]) -> Optional[WorkerPool]:
+    def worker_pool(self) -> Optional[WorkerPool]:
         """The pipeline-wide persistent :class:`WorkerPool` (lazily built).
 
-        One pool serves enumeration, vector generation *and* trace
-        comparison, so workers are forked once per pipeline rather than
-        once per phase (or per BFS wave).  ``None`` when the effective
-        job count keeps everything in-process.  The pool is rebuilt only
-        if the job count changes; a finalizer reaps the workers when the
-        pipeline itself is garbage collected.
+        One pool of ``jobs`` workers serves enumeration, vector generation
+        *and* trace comparison, so workers are forked once per pipeline
+        rather than once per phase (or per BFS wave).  ``None`` when
+        ``jobs`` keeps everything in-process.  A finalizer reaps the
+        workers when the pipeline itself is garbage collected.
         """
-        effective = (os.cpu_count() or 1) if jobs is None else jobs
-        if effective <= 1:
+        jobs = (os.cpu_count() or 1) if self.jobs is None else self.jobs
+        if jobs <= 1:
             return None
-        pool = self._pool
-        if pool is not None and pool.jobs == effective and not pool.closed:
-            return pool
-        if pool is not None:
-            pool.shutdown()
-        pool = WorkerPool(effective, policy=self.retry, obs=self.obs)
-        self._pool = pool
-        weakref.finalize(self, WorkerPool.shutdown, pool)
-        return pool
+        if self._pool is None or self._pool.closed:
+            self._pool = WorkerPool(jobs, policy=self.retry, obs=self.obs)
+            weakref.finalize(self, WorkerPool.shutdown, self._pool)
+        return self._pool
 
     def shutdown(self) -> None:
         """Release the pipeline's worker pool (idempotent)."""
@@ -315,20 +317,12 @@ class ValidationPipeline:
             traces=unpack_trace_set(traces_entry["traces"]),
         )
 
-    def build(
-        self,
-        cache_dir: Optional[str] = None,
-        use_cache: Optional[bool] = None,
-        jobs: Optional[int] = None,
-        resume: bool = False,
-        faults=None,
-    ) -> PipelineArtifacts:
+    def build(self, resume: bool = False, faults=None) -> PipelineArtifacts:
         """Run steps 1-3 (model, enumerate, tour, vectors) or load them.
 
         With a cache directory configured, a warm hit skips enumeration,
         tour generation and vector generation entirely; a miss builds and
-        persists the artifacts for the next run.  Keyword arguments
-        override the constructor's defaults for this call only.
+        persists the artifacts for the next run.
 
         ``resume=True`` continues enumeration from the newest checkpoint
         in ``checkpoint_dir`` (and skips the cache read -- the caller
@@ -337,38 +331,25 @@ class ValidationPipeline:
         never cached.  ``faults`` is the chaos-test hook
         (:class:`~repro.resilience.FaultPlan`).
         """
-        cache_dir = self.cache_dir if cache_dir is None else cache_dir
-        use_cache = self.use_cache if use_cache is None else use_cache
-        jobs = self.jobs if jobs is None else jobs
         obs = self.obs
         checkpoint = (
             CheckpointConfig(self.checkpoint_dir, every_waves=self.checkpoint_every)
             if self.checkpoint_dir
             else None
         )
+        read_cache = self.use_cache and not resume
 
-        with obs.span("pipeline.build", jobs=jobs or 0):
-            cache = ArtifactCache(cache_dir) if cache_dir else None
+        with obs.span("pipeline.build", jobs=self.jobs or 0):
+            cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
             self.phase_hits = {}
             self.incremental_report = IncrementalReport(enabled=self.incremental)
             lock = nullcontext(False)
             if cache is not None:
                 self.phase_keys = self._compute_phase_keys()
                 self.cache_key = self.phase_keys["traces"]
-                if use_cache and not resume:
-                    with obs.span("phase.cache_load"):
-                        cached = self._load_artifacts_from_phases(
-                            cache, self.phase_keys
-                        )
+                if read_cache:
+                    cached = self._load_cached_build(cache, obs)
                     if cached is not None:
-                        obs.inc("cache.hits")
-                        obs.event("cache.hit", key=self.cache_key)
-                        logger.info("artifact cache hit (%s)", self.cache_key[:12])
-                        for phase in ("model", "graph", "tours", "traces"):
-                            self._record_phase(phase, True, obs)
-                        obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-                        self._artifacts = cached
-                        self.artifacts_from_cache = True
                         return cached
                     obs.inc("cache.misses")
                     obs.event("cache.miss", key=self.cache_key)
@@ -378,32 +359,45 @@ class ValidationPipeline:
                 # (usually) find the entry stored when they get it.
                 lock = cache.single_flight(self.cache_key)
             with lock as waited:
-                if waited and use_cache and not resume:
+                if waited and read_cache:
                     obs.inc("cache.single_flight_waits")
-                    with obs.span("phase.cache_load"):
-                        cached = self._load_artifacts_from_phases(
-                            cache, self.phase_keys
-                        )
+                    cached = self._load_cached_build(cache, obs, single_flight=True)
                     if cached is not None:
-                        obs.inc("cache.hits")
-                        obs.event("cache.hit", key=self.cache_key,
-                                  single_flight=True)
-                        logger.info(
-                            "artifact cache hit after single-flight wait (%s)",
-                            self.cache_key[:12],
-                        )
-                        for phase in ("model", "graph", "tours", "traces"):
-                            self._record_phase(phase, True, obs)
-                        obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-                        self._artifacts = cached
-                        self.artifacts_from_cache = True
                         return cached
-                return self._build_locked(
-                    cache, use_cache, jobs, resume, faults, checkpoint, obs
-                )
+                return self._build_locked(cache, resume, faults, checkpoint, obs)
+
+    def _load_cached_build(
+        self, cache: ArtifactCache, obs: Observer, single_flight: bool = False
+    ) -> Optional[PipelineArtifacts]:
+        """Serve the whole build from its per-phase entries, or ``None``.
+
+        On a hit, records it (counters, event, log line, per-phase hits)
+        and makes it the pipeline's artifacts.  ``single_flight`` marks a
+        hit found after waiting on another process's build.
+        """
+        with obs.span("phase.cache_load"):
+            cached = self._load_artifacts_from_phases(cache, self.phase_keys)
+        if cached is None:
+            return None
+        obs.inc("cache.hits")
+        if single_flight:
+            obs.event("cache.hit", key=self.cache_key, single_flight=True)
+        else:
+            obs.event("cache.hit", key=self.cache_key)
+        logger.info(
+            "artifact cache hit%s (%s)",
+            " after single-flight wait" if single_flight else "",
+            self.cache_key[:12],
+        )
+        for phase in ("model", "graph", "tours", "traces"):
+            self._record_phase(phase, True, obs)
+        obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
+        self._artifacts = cached
+        self.artifacts_from_cache = True
+        return cached
 
     def _build_locked(
-        self, cache, use_cache, jobs, resume, faults, checkpoint, obs
+        self, cache, resume, faults, checkpoint, obs
     ) -> PipelineArtifacts:
         """Steps 1-3 as per-phase load-or-build, under the single-flight lock.
 
@@ -416,7 +410,7 @@ class ValidationPipeline:
         """
         keys = self.phase_keys
         report = self.incremental_report
-        read_ok = cache is not None and use_cache and not resume
+        read_ok = cache is not None and self.use_cache and not resume
         # Incremental reuse needs a plain build: resume/budget/faults runs
         # have their own semantics (partial graphs, injected failures)
         # that the replay engine deliberately does not reproduce.
@@ -457,7 +451,7 @@ class ValidationPipeline:
         if graph is None:
             if cache is not None and "graph" not in self.phase_hits:
                 self._record_phase("graph", False, obs)
-            with obs.span("phase.enumerate", jobs=jobs or 0):
+            with obs.span("phase.enumerate", jobs=self.jobs or 0):
                 graph, stats = enumerate_states(
                     model,
                     record_all_conditions=self.record_all_conditions,
@@ -466,8 +460,8 @@ class ValidationPipeline:
                     resume=resume,
                     budget=self.budget,
                     faults=faults,
-                    jobs=jobs,
-                    pool=self.worker_pool(jobs),
+                    jobs=self.jobs,
+                    pool=self.worker_pool(),
                     retry=self.retry,
                 )
             if cache is not None and not stats.truncated:
@@ -538,13 +532,10 @@ class ValidationPipeline:
         if traces is None:
             if cache is not None and "traces" not in self.phase_hits:
                 self._record_phase("traces", False, obs)
-            with obs.span("phase.vectors", jobs=jobs or 0):
+            with obs.span("phase.vectors", jobs=self.jobs or 0):
                 traces = VectorGenerator(
                     self.control, graph, seed=self.seed, memo=memo
-                ).generate(
-                    list(tours), obs=obs, jobs=jobs or (os.cpu_count() or 1),
-                    pool=self.worker_pool(jobs),
-                )
+                ).generate(list(tours), obs=obs, pool=self.worker_pool())
             if cache is not None and not stats.truncated:
                 with obs.span("phase.cache_store"):
                     cache.store(
@@ -881,26 +872,23 @@ class ValidationPipeline:
         self,
         config: Optional[CoreConfig] = None,
         stop_on_divergence: bool = True,
-        jobs: Optional[int] = None,
     ) -> "ValidationReport":
         """Step 4: run every trace against the spec; collect divergences.
 
-        ``jobs`` fans the independent trace simulations across worker
-        processes (defaulting to the pipeline-wide setting); results and
-        the stop-on-divergence cut point match the sequential run exactly.
+        With ``jobs > 1`` the independent trace simulations fan across
+        the pipeline's :meth:`worker_pool`; results and the
+        stop-on-divergence cut point match the sequential run exactly.
         """
         from repro.core.report import ValidationReport
 
         config = config or CoreConfig(mem_latency=0)
-        jobs = self.jobs if jobs is None else jobs
-        with self.obs.span("pipeline.validate", jobs=jobs or 0):
+        with self.obs.span("pipeline.validate", jobs=self.jobs or 0):
             results, diverging = run_vector_traces(
                 self.artifacts.traces,
                 config=config,
-                jobs=jobs,
                 stop_on_divergence=stop_on_divergence,
                 obs=self.obs,
-                pool=self.worker_pool(jobs),
+                pool=self.worker_pool(),
             )
         return ValidationReport(
             config=config,

@@ -61,8 +61,9 @@ class ValidationCampaign:
     max_instructions_per_trace:
         The Fig. 3.3 per-trace limit.
     jobs:
-        Worker processes for enumeration and trace simulation (``1`` keeps
-        everything in-process, ``None`` uses every CPU).
+        Worker processes, forwarded to the pipeline, whose one worker pool
+        serves enumeration, vector generation and trace simulation (``1``
+        keeps everything in-process, ``None`` uses every CPU).
     cache_dir / use_cache:
         Persistent artifact cache settings, forwarded to
         :class:`~repro.core.pipeline.ValidationPipeline`.
@@ -96,7 +97,6 @@ class ValidationCampaign:
 
         self.model_config = model_config or PPModelConfig(fill_words=2)
         self.seed = seed
-        self.jobs = jobs
         self.obs = resolve(observer)
         self.pipeline = ValidationPipeline(
             model_config=self.model_config,
@@ -129,27 +129,19 @@ class ValidationCampaign:
     # -- strategies ----------------------------------------------------------------
 
     def run_generated(
-        self,
-        config: CoreConfig,
-        stop_on_detection: bool = True,
-        jobs: Optional[int] = None,
+        self, config: CoreConfig, stop_on_detection: bool = True
     ) -> MethodOutcome:
         """Replay every generated trace; detect on first divergence.
 
-        ``jobs`` (default: the campaign-wide setting) fans trace
-        simulations across worker processes with the sequential
-        stop-on-detection semantics preserved.
+        Trace simulations fan across the pipeline's worker pool (when its
+        ``jobs`` exceeds one) with the sequential stop-on-detection
+        semantics preserved.
         """
-        jobs = self.jobs if jobs is None else jobs
-        # Reuse the pipeline's persistent worker pool: once it exists,
-        # its executor threads make forking a fresh legacy Pool from
-        # this process unsafe (fork-inherited held locks can deadlock
-        # the children), and the warm workers are faster anyway.
         results, diverging = run_vector_traces(
-            self.traces, config=config, jobs=jobs,
+            self.traces, config=config,
             stop_on_divergence=stop_on_detection,
             obs=self.obs,
-            pool=self.pipeline.worker_pool(jobs),
+            pool=self.pipeline.worker_pool(),
         )
         traces = list(self.traces)
         instructions = sum(t.num_instructions for t in traces[: len(results)])

@@ -1,16 +1,15 @@
 """RTL-vs-specification comparison for vector traces.
 
 One trace is compared by :func:`run_trace`/:func:`run_vector_trace`; whole
-trace sets fan out across worker processes via :func:`run_vector_traces`,
-which keeps sequential result order (and the stop-on-divergence cut point)
-regardless of how many workers simulate concurrently.
+trace sets go through :func:`run_vector_traces`, which fans them across
+the pipeline's :class:`~repro.enumeration.pool.WorkerPool` when one is
+available and keeps sequential result order (and the stop-on-divergence
+cut point) regardless of how many workers simulate concurrently.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -126,24 +125,8 @@ def run_vector_trace(
     return run_trace(trace.program, trace.stimulus(), config=config, **kwargs)
 
 
-#: Config inherited/pickled into trace-simulation workers.
+#: Config fork-inherited by trace-simulation workers.
 _TRACE_WORKER_CONFIG: Optional[CoreConfig] = None
-
-
-def _init_trace_worker(config: CoreConfig) -> None:
-    global _TRACE_WORKER_CONFIG
-    _TRACE_WORKER_CONFIG = config
-
-
-def _run_trace_job(trace: TestVectorTrace) -> ComparisonResult:
-    return run_vector_trace(trace, config=_TRACE_WORKER_CONFIG)
-
-
-def _run_indexed_trace_job(
-    payload: Tuple[int, TestVectorTrace],
-) -> Tuple[int, ComparisonResult]:
-    index, trace = payload
-    return index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG)
 
 
 def _trace_chunk_job(
@@ -151,7 +134,10 @@ def _trace_chunk_job(
 ) -> List[Tuple[int, ComparisonResult]]:
     """Pool task: one chunk of indexed traces, config fork-inherited
     through :data:`_TRACE_WORKER_CONFIG` (pure -- safe to retry)."""
-    return [_run_indexed_trace_job(item) for item in payload]
+    return [
+        (index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG))
+        for index, trace in payload
+    ]
 
 
 def _record_result(obs: Observer, index: int, result: ComparisonResult) -> None:
@@ -170,7 +156,6 @@ def _record_result(obs: Observer, index: int, result: ComparisonResult) -> None:
 def run_vector_traces(
     traces: Iterable[TestVectorTrace],
     config: Optional[CoreConfig] = None,
-    jobs: Optional[int] = 1,
     stop_on_divergence: bool = True,
     obs: Optional[Observer] = None,
     chunksize: Optional[int] = None,
@@ -178,16 +163,24 @@ def run_vector_traces(
 ) -> Tuple[List[ComparisonResult], List[int]]:
     """Run many traces; return ``(results, diverging_indices)`` in trace order.
 
-    ``jobs>1`` fans the simulations across worker processes but reproduces
-    the sequential contract exactly: results come back in trace order, and
-    with ``stop_on_divergence`` the result list ends at the first diverging
-    trace -- exactly where the sequential loop would have stopped -- even
-    if workers raced ahead on later traces.  ``jobs=None`` uses every CPU.
+    ``pool`` is the pipeline's persistent
+    :class:`~repro.enumeration.pool.WorkerPool`.  When it can dispatch
+    (:attr:`~repro.enumeration.pool.WorkerPool.available`) and there is
+    more than one trace, the simulations fan across its workers -- the
+    config is published for fork inheritance, not pickled -- with the
+    pool's dead-worker recovery (chunks are pure, so retries are safe).
+    Otherwise -- no pool, a closed or degraded one -- the traces run
+    in-process, one after another.
 
-    Scheduling is longest-trace-first over ``imap_unordered`` (the
+    Either way the sequential contract holds exactly: results come back
+    in trace order, and with ``stop_on_divergence`` the result list ends
+    at the first diverging trace -- exactly where the sequential loop
+    would have stopped -- even if workers raced ahead on later traces.
+
+    Scheduling is longest-trace-first over ``pool.imap_tasks`` (the
     coordinator restores trace order), so one long trace dispatched last
-    can no longer straggle the whole pool.  ``chunksize`` controls how
-    many traces each dispatch hands a worker; the default of
+    cannot straggle the whole pool.  ``chunksize`` controls how many
+    traces each dispatch hands a worker; the default of
     ``max(1, n // (workers * 4))`` gives every worker ~4 chunks, which
     amortizes dispatch/pickling without re-creating the imbalance that
     one giant chunk of the longest traces would.
@@ -196,29 +189,14 @@ def run_vector_traces(
     ``compare.*`` counters, ``compare.workers``/``compare.chunksize``
     gauges, a ``compare.seconds`` sample, and a ``compare.divergence``
     event (with the divergence site) for every diverging trace.
-
-    ``pool`` accepts the pipeline's persistent
-    :class:`~repro.enumeration.pool.WorkerPool`: workers then come from
-    (or are re-forked into) the shared pool -- the config is published
-    for fork inheritance instead of pickled per spawn -- and dead-worker
-    recovery applies (chunks are pure, so retries are safe).  The
-    sequential contract above is unchanged; a stop-on-divergence cut
-    retires the worker generation exactly like ``pool.terminate()`` did.
     """
     obs = resolve(obs)
     started = time.perf_counter()
     config = config or CoreConfig(mem_latency=0)
     traces = list(traces)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    parallel = (
-        jobs > 1
-        and len(traces) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    results: List[ComparisonResult] = []
-    diverging: List[int] = []
-    if not parallel:
+    if pool is None or not pool.available or len(traces) <= 1:
+        results: List[ComparisonResult] = []
+        diverging: List[int] = []
         obs.gauge("compare.workers", 1)
         for index, trace in enumerate(traces):
             result = run_vector_trace(trace, config=config)
@@ -233,7 +211,7 @@ def run_vector_traces(
         obs.observe("compare.seconds", time.perf_counter() - started)
         return results, diverging
 
-    workers = min(jobs, len(traces))
+    workers = min(pool.jobs, len(traces))
     if chunksize is None:
         chunksize = max(1, len(traces) // (workers * 4))
     obs.gauge("compare.workers", workers)
@@ -244,54 +222,10 @@ def run_vector_traces(
     order = sorted(
         range(len(traces)), key=lambda i: (-traces[i].edges_traversed, i)
     )
-    if pool is not None:
-        return _run_with_pool(
-            traces, config, pool, order, chunksize,
-            stop_on_divergence, obs, started,
-        )
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(
-        processes=workers,
-        initializer=_init_trace_worker,
-        initargs=(config,),
+    return _run_with_pool(
+        traces, config, pool, order, chunksize,
+        stop_on_divergence, obs, started,
     )
-    # Completions arrive out of order; ``pending`` holds them until every
-    # earlier trace has been emitted, so results/metrics/stop decisions
-    # happen in exactly the sequential order.
-    pending = {}
-    next_index = 0
-    stopped = False
-    try:
-        for index, result in pool.imap_unordered(
-            _run_indexed_trace_job,
-            [(i, traces[i]) for i in order],
-            chunksize=chunksize,
-        ):
-            pending[index] = result
-            while not stopped and next_index in pending:
-                emitted = pending.pop(next_index)
-                results.append(emitted)
-                _record_result(obs, next_index, emitted)
-                obs.heartbeat("compare", traces=next_index + 1,
-                              total=len(traces), workers=workers,
-                              divergences=len(diverging) + bool(emitted.diverged))
-                if emitted.diverged:
-                    diverging.append(next_index)
-                    if stop_on_divergence:
-                        stopped = True  # in-flight later traces are dropped
-                next_index += 1
-            if stopped:
-                pool.terminate()
-                break
-        else:
-            pool.close()
-        pool.join()
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    obs.observe("compare.seconds", time.perf_counter() - started)
-    return results, diverging
 
 
 def _run_with_pool(
@@ -318,6 +252,9 @@ def _run_with_pool(
     ]
     results: List[ComparisonResult] = []
     diverging: List[int] = []
+    # Completions arrive out of order; ``pending`` holds them until every
+    # earlier trace has been emitted, so results/metrics/stop decisions
+    # happen in exactly the sequential order.
     pending = {}
     next_index = 0
     stopped = False
@@ -346,8 +283,8 @@ def _run_with_pool(
     finally:
         tasks.close()
         if stopped:
-            # Drop the in-flight work exactly like the per-call pool's
-            # terminate() used to; the next dispatch re-forks lazily.
+            # Drop the in-flight later traces by killing the worker
+            # generation; the next dispatch re-forks lazily.
             pool.retire()
     obs.observe("compare.seconds", time.perf_counter() - started)
     return results, diverging

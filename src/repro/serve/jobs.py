@@ -291,12 +291,16 @@ class JobPaths:
             return None
 
     def has_resumable_checkpoint(self) -> bool:
+        """Whether some checkpoint on disk verifies.  A worker killed
+        between writing a payload and its manifest leaves one that does
+        not, and resuming from nothing but that fails the job."""
         from repro.resilience import CheckpointStore
 
         if not self.checkpoints.is_dir():
             return False
         try:
-            return bool(CheckpointStore(self.checkpoints).names())
+            store = CheckpointStore(self.checkpoints)
+            return any(store.verify(name) is None for name in store.names())
         except Exception:
             return False
 

@@ -15,11 +15,15 @@ realized through actual addresses rather than forced (forcing it could
 break data coherence).  Loads whose conflict choice fired true get the
 pending store's address patched in; all other memory operands draw from a
 pool of distinct cache lines.
+
+Parallel generation goes through the pipeline's one
+:class:`~repro.enumeration.pool.WorkerPool`: workers fork-inherit the
+published generator and convert chunks of indexed tours, and the traces
+are byte-identical to the in-process loop's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -297,18 +301,17 @@ def _publish_generator(generator: "VectorGenerator") -> int:
     return _PARALLEL_EPOCH
 
 
-def _vector_trace_job(payload: Tuple[int, Tour]) -> Tuple[int, "TestVectorTrace"]:
-    index, tour = payload
-    generator = _PARALLEL_GENERATOR
-    rng = random.Random(f"{generator.seed}:{index}")
-    return index, generator._trace_from_tour(tour, rng)
-
-
 def _vector_chunk_job(
     payload: Sequence[Tuple[int, Tour]], attempt: int = 0
 ) -> List[Tuple[int, "TestVectorTrace"]]:
     """Pool task: one chunk of indexed tours (pure -- safe to retry)."""
-    return [_vector_trace_job(item) for item in payload]
+    generator = _PARALLEL_GENERATOR
+    return [
+        (index, generator._trace_from_tour(
+            tour, random.Random(f"{generator.seed}:{index}")
+        ))
+        for index, tour in payload
+    ]
 
 
 class VectorGenerator:
@@ -360,37 +363,31 @@ class VectorGenerator:
         self,
         tours: Sequence[Tour],
         obs: Optional[Observer] = None,
-        jobs: int = 1,
         pool: Optional[WorkerPool] = None,
     ) -> TraceSet:
         """Convert every tour component into a test-vector trace.
 
-        ``jobs > 1`` fans tours across fork workers.  Each tour owns an
-        independent ``random.Random(f"{seed}:{index}")`` keyed by its
-        *original* index, so the produced traces are bit-identical at any
-        worker count (golden-tested); only wall clock changes.  Falls
-        back to sequential where fork is unavailable.
-
-        ``pool`` accepts the pipeline's persistent
-        :class:`~repro.enumeration.pool.WorkerPool`; workers then come
-        from (or are re-forked into) the shared pool instead of a
-        per-call ``multiprocessing.Pool``, and dead-worker recovery
-        applies (chunks are pure, so retries are safe).
+        ``pool`` is the pipeline's persistent
+        :class:`~repro.enumeration.pool.WorkerPool`: when it can dispatch
+        (:attr:`~repro.enumeration.pool.WorkerPool.available`), chunks of
+        tours go to its fork-inherited workers through ``imap_tasks``, with
+        its dead-worker recovery (chunks are pure, so retries are safe).
+        Otherwise -- no pool, a closed or degraded one, or a single tour --
+        generation runs in-process.  Each tour owns an independent
+        ``random.Random(f"{seed}:{index}")`` keyed by its *original*
+        index, so the produced traces are bit-identical at any worker
+        count (golden-tested); only wall clock changes.
         """
         obs = resolve(obs)
         started = time.perf_counter()
         tours = list(tours)
-        workers = min(jobs, len(tours))
-        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
+        parallel = pool is not None and pool.available and len(tours) > 1
         # Gauge before generating: sequential and parallel runs report the
         # same value (worker-side memo fills are invisible to the parent).
         obs.gauge("vectors.memo_entries", len(self.memo) if self.memo is not None else 0)
-        obs.gauge("vectors.workers", max(workers, 1))
-        if workers > 1 and pool is not None:
+        obs.gauge("vectors.workers", min(pool.jobs, len(tours)) if parallel else 1)
+        if parallel:
             traces = self._generate_with_pool(tours, pool, obs)
-        elif workers > 1:
-            traces = self._generate_parallel(tours, workers, obs)
         else:
             traces = []
             for i, tour in enumerate(tours):
@@ -431,29 +428,6 @@ class VectorGenerator:
             done += len(chunk_result)
             obs.heartbeat("vectors", traces=done, total=len(tours),
                           workers=pool.jobs)
-        return results
-
-    def _generate_parallel(
-        self, tours: List[Tour], workers: int, obs: Optional[Observer] = None
-    ) -> List[TestVectorTrace]:
-        global _PARALLEL_GENERATOR
-        obs = resolve(obs)
-        ctx = multiprocessing.get_context("fork")
-        chunksize = max(1, len(tours) // (workers * 4))
-        results: List[Optional[TestVectorTrace]] = [None] * len(tours)
-        done = 0
-        _PARALLEL_GENERATOR = self
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                for index, trace in pool.imap_unordered(
-                    _vector_trace_job, list(enumerate(tours)), chunksize=chunksize
-                ):
-                    results[index] = trace
-                    done += 1
-                    obs.heartbeat("vectors", traces=done, total=len(tours),
-                                  workers=workers)
-        finally:
-            _PARALLEL_GENERATOR = None
         return results
 
     def trace_from_edges(

@@ -157,9 +157,14 @@ class TestPipelineCaching:
         assert report.clean
 
     def test_validate_parallel_matches_sequential(self, warm_cache_dir):
-        pipeline = ValidationPipeline(cache_dir=str(warm_cache_dir), **SMALL)
-        sequential = pipeline.validate(jobs=1)
-        parallel = pipeline.validate(jobs=2)
+        sequential = ValidationPipeline(
+            cache_dir=str(warm_cache_dir), jobs=1, **SMALL
+        ).validate()
+        pipeline = ValidationPipeline(cache_dir=str(warm_cache_dir), jobs=2, **SMALL)
+        try:
+            parallel = pipeline.validate()
+        finally:
+            pipeline.shutdown()
         assert parallel.traces_run == sequential.traces_run
         assert parallel.diverging_traces == sequential.diverging_traces
         assert [r.cycles for r in parallel.results] == [

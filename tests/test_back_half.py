@@ -6,10 +6,12 @@ scale:
 - the shared :class:`TransitionEventMemo` (transitions computed exactly
   once per unique ``(src, condition)`` pair across the tour cost function
   AND vector generation);
-- parallel vector generation (byte-identical TraceSets at jobs=1 vs
-  jobs=4, with and without memoization);
+- parallel vector generation on a :class:`WorkerPool` (byte-identical
+  TraceSets in-process vs on ``WorkerPool(2)``/``WorkerPool(4)``, with and
+  without memoization);
 - load-balanced comparison scheduling (results, divergence cut point and
-  metrics identical to the sequential contract at any jobs/chunksize).
+  metrics identical to the sequential contract at any pool size or
+  chunksize; a degraded or closed pool runs exactly the sequential loop).
 """
 
 import pickle
@@ -17,7 +19,8 @@ import pickle
 import pytest
 
 from repro.bugs import injected_config
-from repro.enumeration import enumerate_states
+from repro.enumeration import WorkerPool, enumerate_states
+from repro.harness import compare as compare_mod
 from repro.harness.compare import run_vector_traces
 from repro.obs import MetricsRegistry, Observer
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
@@ -60,6 +63,22 @@ def baseline_traces(control, graph, tours):
 
 def dumps(trace_set):
     return pickle.dumps(trace_set.traces)
+
+
+@pytest.fixture(scope="class")
+def worker_pool():
+    """``worker_pool(n)``: one ``WorkerPool(n)`` per size for the class,
+    shut down at class teardown."""
+    pools = {}
+
+    def get(jobs):
+        if jobs not in pools:
+            pools[jobs] = WorkerPool(jobs)
+        return pools[jobs]
+
+    yield get
+    for pool in pools.values():
+        pool.shutdown()
 
 
 class TestTransitionEventMemo:
@@ -140,33 +159,40 @@ class TestVectorIdentity:
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_matches_baseline(
-        self, control, graph, tours, baseline_traces, jobs
+        self, control, graph, tours, baseline_traces, worker_pool, jobs
     ):
         parallel = VectorGenerator(control, graph, seed=11).generate(
-            tours, jobs=jobs
+            tours, pool=worker_pool(jobs)
         )
         assert dumps(parallel) == dumps(baseline_traces)
 
-    def test_jobs_exceeding_tours_ok(self, control, graph, tours, baseline_traces):
+    def test_jobs_exceeding_tours_ok(
+        self, control, graph, tours, baseline_traces, worker_pool
+    ):
+        metrics = MetricsRegistry()
         parallel = VectorGenerator(control, graph, seed=11).generate(
-            tours, jobs=len(tours) + 8
+            tours, obs=Observer(metrics=metrics),
+            pool=worker_pool(len(tours) + 8),
         )
         assert dumps(parallel) == dumps(baseline_traces)
+        assert metrics.gauge_value("vectors.workers") == len(tours)
 
     def test_different_seed_differs(self, control, graph, tours, baseline_traces):
         other = VectorGenerator(control, graph, seed=12).generate(tours)
         assert dumps(other) != dumps(baseline_traces)
 
-    def test_worker_gauges_identical_across_jobs(self, control, graph, tours):
-        def gauges(jobs):
+    def test_worker_gauges_identical_across_jobs(
+        self, control, graph, tours, worker_pool
+    ):
+        def gauges(pool):
             metrics = MetricsRegistry()
             VectorGenerator(control, graph, seed=11).generate(
-                tours, obs=Observer(metrics=metrics), jobs=jobs
+                tours, obs=Observer(metrics=metrics), pool=pool
             )
             return metrics
 
-        seq = gauges(1)
-        par = gauges(4)
+        seq = gauges(None)
+        par = gauges(worker_pool(4))
         # memo_entries is sampled before generation, so sequential and
         # parallel runs agree (worker-side fills are invisible).
         assert (seq.gauge_value("vectors.memo_entries")
@@ -192,17 +218,19 @@ class TestComparisonScheduling:
             for r in results
         ]
 
-    def test_clean_run_identical_across_jobs(self, trace_list):
-        seq_results, seq_div = self.run(trace_list, jobs=1)
-        par_results, par_div = self.run(trace_list, jobs=4)
+    def test_clean_run_identical_across_jobs(self, trace_list, worker_pool):
+        seq_results, seq_div = self.run(trace_list)
+        par_results, par_div = self.run(trace_list, pool=worker_pool(4))
         assert self.results_dump(par_results) == self.results_dump(seq_results)
         assert par_div == seq_div == []
         assert len(seq_results) == len(trace_list)
 
-    def test_divergence_cut_point_identical(self, trace_list):
+    def test_divergence_cut_point_identical(self, trace_list, worker_pool):
         config = injected_config(2)
-        seq_results, seq_div = self.run(trace_list, jobs=1, config=config)
-        par_results, par_div = self.run(trace_list, jobs=4, config=config)
+        seq_results, seq_div = self.run(trace_list, config=config)
+        par_results, par_div = self.run(
+            trace_list, pool=worker_pool(4), config=config
+        )
         assert seq_div, "bug 2 must diverge for this test to bite"
         assert par_div == seq_div
         # The parallel result list must cut at the first diverging trace
@@ -210,9 +238,9 @@ class TestComparisonScheduling:
         assert len(par_results) == len(seq_results) == seq_div[0] + 1
         assert self.results_dump(par_results) == self.results_dump(seq_results)
 
-    def test_no_leak_past_cut_point(self, trace_list):
+    def test_no_leak_past_cut_point(self, trace_list, worker_pool):
         config = injected_config(2)
-        _, seq_div = self.run(trace_list, jobs=1, config=config)
+        _, seq_div = self.run(trace_list, config=config)
         first = seq_div[0]
         assert first < len(trace_list) - 1, (
             "divergence must not be on the last trace for the leak test"
@@ -220,41 +248,75 @@ class TestComparisonScheduling:
         # Tiny chunks maximize the number of in-flight later traces when
         # the coordinator terminates the pool.
         par_results, par_div = self.run(
-            trace_list, jobs=4, config=config, chunksize=1
+            trace_list, pool=worker_pool(4), config=config, chunksize=1
         )
         assert par_div == [first]
         assert len(par_results) == first + 1
 
-    def test_continue_past_divergences(self, trace_list):
+    def test_continue_past_divergences(self, trace_list, worker_pool):
         config = injected_config(2)
         seq_results, seq_div = self.run(
-            trace_list, jobs=1, config=config, stop_on_divergence=False
+            trace_list, config=config, stop_on_divergence=False
         )
         par_results, par_div = self.run(
-            trace_list, jobs=4, config=config, stop_on_divergence=False
+            trace_list, pool=worker_pool(4), config=config,
+            stop_on_divergence=False,
         )
         assert len(seq_results) == len(trace_list)
         assert par_div == seq_div
         assert self.results_dump(par_results) == self.results_dump(seq_results)
 
     @pytest.mark.parametrize("chunksize", [1, 2, 100])
-    def test_chunksize_does_not_change_results(self, trace_list, chunksize):
-        seq_results, seq_div = self.run(trace_list, jobs=1)
-        par_results, par_div = self.run(trace_list, jobs=4, chunksize=chunksize)
+    def test_chunksize_does_not_change_results(
+        self, trace_list, worker_pool, chunksize
+    ):
+        seq_results, seq_div = self.run(trace_list)
+        par_results, par_div = self.run(
+            trace_list, pool=worker_pool(4), chunksize=chunksize
+        )
         assert self.results_dump(par_results) == self.results_dump(seq_results)
         assert par_div == seq_div
 
-    def test_metrics_identical_across_jobs(self, trace_list):
-        def metrics_for(jobs):
+    def test_metrics_identical_across_jobs(self, trace_list, worker_pool):
+        def metrics_for(pool):
             metrics = MetricsRegistry()
-            self.run(trace_list, jobs=jobs, obs=Observer(metrics=metrics))
+            self.run(trace_list, pool=pool, obs=Observer(metrics=metrics))
             return metrics
 
-        seq = metrics_for(1)
-        par = metrics_for(4)
+        seq = metrics_for(None)
+        par = metrics_for(worker_pool(4))
         for name in ("compare.traces_run", "compare.instructions_run",
                      "compare.cycles_run"):
             assert seq.counter_value(name) == par.counter_value(name), name
         assert seq.gauge_value("compare.workers") == 1
         assert par.gauge_value("compare.workers") == 4
         assert par.gauge_value("compare.chunksize") >= 1
+
+    @pytest.mark.parametrize("state", ["degraded", "closed"])
+    def test_unavailable_pool_runs_sequential_loop(
+        self, trace_list, monkeypatch, state
+    ):
+        """A pool that cannot dispatch must not simulate past the cut:
+        exactly the sequential loop's ``diverging[0] + 1`` traces."""
+        config = injected_config(2)
+        seq_results, seq_div = self.run(trace_list, config=config)
+        calls = []
+        real = compare_mod.run_vector_trace
+
+        def spy(trace, **kwargs):
+            calls.append(trace)
+            return real(trace, **kwargs)
+
+        monkeypatch.setattr(compare_mod, "run_vector_trace", spy)
+        pool = WorkerPool(2)
+        if state == "degraded":
+            pool.degraded = True
+        else:
+            pool.shutdown()
+        try:
+            results, diverging = self.run(trace_list, config=config, pool=pool)
+        finally:
+            pool.shutdown()
+        assert diverging == seq_div
+        assert len(calls) == seq_div[0] + 1
+        assert self.results_dump(results) == self.results_dump(seq_results)

@@ -131,6 +131,16 @@ class TestMisc:
         assert main(["errata"]) == 0
         assert "56.5%" in capsys.readouterr().out
 
+    def test_sigterm_handler_restored_on_return(self, capsys):
+        """An in-process caller keeps its SIGTERM disposition: fork
+        children inheriting the CLI's raise-in-main-thread handler cannot
+        be terminated while blocked on a lock."""
+        import signal
+
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["errata"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
     def test_translate(self, tmp_path, capsys):
         source = tmp_path / "d.v"
         source.write_text(

@@ -239,9 +239,8 @@ class TestExecutorFactorySeam:
 class TestCampaignPoolRouting:
     def test_campaign_compare_reuses_pipeline_pool(self, monkeypatch):
         """Campaign comparison must go through the pipeline's persistent
-        pool: once that pool's executor threads exist, forking a fresh
-        legacy multiprocessing.Pool in the same process can deadlock the
-        children on fork-inherited held locks."""
+        pool -- the one pool every phase shares -- rather than a pool of
+        its own."""
         from repro.harness import campaign as campaign_mod
         from repro.pp.fsm_model import PPModelConfig
         from repro.pp.rtl import CoreConfig
@@ -261,7 +260,7 @@ class TestCampaignPoolRouting:
 
             monkeypatch.setattr(campaign_mod, "run_vector_traces", spy)
             campaign.run_generated(CoreConfig(mem_latency=0))
-            assert seen["pool"] is campaign.pipeline.worker_pool(2)
+            assert seen["pool"] is campaign.pipeline.worker_pool()
             assert seen["pool"] is not None
         finally:
             campaign.pipeline.shutdown()

@@ -479,6 +479,18 @@ class TestChaosWorkerKill:
         assert graph == golden_json
 
 
+    def test_orphan_checkpoint_payload_is_not_resumable(self, tmp_path):
+        """A worker killed between a checkpoint's payload and manifest
+        writes leaves an orphan payload: the retry must start fresh, not
+        ask to resume from a store with nothing verifiable in it."""
+        from repro.serve.jobs import JobPaths
+
+        paths = JobPaths.for_job(tmp_path, "orphan").ensure()
+        paths.checkpoints.mkdir(exist_ok=True)
+        (paths.checkpoints / "wave000001.ckpt").write_text("{}")
+        assert not paths.has_resumable_checkpoint()
+
+
 class TestChaosDaemonKill:
     def test_sigkill_daemon_restart_replays_and_resumes(
         self, daemon_dir, golden_json
