@@ -10,9 +10,9 @@ The control is written as one flat module, the way the synthesis
 partition of the real PP's control section would look: one combinational
 block computing all ``*_n`` next-state values, one clocked block latching
 them.  Encodings mirror the hand model exactly, so
-:func:`build_pp_control_model_from_verilog` enumerates to a state graph
-with the *same state and edge counts* as the hand-built model -- the
-equivalence test that anchors the translation path.
+:func:`build_pp_control_model_from_verilog` enumerates to *the same
+state graph*, arc for arc, as the hand-built model -- the equivalence
+test that anchors the translation path.
 """
 
 from __future__ import annotations
@@ -333,9 +333,9 @@ def build_pp_control_model_from_verilog(
     """The paper's real flow: PP control Verilog -> FSM model.
 
     Returns the translated model plus the flat design (for annotation
-    statistics).  The model enumerates to the same state/edge counts as
-    the hand-built :func:`repro.pp.fsm_model.build_pp_control_model` for
-    the same ``fill_words`` (the equivalence is tested).
+    statistics).  The model enumerates to the same graph as the
+    hand-built :func:`repro.pp.fsm_model.build_pp_control_model` for the
+    same ``fill_words`` (tested arc for arc at fill_words 1 to 4).
     """
     config = config or PPModelConfig(fill_words=2)
     source = pp_control_verilog(fill_words=config.fill_words)

@@ -17,6 +17,13 @@ Mapping (section 3.1 of the paper):
 Combinational latches (a comb block leaving a variable unassigned on some
 path) are rejected: in the stylized subset state must be clocked.
 Combinational cycles are rejected as well.
+
+The model's next-state function is generated Python: :class:`_Codegen`
+emits the scheduled combinational items and the clocked blocks as one
+``next_state(state, choice)`` function over locals, compiled once per
+design under the filename ``<translated {top}>``.  The AST interpreter
+(``_Translator._next_state``) defines the semantics and is kept as the
+compiled function's test oracle.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ class _Translator:
         self.comb_items = self._schedule_combinational()
         self.clocked_blocks = [b for b in flat.always_blocks if b.clocked]
         self._check_single_driver()
+        self._checked_fn: Optional[Callable[[Mapping, Mapping], Dict]] = None
 
     # -- analysis -----------------------------------------------------------
 
@@ -219,10 +227,33 @@ class _Translator:
             name=self.flat.name,
             state_vars=state_vars,
             choices=choices,
-            next_state=self._next_state,
+            next_state=self._compile(checked=False),
         )
 
-    # -- simulation semantics ---------------------------------------------------------
+    # -- compiled next-state function -------------------------------------------------
+
+    def _compile(self, checked: bool) -> Callable[[Mapping, Mapping], Dict]:
+        """Compile the design into one ``next_state(state, choice)`` function.
+
+        The fast variant assumes ``state`` and ``choice`` hold exactly the
+        state variables and free inputs; any other input is handed to the
+        checked variant, which replays the interpreter's ``env`` lookups
+        one read at a time and is compiled on first use.
+        """
+        source = _Codegen(self, checked).source()
+        namespace = dict(
+            _RUNTIME,
+            _checked=None if checked else self._next_state_checked,
+        )
+        exec(compile(source, f"<translated {self.flat.name}>", "exec"), namespace)
+        return namespace.pop("next_state")  # no function <-> globals cycle
+
+    def _next_state_checked(self, state: Mapping, choice: Mapping) -> Dict:
+        if self._checked_fn is None:
+            self._checked_fn = self._compile(checked=True)
+        return self._checked_fn(state, choice)
+
+    # -- reference interpreter (the compiled function's test oracle) -----------------
 
     def _next_state(self, state: Mapping, choice: Mapping) -> Dict:
         env: Dict[str, int] = {}
@@ -386,6 +417,348 @@ class _Translator:
         if op not in table:
             raise TranslationError(f"unsupported operator {op!r}")
         return table[op]()
+
+
+# ---------------------------------------------------------------- code generation
+
+#: Binary operators Python evaluates exactly as the interpreter does.
+_NATIVE_BINARY = frozenset(
+    ("+", "-", "*", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=")
+)
+
+
+def _number(expr: ast.Number) -> int:
+    if expr.width:
+        return expr.value & ((1 << expr.width) - 1)
+    return expr.value
+
+
+def _div(left: int, right: int) -> int:
+    return left // right if right else 0
+
+
+def _mod(left: int, right: int) -> int:
+    return left % right if right else 0
+
+
+def _undriven(name: str) -> int:
+    raise TranslationError(f"read of undriven net {name!r}")
+
+
+def _fail(message: str, *evaluated: int) -> int:
+    """Raise ``message`` after the caller's operands were evaluated."""
+    raise TranslationError(message)
+
+
+def _no_width(name: str, *evaluated: int) -> int:
+    """The interpreter's width lookup of an undeclared net."""
+    raise KeyError(name)
+
+
+#: Globals of every generated function.
+_RUNTIME = {
+    "_TranslationError": TranslationError,
+    "_div": _div,
+    "_mod": _mod,
+    "_undriven": _undriven,
+    "_fail": _fail,
+    "_no_width": _no_width,
+}
+
+
+class _Codegen:
+    """Emits the source of one ``next_state(state, choice)`` function.
+
+    Each net lives in a Python local (``v<i>_<name>``); each non-blocking
+    target gets a second local (``u<i>_<name>``) so that clocked blocks
+    read the old register values.  A definite-assignment analysis decides,
+    per read, whether the net is certainly bound there; only the other
+    reads are checked, against a ``None`` the prelude binds.
+
+    The fast variant (``checked=False``) loads every state variable and
+    free input up front, so those reads are never checked.  The checked
+    variant binds every checked net from the interpreter's ``env``
+    (``state`` updated by ``choice``) and starts with nothing bound, which
+    reproduces the interpreter's failures on incomplete or extra keys.
+    """
+
+    def __init__(self, translator: _Translator, checked: bool):
+        self.translator = translator
+        self.checked = checked
+        self.widths = translator.widths
+        self.locals: Dict[str, str] = {}
+        #: Nets read where they may be unassigned, in first-read order.
+        self.unbound_reads: Dict[str, None] = {}
+        self.readable: Optional[Set[str]] = None  # fixed in clocked blocks
+        self.temps = 0
+
+    def source(self) -> str:
+        t = self.translator
+        inputs = list(t.state_names) + list(t.choice_names)
+        defined: Set[str] = set() if self.checked else set(inputs)
+
+        comb: List[str] = []
+        for item in t.comb_items:
+            if isinstance(item, ast.ContinuousAssign):
+                value = self._masked(item.target, item.value, defined)
+                comb.append(f"    {self._local(item.target)} = {value}")
+                defined = defined | {item.target}
+            else:
+                defined = self._block(item.body, comb, 1, defined, clocked=False)
+
+        self.readable = defined
+        clocked: List[str] = []
+        assigned: Set[str] = set()
+        for block in t.clocked_blocks:
+            assigned = self._block(block.body, clocked, 1, assigned, clocked=True)
+        held = [name for name in t.state_names if name not in assigned]
+
+        lines = ["def next_state(state, choice):"]
+        if self.checked:
+            lines += ["    _env = dict(state)", "    _env.update(choice)"]
+            lines += [
+                f"    {self._local(name)} = _env.get({name!r})"
+                for name in self.unbound_reads
+            ]
+        else:
+            lines += [
+                f"    if len(state) != {len(t.state_names)} "
+                f"or len(choice) != {len(t.choice_names)}:",
+                "        return _checked(state, choice)",
+                "    try:",
+            ]
+            lines += [
+                f"        {self._local(name)} = state[{name!r}]"
+                for name in t.state_names
+            ]
+            lines += [
+                f"        {self._local(name)} = choice[{name!r}]"
+                for name in t.choice_names
+            ]
+            if not inputs:
+                lines.append("        pass")
+            lines += [
+                "    except KeyError:",
+                "        return _checked(state, choice)",
+            ]
+            lines += [
+                f"    {self._local(name)} = None" for name in self.unbound_reads
+            ]
+        lines += comb
+        # A held register keeps ``state[name]``; the checked variant looks
+        # it up only after the clocked blocks ran, as the interpreter does.
+        for name in held:
+            initial = "None" if self.checked else self._local(name)
+            lines.append(f"    {self._next(name)} = {initial}")
+        lines += clocked
+        if self.checked:
+            lines.append(f"    for _name in {tuple(t.state_names)!r}: state[_name]")
+        entries = []
+        for name in t.state_names:
+            value = self._next(name)
+            if self.checked and name in held:
+                value = f"(state[{name!r}] if {value} is None else {value})"
+            entries.append(f"{name!r}: {value}")
+        lines.append("    return {" + ", ".join(entries) + "}")
+        return "\n".join(lines) + "\n"
+
+    # -- names ---------------------------------------------------------------
+
+    def _local(self, name: str) -> str:
+        local = self.locals.get(name)
+        if local is None:
+            slug = "".join(ch if ch.isalnum() else "_" for ch in name)
+            local = self.locals[name] = f"v{len(self.locals)}_{slug}"
+        return local
+
+    def _next(self, name: str) -> str:
+        return "u" + self._local(name)[1:]
+
+    def _read(self, name: str, bound: Set[str]) -> str:
+        local = self._local(name)
+        if name in bound:
+            return local
+        self.unbound_reads[name] = None
+        return f"({local} if {local} is not None else _undriven({name!r}))"
+
+    # -- statements ------------------------------------------------------------
+
+    def _block(
+        self,
+        body: Sequence[ast.Statement],
+        out: List[str],
+        depth: int,
+        defined: Set[str],
+        clocked: bool,
+    ) -> Set[str]:
+        """Emit ``body``; return the targets definitely assigned after it.
+
+        Comb blocks read what they define; clocked blocks read the fixed
+        ``self.readable`` and define next-state targets.
+        """
+        pad = "    " * depth
+        start = len(out)
+        for statement in body:
+            bound = self.readable if clocked else defined
+            if isinstance(statement, ast.Assign):
+                if statement.nonblocking != clocked:
+                    message = (
+                        "blocking assignment in clocked block (use <=)"
+                        if clocked
+                        else "non-blocking assignment in combinational block"
+                    )
+                    out.append(
+                        f"{pad}raise _TranslationError({message!r}, {statement.line})"
+                    )
+                    continue
+                value = self._masked(statement.target, statement.value, bound)
+                target = (
+                    self._next(statement.target) if clocked
+                    else self._local(statement.target)
+                )
+                out.append(f"{pad}{target} = {value}")
+                defined = defined | {statement.target}
+            elif isinstance(statement, ast.If):
+                out.append(f"{pad}if {self._cond(statement.condition, bound)}:")
+                then_defined = self._block(
+                    statement.then_body, out, depth + 1, defined, clocked
+                )
+                else_defined = defined
+                if statement.else_body:
+                    out.append(f"{pad}else:")
+                    else_defined = self._block(
+                        statement.else_body, out, depth + 1, defined, clocked
+                    )
+                defined = then_defined & else_defined
+            elif isinstance(statement, ast.Case):
+                defined = self._case(statement, out, depth, defined, clocked, bound)
+        if len(out) == start:
+            out.append(f"{pad}pass")
+        return defined
+
+    def _case(
+        self,
+        statement: ast.Case,
+        out: List[str],
+        depth: int,
+        defined: Set[str],
+        clocked: bool,
+        bound: Set[str],
+    ) -> Set[str]:
+        """First matching item wins; the last ``default`` is the fallback."""
+        pad = "    " * depth
+        subject = f"_c{self.temps}"
+        self.temps += 1
+        out.append(f"{pad}{subject} = {self._expr(statement.subject, bound)}")
+        default: List[ast.Statement] = []
+        outcomes: List[Set[str]] = []
+        keyword = "if"
+        for keys, body in statement.items:
+            if keys is None:
+                default = body
+                continue
+            matches = " or ".join(
+                f"{self._expr(key, bound)} == {subject}" for key in keys
+            )
+            out.append(f"{pad}{keyword} {matches or 'False'}:")
+            outcomes.append(self._block(body, out, depth + 1, defined, clocked))
+            keyword = "elif"
+        if keyword == "if":  # no keyed item: the default always runs
+            return self._block(default, out, depth, defined, clocked)
+        if default:
+            out.append(f"{pad}else:")
+            outcomes.append(self._block(default, out, depth + 1, defined, clocked))
+        else:
+            outcomes.append(defined)
+        return set.intersection(*outcomes)
+
+    # -- expressions -------------------------------------------------------------
+
+    def _masked(self, target: str, expr: ast.Expr, bound: Set[str]) -> str:
+        mask = (1 << self.widths[target]) - 1
+        if isinstance(expr, ast.Number):
+            return repr(_number(expr) & mask)
+        return f"({self._expr(expr, bound)} & {mask})"
+
+    def _cond(self, expr: ast.Expr, bound: Set[str]) -> str:
+        """An expression with the truth value of ``expr``, not its value."""
+        if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+            joiner = "and" if expr.op == "&&" else "or"
+            return (
+                f"({self._cond(expr.left, bound)} {joiner} "
+                f"{self._cond(expr.right, bound)})"
+            )
+        if isinstance(expr, ast.Unary) and expr.op == "!":
+            return f"(not {self._cond(expr.operand, bound)})"
+        return self._expr(expr, bound)
+
+    def _expr(self, expr: ast.Expr, bound: Set[str]) -> str:
+        """A parenthesized (or atomic) Python expression for ``expr``.
+
+        Operands are evaluated in the interpreter's order, so a failing
+        read raises for the same net.
+        """
+        if isinstance(expr, ast.Number):
+            value = _number(expr)
+            return repr(value) if value >= 0 else f"({value!r})"
+        if isinstance(expr, ast.Ident):
+            return self._read(expr.name, bound)
+        if isinstance(expr, ast.Index):
+            base = self._read(expr.base, bound)
+            return f"(({base} >> {self._expr(expr.index, bound)}) & 1)"
+        if isinstance(expr, ast.Unary):
+            return self._unary(expr, bound)
+        if isinstance(expr, ast.Binary):
+            return self._binary(expr, bound)
+        if isinstance(expr, ast.Ternary):
+            return (
+                f"({self._expr(expr.if_true, bound)} "
+                f"if {self._cond(expr.condition, bound)} "
+                f"else {self._expr(expr.if_false, bound)})"
+            )
+        return f"_fail({f'unsupported expression {expr!r}'!r})"
+
+    def _unary(self, expr: ast.Unary, bound: Set[str]) -> str:
+        op, operand = expr.op, expr.operand
+        if op in ("&", "|", "^"):
+            if not isinstance(operand, ast.Ident):
+                message = f"reduction {op!r} applies only to a plain net"
+                return f"_fail({message!r})"
+            if operand.name not in self.widths:
+                return f"_no_width({operand.name!r})"
+            mask = (1 << self.widths[operand.name]) - 1
+            bits = f"({self._read(operand.name, bound)} & {mask})"
+            if op == "&":
+                return f"({bits} == {mask})"
+            if op == "|":
+                return f"({bits} != 0)"
+            return f"(bin({bits}).count('1') & 1)"
+        if op == "!":
+            return f"(not {self._cond(operand, bound)})"
+        value = self._expr(operand, bound)
+        if op == "~":
+            if not isinstance(operand, ast.Ident):
+                return f"(~{value} & {(1 << 32) - 1})"
+            if operand.name not in self.widths:
+                return f"_no_width({operand.name!r}, {value})"
+            return f"(~{value} & {(1 << self.widths[operand.name]) - 1})"
+        if op == "-":
+            return f"(-{value})"
+        return value  # unary +
+
+    def _binary(self, expr: ast.Binary, bound: Set[str]) -> str:
+        op = expr.op
+        if op in ("&&", "||"):
+            return f"(1 if {self._cond(expr, bound)} else 0)"
+        left = self._expr(expr.left, bound)
+        right = self._expr(expr.right, bound)
+        if op in _NATIVE_BINARY:
+            return f"({left} {op} {right})"
+        if op == "/":
+            return f"_div({left}, {right})"
+        if op == "%":
+            return f"_mod({left}, {right})"
+        return f"_fail({f'unsupported operator {op!r}'!r}, {left}, {right})"
 
 
 # ---------------------------------------------------------------- static helpers

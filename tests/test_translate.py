@@ -1,11 +1,25 @@
 """Tests for elaboration and HDL-to-FSM translation."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.enumeration import enumerate_states
+from repro.enumeration.kernel import compile_model
 from repro.hdl import ElaborationError, parse, elaborate
+from repro.hdl.parser import _PRECEDENCE
+from repro.pp.fsm_model import PPModelConfig
+from repro.pp.verilog_src import (
+    build_pp_control_model_from_verilog,
+    pp_control_choices,
+    pp_control_verilog,
+)
 from repro.smurphi import ChoicePoint, RangeType
+from repro.smurphi.fingerprint import fingerprint_model
 from repro.translate import TranslationError, translate, translate_verilog, input_vectors_for_walk
+from repro.translate.translator import _Translator
 
 COUNTER = """
 module counter (
@@ -20,6 +34,84 @@ module counter (
     if (en) begin
       if (n != 3) n <= n + 1;
     end
+  end
+endmodule
+"""
+
+WRAPPING = """
+module m (input clk, input en);
+  reg [1:0] q;
+  always @(posedge clk) q <= q + 1;
+endmodule
+"""
+
+RESET_TWO = """
+module m (input clk);
+  // @reset 2
+  reg [1:0] q;
+  always @(posedge clk) q <= q;
+endmodule
+"""
+
+CASE_FSM = """
+module m (input clk, input go);
+  reg [1:0] s;
+  always @(posedge clk) begin
+    case (s)
+      0: if (go) s <= 1;
+      1: s <= 2;
+      2, 3: s <= 0;
+    endcase
+  end
+endmodule
+"""
+
+COMB_FEEDS_STATE = """
+module m (input clk, input a, input b);
+  wire both = a && b;
+  reg q;
+  always @(posedge clk) q <= both;
+endmodule
+"""
+
+COMB_ALWAYS = """
+module m (input clk, input [1:0] v);
+  reg one_hot;
+  reg q;
+  always @(*) begin
+    one_hot = 0;
+    if (v == 1 || v == 2) one_hot = 1;
+  end
+  always @(posedge clk) q <= one_hot;
+endmodule
+"""
+
+BLOCKING_IN_CLOCKED = """
+module m (input clk, input a);
+  reg q;
+  always @(posedge clk) q = a;
+endmodule
+"""
+
+# Corner semantics packed into one register: division and modulo by zero,
+# ``~`` 32 bits wide on an expression and net-wide on a net, unary minus
+# unmasked until assignment, reductions, a sized literal wider than its
+# width, and a case with ``default`` first, a two-key item and a hold.
+EDGES = """
+module edges (input clk, input [1:0] a, input [1:0] b);
+  wire [1:0] quo = a / b;
+  wire [1:0] rem = a % b;
+  wire [3:0] inv = (~(a + 0) >> 28) ^ ~a;
+  wire [3:0] neg = (-a < 0) + (-a >> 1);
+  wire [1:0] red = (&a) + (|a) + (^a);
+  wire [15:0] packed = (quo << 14) | (rem << 12) | (inv << 8) | (neg << 4) | (red << 2);
+  reg [15:0] q;
+  always @(posedge clk) begin
+    case (b)
+      default: q <= packed;
+      0, 1: q <= packed | 4'd17;
+      2: if (a) q <= q + 2; else begin end
+    endcase
   end
 endmodule
 """
@@ -39,25 +131,12 @@ class TestTranslateBasics:
         assert held == {"n": 2}
 
     def test_width_masking(self):
-        source = """
-module m (input clk, input en);
-  reg [1:0] q;
-  always @(posedge clk) q <= q + 1;
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(WRAPPING, top="m")
         state = {"q": 3}
         assert model.step(state, {"en": 0}) == {"q": 0}  # wraps at width
 
     def test_reset_annotation(self):
-        source = """
-module m (input clk);
-  // @reset 2
-  reg [1:0] q;
-  always @(posedge clk) q <= q;
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(RESET_TWO, top="m")
         assert model.reset_state() == {"q": 2}
 
     def test_reset_out_of_width_rejected(self):
@@ -72,48 +151,18 @@ endmodule
             translate_verilog(source, top="m")
 
     def test_case_statement_semantics(self):
-        source = """
-module m (input clk, input go);
-  reg [1:0] s;
-  always @(posedge clk) begin
-    case (s)
-      0: if (go) s <= 1;
-      1: s <= 2;
-      2, 3: s <= 0;
-    endcase
-  end
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(CASE_FSM, top="m")
         assert model.step({"s": 0}, {"go": 1}) == {"s": 1}
         assert model.step({"s": 0}, {"go": 0}) == {"s": 0}
         assert model.step({"s": 3}, {"go": 0}) == {"s": 0}
 
     def test_comb_logic_feeds_state(self):
-        source = """
-module m (input clk, input a, input b);
-  wire both = a && b;
-  reg q;
-  always @(posedge clk) q <= both;
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(COMB_FEEDS_STATE, top="m")
         assert model.step({"q": 0}, {"a": 1, "b": 1}) == {"q": 1}
         assert model.step({"q": 1}, {"a": 1, "b": 0}) == {"q": 0}
 
     def test_comb_always_block(self):
-        source = """
-module m (input clk, input [1:0] v);
-  reg one_hot;
-  reg q;
-  always @(*) begin
-    one_hot = 0;
-    if (v == 1 || v == 2) one_hot = 1;
-  end
-  always @(posedge clk) q <= one_hot;
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(COMB_ALWAYS, top="m")
         assert model.step({"q": 0}, {"v": 2}) == {"q": 1}
         assert model.step({"q": 0}, {"v": 3}) == {"q": 0}
 
@@ -157,13 +206,7 @@ endmodule
             translate_verilog(source, top="m")
 
     def test_blocking_in_clocked_rejected(self):
-        source = """
-module m (input clk, input a);
-  reg q;
-  always @(posedge clk) q = a;
-endmodule
-"""
-        model, _ = translate_verilog(source, top="m")
+        model, _ = translate_verilog(BLOCKING_IN_CLOCKED, top="m")
         with pytest.raises(TranslationError, match="blocking"):
             model.step({"q": 0}, {"a": 1})
 
@@ -286,3 +329,272 @@ class TestInputVectors:
         vectors = input_vectors_for_walk(model, graph, walk)
         assert len(vectors) == 1
         assert set(vectors[0]) == {"en"}
+
+
+# ------------------------------------------------ compiled function vs oracle
+#
+# ``translate`` compiles the design into one Python next-state function;
+# the interpreter (``_Translator._next_state``) is kept as its oracle.
+# For every input both return equal dicts (same key order, same value
+# types) or raise the same exception type with the same message.
+
+#: Every design of this file that translates, with its top module.
+TRANSLATABLE = {
+    "counter": (COUNTER, "counter"),
+    "wrapping": (WRAPPING, "m"),
+    "reset-two": (RESET_TWO, "m"),
+    "case-fsm": (CASE_FSM, "m"),
+    "comb-feeds-state": (COMB_FEEDS_STATE, "m"),
+    "comb-always": (COMB_ALWAYS, "m"),
+    "blocking-in-clocked": (BLOCKING_IN_CLOCKED, "m"),
+    "hierarchy": (TestElaboration.HIERARCHY, "top"),
+    "edges": (EDGES, "edges"),
+}
+
+
+def _outcome(next_state, state, choice):
+    try:
+        result = next_state(state, choice)
+    except Exception as exc:  # the exception is the outcome under test
+        return type(exc), str(exc)
+    return repr(list(result.items()))
+
+
+def _assert_matches_oracle(flat, inputs, choices_override=None):
+    compiled = translate(flat, choices_override)._next_state
+    oracle = _Translator(flat, choices_override)._next_state
+    for state, choice in inputs:
+        expected = _outcome(oracle, state, choice)
+        assert _outcome(compiled, state, choice) == expected, (state, choice)
+
+
+def _malformed(state, choice):
+    """``(state, choice)`` with one key missing, an unknown key, or a
+    choice key shadowing a state variable."""
+    for name in state:
+        yield {k: v for k, v in state.items() if k != name}, choice
+    for name in choice:
+        yield state, {k: v for k, v in choice.items() if k != name}
+    yield {**state, "ghost": 1}, choice
+    yield state, {**choice, "ghost": 1}
+    for name in state:
+        yield state, {**choice, name: 0}
+
+
+def _domain_inputs(model, limit=2048):
+    """Every choice in every state of ``model``'s domains, state-major,
+    cut after ``limit`` inputs."""
+    states = (
+        dict(zip(model.state_var_names, values))
+        for values in itertools.product(*(v.type.values() for v in model.state_vars))
+    )
+    choices = [
+        dict(zip(model.choice_names, values))
+        for values in itertools.product(*(c.type.values() for c in model.choices))
+    ]
+    pairs = ((state, choice) for state in states for choice in choices)
+    return list(itertools.islice(pairs, limit))
+
+
+class TestCompiledMatchesOracle:
+    @pytest.mark.parametrize("design", sorted(TRANSLATABLE))
+    def test_every_input_of_each_design(self, design):
+        source, top = TRANSLATABLE[design]
+        flat = elaborate(parse(source), top)
+        inputs = _domain_inputs(translate(flat))
+        malformed = [bad for good in inputs[:4] for bad in _malformed(*good)]
+        _assert_matches_oracle(flat, inputs + malformed)
+
+    def test_every_transition_of_the_pp_control_graph(self):
+        flat = elaborate(parse(pp_control_verilog(fill_words=1)), "pp_control")
+        model = translate(flat, pp_control_choices())
+        graph, _ = enumerate_states(model)
+        kernel = compile_model(model)
+        inputs = [
+            (state, choice)
+            for key in map(graph.state_key, range(graph.num_states))
+            for state in [kernel.unpack(key)]
+            for choice in model.enumerate_choices(state)
+        ]
+        assert (graph.num_states, len(inputs)) == (1509, 52844)
+        _assert_matches_oracle(flat, inputs, pp_control_choices())
+
+    def test_generated_function_is_named_for_tracebacks(self):
+        model, _ = translate_verilog(COUNTER, top="counter")
+        assert model._next_state.__code__.co_filename == "<translated counter>"
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_generated_designs(self, data):
+        source = data.draw(_designs())
+        flat = elaborate(parse(source), "m")
+        try:
+            model = translate(flat)
+        except TranslationError:
+            assume(False)
+        inputs = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            state = {
+                v.name: data.draw(st.integers(0, v.type.hi)) for v in model.state_vars
+            }
+            choice = {
+                c.name: data.draw(st.integers(0, c.type.hi)) for c in model.choices
+            }
+            inputs.append((state, choice))
+        inputs += list(_malformed(*inputs[0]))
+        _assert_matches_oracle(flat, inputs)
+
+
+_BINARY_OPS = [op for level in _PRECEDENCE for op in level]
+_SHIFTS = ["<<", ">>"]
+_REDUCTIONS = ["&", "|", "^"]
+
+
+def _exprs(names):
+    return _expr_strategy(tuple(names))
+
+
+def _rarely(strategy, common):
+    """``strategy`` one draw in four, ``common`` otherwise."""
+    return st.one_of(common, common, common, strategy)
+
+
+@functools.lru_cache(maxsize=None)
+def _expr_strategy(names):
+    """Fully parenthesized expressions over ``names``: every binary and
+    unary operator (reductions of a plain net), sized and unsized
+    literals, bit-selects and nested ``?:``.  Shift amounts and bit
+    indexes stay small; now and then a subtraction makes one negative."""
+    net = st.sampled_from(names)
+    leaves = st.one_of(
+        net,
+        st.integers(0, 20).map(str),
+        st.tuples(st.integers(1, 4), st.integers(0, 31)).map("{0[0]}'d{0[1]}".format),
+        st.tuples(net, st.integers(0, 4)).map("{0[0]}[{0[1]}]".format),
+    )
+    amounts = _rarely(st.tuples(leaves, leaves).map("({0[0]} - {0[1]})".format), leaves)
+    others = [op for op in _BINARY_OPS if op not in _SHIFTS]
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(["!", "~", "-", "+"]), inner)
+            .map("{0[0]}({0[1]})".format),
+            st.tuples(st.sampled_from(_REDUCTIONS), net).map("{0[0]}({0[1]})".format),
+            st.tuples(inner, st.sampled_from(others), inner)
+            .map("({0[0]} {0[1]} {0[2]})".format),
+            st.tuples(inner, st.sampled_from(_SHIFTS), amounts)
+            .map("({0[0]} {0[1]} {0[2]})".format),
+            st.tuples(inner, inner, inner).map("({0[0]} ? {0[1]} : {0[2]})".format),
+            st.tuples(net, amounts).map("{0[0]}[{0[1]}]".format),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _statements(draw, reads, targets, op, depth):
+    """Up to two statements: assignments, ``if`` with a missing, empty
+    or filled ``else``, and ``case`` with multi-key items and ``default``
+    first, in the middle, last or absent."""
+    lines = []
+    kinds = ["assign", "if", "case"] if depth else ["assign"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "assign":
+            target = draw(st.sampled_from(targets))
+            lines.append(f"{target} {op} {draw(_exprs(reads))};")
+        elif kind == "if":
+            lines.append(f"if ({draw(_exprs(reads))}) begin")
+            lines += _statements(draw, reads, targets, op, depth - 1)
+            tail = draw(st.sampled_from(["", "empty", "body"]))
+            if tail:
+                lines.append("end else begin")
+                if tail == "body":
+                    lines += _statements(draw, reads, targets, op, depth - 1)
+            lines.append("end")
+        else:
+            items = []
+            for _ in range(draw(st.integers(0, 3))):
+                keys = draw(st.lists(_exprs(reads), min_size=1, max_size=3))
+                items.append(", ".join(keys))
+            position = draw(st.sampled_from([None, "first", "middle", "last"]))
+            if position is not None:
+                at = {"first": 0, "middle": len(items) // 2, "last": len(items)}
+                items.insert(at[position], "default")
+            lines.append(f"case ({draw(_exprs(reads))})")
+            for item in items:
+                lines.append(f"{item}: begin")
+                lines += _statements(draw, reads, targets, op, depth - 1)
+                lines.append("end")
+            lines.append("endcase")
+    return lines
+
+
+@st.composite
+def _designs(draw):
+    """One module ``m``: free inputs, clocked registers, continuous
+    assigns, a combinational block defining ``c0`` and ``c1``, and a
+    clocked block."""
+    in_widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    reg_widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    inputs = [f"i{k}" for k in range(len(in_widths))]
+    regs = [f"r{k}" for k in range(len(reg_widths))]
+    ports = ", ".join(
+        ["input clk"] + [f"input [{w - 1}:0] {n}" for n, w in zip(inputs, in_widths)]
+    )
+    lines = [f"module m ({ports});"]
+    lines += [f"reg [{w - 1}:0] {n};" for n, w in zip(regs, reg_widths)]
+    lines += ["wire [1:0] ghost;", "reg [2:0] c0;", "reg [0:0] c1;"]
+    wires = []
+    for k in range(draw(st.integers(0, 2))):
+        lines.append(f"wire [{draw(st.integers(0, 3))}:0] w{k};")
+        lines.append(f"assign w{k} = {draw(_exprs(inputs + regs + wires))};")
+        wires.append(f"w{k}")
+
+    settled = inputs + regs + wires
+    comb_reads = settled + ["c0", "c1"]
+    # Now and then the statements before c1's default read c1, the
+    # clocked block reads an undriven or undeclared net, or a block ends
+    # with a guarded statement that fails when it runs.
+    early = draw(_rarely(st.just(comb_reads), st.just(settled + ["c0"])))
+    clocked_reads = draw(
+        _rarely(st.just(comb_reads + ["ghost", "nodecl"]), st.just(comb_reads))
+    )
+    wrong = draw(_rarely(st.sampled_from(["comb", "clocked", "reduction"]), st.none()))
+    guard = f"if ({draw(_exprs(comb_reads))})"
+    lines += ["always @(*) begin", f"c0 = {draw(_exprs(settled))};"]
+    lines += _statements(draw, early, ["c0", "c1"], "=", 1)
+    lines.append(f"c1 = {draw(_exprs(comb_reads))};")
+    lines += _statements(draw, comb_reads, ["c0", "c1"], "=", 2)
+    if wrong == "comb":
+        lines.append(f"{guard} c0 <= 1;")
+    lines.append("end")
+
+    lines.append("always @(posedge clk) begin")
+    lines += _statements(draw, clocked_reads, regs, "<=", 2)
+    for reg in regs:  # every register is state, held on some paths
+        lines.append(f"if ({draw(_exprs(clocked_reads))}) {reg} <= {draw(_exprs(clocked_reads))};")
+    if wrong == "clocked":
+        lines.append(f"{guard} {regs[0]} = 0;")
+    if wrong == "reduction":  # of an expression, not a plain net
+        op = draw(st.sampled_from(_REDUCTIONS))
+        lines.append(f"{guard} {regs[0]} <= {op}({draw(_exprs(comb_reads))} + 1);")
+    lines += ["end", "endmodule"]
+    return "\n".join(lines)
+
+
+class TestFingerprint:
+    """The compiled function is digested by its code object and constants."""
+
+    def test_translated_model_fingerprints_stably(self):
+        two = fingerprint_model(
+            build_pp_control_model_from_verilog(PPModelConfig(fill_words=2))[0]
+        )
+        again = fingerprint_model(
+            build_pp_control_model_from_verilog(PPModelConfig(fill_words=2))[0]
+        )
+        three = fingerprint_model(
+            build_pp_control_model_from_verilog(PPModelConfig(fill_words=3))[0]
+        )
+        assert two.stable and three.stable
+        assert two == again
+        assert two.base_step != three.base_step

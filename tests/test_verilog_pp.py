@@ -1,16 +1,17 @@
 """The translation-path anchor test: the PP control Verilog, translated,
-enumerates to exactly the same state graph size as the hand-built model.
+enumerates to exactly the same state graph as the hand-built model.
 
 This is the repository's strongest evidence that the HDL-to-FSM path
 (section 3.1 of the paper) is faithful: two independently expressed
 descriptions of the PP control -- annotated Verilog through the translator,
-and the Python Synchronous Murphi model -- reach identical reachable-state
-and transition-arc counts.
+and the Python Synchronous Murphi model -- reach the same reset state, the
+same reachable states and the same labelled transition arcs.
 """
 
 import pytest
 
 from repro.enumeration import enumerate_states
+from repro.enumeration.kernel import compile_model
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.pp.verilog_src import (
     build_pp_control_model_from_verilog,
@@ -76,3 +77,56 @@ class TestEquivalenceWithHandModel:
         _, _, _, vstats = translated
         _, hand = enumerate_states(build_pp_control_model(PPModelConfig(fill_words=1)))
         assert vstats.num_edges == hand.num_edges
+
+
+def _named_graph(model, encode):
+    """Reset state, state set and ``(src, dst, condition)`` arc set of
+    ``model``'s graph, every state and condition keyed by variable name."""
+    graph, _ = enumerate_states(model)
+    kernel = compile_model(model)
+    states = [
+        encode(kernel.unpack(graph.state_key(i)))
+        for i in range(graph.num_states)
+    ]
+    arcs = {
+        (states[e.src], states[e.dst], encode(graph.condition_as_dict(e)))
+        for e in graph.edges()
+    }
+    assert len(arcs) == graph.num_edges
+    return encode(model.reset_state()), set(states), arcs
+
+
+def _hand_encoder(model):
+    """Each hand-model value as its index in its domain; ``fetch_class``
+    is offset by one, as the Verilog ``localparam``s number the classes
+    after BUBBLE."""
+    types = {v.name: v.type for v in model.state_vars}
+    types.update((c.name, c.type) for c in model.choices)
+
+    def encode(values):
+        return tuple(sorted(
+            (name, types[name].index_of(value) + (name == "fetch_class"))
+            for name, value in values.items()
+        ))
+
+    return encode
+
+
+def _verilog_encode(values):
+    return tuple(sorted((name, int(value)) for name, value in values.items()))
+
+
+@pytest.mark.parametrize("fill_words, states, arcs", [
+    (1, 1509, 8777),
+    (2, 2135, 13329),
+    (3, 2676, 17024),
+    (4, 3232, 20719),
+])
+def test_translated_graph_equals_hand_graph(fill_words, states, arcs):
+    config = PPModelConfig(fill_words=fill_words)
+    translated, _ = build_pp_control_model_from_verilog(config)
+    hand = build_pp_control_model(config)
+    reset, state_set, arc_set = _named_graph(translated, _verilog_encode)
+    assert (len(state_set), len(arc_set)) == (states, arcs)
+    assert reset == _hand_encoder(hand)(hand.reset_state())
+    assert (reset, state_set, arc_set) == _named_graph(hand, _hand_encoder(hand))
