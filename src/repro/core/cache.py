@@ -142,12 +142,25 @@ PHASE_MODULES: Dict[str, tuple] = {
     "traces": ("vectors", "pp", "incremental"),
 }
 
+#: Files inside the phase subtrees that no phase digest hashes: the RTL
+#: comparison simulator's own units.  They run generated vectors (step 4)
+#: and feed no artifact bytes -- the vector generator reads only the line
+#: size (``pp/rtl/memory.py``) and the stimulus queue layout
+#: (``pp/rtl/stimulus.py``), which stay hashed, as does every other or new
+#: file under ``pp/``.  ``tests/test_artifact_cache.py`` checks that no
+#: hashed module of a phase subtree imports one of these.
+PHASE_EXCLUDED = frozenset(
+    f"pp/rtl/{unit}.py"
+    for unit in ("core", "icache", "dcache", "memctrl", "inbox", "outbox", "regfile")
+)
+
 
 def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
     """SHA-256 over relative path + contents of ``.py`` files under root.
 
-    ``subdirs`` restricts the walk to the named subtrees (a *phase* digest);
-    ``None`` hashes the whole package (the monolithic :func:`code_version`).
+    ``subdirs`` restricts the walk to the named subtrees, minus
+    :data:`PHASE_EXCLUDED` (a *phase* digest); ``None`` hashes the whole
+    package (the monolithic :func:`code_version`).
     """
     digest = hashlib.sha256()
     if subdirs is None:
@@ -155,7 +168,10 @@ def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
     else:
         sources = []
         for sub in subdirs:
-            sources.extend((package_root / sub).rglob("*.py"))
+            sources.extend(
+                source for source in (package_root / sub).rglob("*.py")
+                if source.relative_to(package_root).as_posix() not in PHASE_EXCLUDED
+            )
         sources.sort()
     for source in sources:
         digest.update(str(source.relative_to(package_root)).encode())

@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.enumeration.pool import WorkerPool
 from repro.obs.observer import Observer, resolve
 from repro.pp.isa import Instruction
-from repro.pp.rtl.core import BRANCH_OPCODES, CoreConfig, PPCore
+from repro.pp.rtl.core import BRANCH_OPCODES, CoreConfig, DeadlockError, PPCore
 from repro.pp.rtl.stimulus import StimulusSource
 from repro.pp.spec import ArchState, SpecSimulator
 from repro.vectors.generator import TestVectorTrace
@@ -86,16 +86,26 @@ def run_trace(
     ``strict_writes`` additionally compares the register write stream at
     retirement, which catches transient corruption that a later write
     would mask in the final state.
+
+    A run that hits ``max_cycles`` is reported as ``deadlocked``.  Any other
+    ``RuntimeError`` out of the simulator is a broken unit invariant (say,
+    a D-refill started while the cache is busy): it is reported as a
+    divergence carrying the error's message, never as a deadlock.
     """
     config = config or CoreConfig(mem_latency=0)
     core = PPCore(program, config, stimulus, inbox_tasks=list(inbox_tasks))
     try:
         core.run(max_cycles=max_cycles)
-    except RuntimeError:
+    except DeadlockError:
         return ComparisonResult(
             diverged=True, deadlocked=True, cycles=core.cycle,
             instructions=len(program),
             differences=["implementation deadlocked"],
+        )
+    except RuntimeError as exc:
+        return ComparisonResult(
+            diverged=True, cycles=core.cycle, instructions=len(program),
+            differences=[f"implementation error: {exc}"],
         )
     rtl_state = core.architectural_state()
     spec = SpecSimulator(inbox=list(inbox_tasks))

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Set, Tuple
 from repro.enumeration.graph import StateGraph
 from repro.pp.fsm_model import PPControlModel
 from repro.pp.isa import InstructionClass
-from repro.pp.rtl.core import PPCore
+from repro.pp.rtl.core import DeadlockError, PPCore
 from repro.pp.rtl.dcache import DRefillState, SpillState
 from repro.pp.rtl.icache import IRefillState
 from repro.smurphi.state import StateCodec
@@ -170,6 +170,6 @@ def run_with_coverage(
     observer.observe(core)
     while not core.halted:
         if core.cycle >= max_cycles:
-            raise RuntimeError("core did not halt during coverage run")
+            raise DeadlockError("core did not halt during coverage run")
         core.step()
         observer.observe(core)

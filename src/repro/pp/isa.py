@@ -95,6 +95,8 @@ I_FORMAT = {Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.LUI,
             Opcode.LW, Opcode.SW, Opcode.BEQ, Opcode.BNE, Opcode.J}
 #: MAGIC communication opcodes (X-format).
 X_FORMAT = {Opcode.SWITCH, Opcode.SEND}
+#: Opcode for each defined value of the 6-bit opcode field.
+_OPCODE_BY_BITS: Dict[int, Opcode] = {int(op): op for op in Opcode}
 
 _CLASS_BY_OPCODE: Dict[Opcode, InstructionClass] = {
     Opcode.LW: InstructionClass.LD,
@@ -124,9 +126,10 @@ def classify_opcode(opcode: Opcode, squashing_branches: bool = False) -> Instruc
     (when enabled the caller gets a ValueError here as a reminder that the
     BR class is not part of the five-class abstraction).
     """
-    if opcode in _CLASS_BY_OPCODE:
-        return _CLASS_BY_OPCODE[opcode]
-    if opcode in (Opcode.BEQ, Opcode.BNE, Opcode.J) and squashing_branches:
+    klass = _CLASS_BY_OPCODE.get(opcode)
+    if klass is not None:
+        return klass
+    if squashing_branches and opcode in (Opcode.BEQ, Opcode.BNE, Opcode.J):
         raise ValueError(
             "branch opcodes need the extended class set; "
             "use repro.pp.branches for the squashing-branch extension"
@@ -171,10 +174,9 @@ class Instruction:
     def decode(cls, word: int) -> "Instruction":
         """Unpack a 32-bit word; raises ValueError on unknown opcodes."""
         opcode_bits = (word >> 26) & 0x3F
-        try:
-            opcode = Opcode(opcode_bits)
-        except ValueError as exc:
-            raise ValueError(f"unknown opcode {opcode_bits} in word {word:#010x}") from exc
+        opcode = _OPCODE_BY_BITS.get(opcode_bits)
+        if opcode is None:
+            raise ValueError(f"unknown opcode {opcode_bits} in word {word:#010x}")
         rd = (word >> 21) & 0x1F
         rs = (word >> 16) & 0x1F
         if opcode in R_FORMAT:

@@ -25,7 +25,14 @@ from repro.pp.rtl.stimulus import (
     QueueStimulus,
     RandomStimulus,
 )
-from repro.pp.rtl.core import PPCore, CoreConfig, TraceEvent, GARBAGE_Z, LOST_DATA
+from repro.pp.rtl.core import (
+    PPCore,
+    CoreConfig,
+    DeadlockError,
+    TraceEvent,
+    GARBAGE_Z,
+    LOST_DATA,
+)
 
 __all__ = [
     "MainMemory",
@@ -48,6 +55,7 @@ __all__ = [
     "RandomStimulus",
     "PPCore",
     "CoreConfig",
+    "DeadlockError",
     "TraceEvent",
     "GARBAGE_Z",
     "LOST_DATA",

@@ -21,6 +21,9 @@ The three cooperating machines of Fig. 3.2 live here:
 force/release hooks.  Forced outcomes stay architecturally silent: a
 forced hit on a non-resident address reads/writes the backing memory
 directly, and a forced miss on a resident line flushes it first.
+
+Set index, tag and the split store's same-line test are shifts and masks
+of the word-masked address (``num_sets`` is a power of two).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from repro.pp.isa import WORD_MASK
 from repro.pp.rtl.memctrl import MemoryController, MemRequest, Requester, WordDelivery
-from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base, word_in_line
+from repro.pp.rtl.memory import LINE_SHIFT, LINE_WORDS, MainMemory, word_in_line
 
 
 class DRefillState(enum.Enum):
@@ -61,11 +64,13 @@ class DCache:
     WAYS = 2
 
     def __init__(self, memory: MainMemory, memctrl: MemoryController, num_sets: int = 4):
-        if num_sets & (num_sets - 1):
+        if num_sets < 1 or num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a power of two")
         self.memory = memory
         self.memctrl = memctrl
         self.num_sets = num_sets
+        self._set_mask = num_sets - 1
+        self._tag_shift = LINE_SHIFT + num_sets.bit_length() - 1
         self._sets = [[_Line() for _ in range(self.WAYS)] for _ in range(num_sets)]
         self._lru = [0] * num_sets  # way to evict next
 
@@ -88,14 +93,15 @@ class DCache:
     # -- address helpers -----------------------------------------------------
 
     def _set_index(self, address: int) -> int:
-        return (line_base(address) // (LINE_WORDS * 4)) % self.num_sets
+        return ((address & WORD_MASK) >> LINE_SHIFT) & self._set_mask
 
     def _tag(self, address: int) -> int:
-        return line_base(address) // (LINE_WORDS * 4 * self.num_sets)
+        return (address & WORD_MASK) >> self._tag_shift
 
     def _find(self, address: int) -> Optional[_Line]:
-        tag = self._tag(address)
-        for line in self._sets[self._set_index(address)]:
+        address &= WORD_MASK
+        tag = address >> self._tag_shift
+        for line in self._sets[(address >> LINE_SHIFT) & self._set_mask]:
             if line.valid and line.tag == tag:
                 return line
         return None
@@ -162,7 +168,8 @@ class DCache:
         """A following load to the pending store's line conflicts."""
         if self.pending_store is None:
             return False
-        return line_base(address) == line_base(self.pending_store[0])
+        # The pending address is word-masked already (see post_store).
+        return (address & WORD_MASK) >> LINE_SHIFT == self.pending_store[0] >> LINE_SHIFT
 
     def drain_pending_store(self) -> None:
         """The data-write cycle of the split store."""

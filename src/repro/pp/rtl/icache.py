@@ -12,6 +12,10 @@ on the tag-compare result.  To keep forced control outcomes
 architecturally silent, data always comes from a coherent source: a forced
 hit on a non-resident address reads the backing memory directly, and a
 forced miss on a resident line invalidates it first and refetches.
+
+Set index and tag come from shifts and masks of the word-masked address
+(``num_sets`` is a power of two), so a fetch-port lookup costs no helper
+calls.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 import enum
 from typing import List, Optional
 
+from repro.pp.isa import WORD_MASK
 from repro.pp.rtl.memctrl import MemoryController, MemRequest, Requester, WordDelivery
-from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base, word_in_line
+from repro.pp.rtl.memory import LINE_SHIFT, LINE_WORDS, MainMemory, line_base, word_in_line
 
 
 class IRefillState(enum.Enum):
@@ -41,11 +46,13 @@ class _Line:
 
 class ICache:
     def __init__(self, memory: MainMemory, memctrl: MemoryController, num_sets: int = 8):
-        if num_sets & (num_sets - 1):
+        if num_sets < 1 or num_sets & (num_sets - 1):
             raise ValueError("num_sets must be a power of two")
         self.memory = memory
         self.memctrl = memctrl
         self.num_sets = num_sets
+        self._set_mask = num_sets - 1
+        self._tag_shift = LINE_SHIFT + num_sets.bit_length() - 1
         self._sets = [_Line() for _ in range(num_sets)]
         self.state = IRefillState.IDLE
         self._refill_address = 0
@@ -57,14 +64,10 @@ class ICache:
     # -- address helpers -----------------------------------------------------
 
     def _set_index(self, address: int) -> int:
-        return (line_base(address) // (LINE_WORDS * 4)) % self.num_sets
+        return ((address & WORD_MASK) >> LINE_SHIFT) & self._set_mask
 
     def _tag(self, address: int) -> int:
-        return line_base(address) // (LINE_WORDS * 4 * self.num_sets)
-
-    def _resident(self, address: int) -> bool:
-        line = self._sets[self._set_index(address)]
-        return line.valid and line.tag == self._tag(address)
+        return (address & WORD_MASK) >> self._tag_shift
 
     # -- fetch port --------------------------------------------------------------
 
@@ -76,18 +79,19 @@ class ICache:
         """
         if self.state is not IRefillState.IDLE:
             return None  # port busy refilling
-        resident = self._resident(address)
+        address &= WORD_MASK
+        line = self._sets[(address >> LINE_SHIFT) & self._set_mask]
+        resident = line.valid and line.tag == address >> self._tag_shift
         hit = resident if force_hit is None else force_hit
         if not hit:
             self.misses += 1
             if force_hit is False and resident:
                 # Forced miss on a resident line: invalidate so the refill
                 # is a genuine one (instructions are read-only, no spill).
-                self._sets[self._set_index(address)].valid = False
+                line.valid = False
             return None
         self.hits += 1
         if resident:
-            line = self._sets[self._set_index(address)]
             return line.words[word_in_line(address)]
         # Forced hit on a non-resident address: serve from backing memory
         # so forcing the control outcome never corrupts the data path.

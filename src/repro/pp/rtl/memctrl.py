@@ -10,12 +10,17 @@ first word, then delivers one word per cycle.  Data-cache reads deliver
 critical-word-first.  Per-cycle delivery can be paused by the vector
 harness via ``pace_override`` (the abstract model's nondeterministic
 "memory not done yet" choice).
+
+Since the port moves at most one word per cycle, :meth:`MemoryController.tick`
+returns that word's :class:`WordDelivery` or ``None``.  ``busy`` is a plain
+attribute, kept current by the request/grant/finish paths, so the core can
+skip the tick of an idle controller for the price of one attribute read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.pp.rtl.memory import LINE_WORDS, MainMemory, line_base
@@ -39,16 +44,28 @@ class MemRequest:
     critical_first: bool = False
 
 
-@dataclass(frozen=True)
 class WordDelivery:
     """One word handed back to a requester this cycle."""
 
-    requester: Requester
-    line_address: int
-    word_index: int  # index in delivery order (0 = first/critical word)
-    word_offset: int  # index of the word within its line
-    value: int
-    is_last: bool
+    __slots__ = (
+        "requester", "line_address", "word_index", "word_offset", "value", "is_last",
+    )
+
+    def __init__(
+        self,
+        requester: Requester,
+        line_address: int,
+        word_index: int,
+        word_offset: int,
+        value: int,
+        is_last: bool,
+    ):
+        self.requester = requester
+        self.line_address = line_address
+        self.word_index = word_index  # index in delivery order (0 = first/critical word)
+        self.word_offset = word_offset  # index of the word within its line
+        self.value = value
+        self.is_last = is_last
 
 
 class MemoryController:
@@ -61,9 +78,12 @@ class MemoryController:
         self.latency = latency
         self._queue: List[MemRequest] = []
         self._current: Optional[MemRequest] = None
+        self._line_address = 0
         self._countdown = 0
         self._words: List[Tuple[int, int]] = []  # (word_offset, value) in order
         self._delivered = 0
+        #: A transaction is granted or waiting (kept current on every change).
+        self.busy = False
         #: When set to False for a cycle, no word is delivered (vector pacing).
         self.pace_override: Optional[bool] = None
         #: Total transactions completed (for stats / tests).
@@ -84,10 +104,7 @@ class MemoryController:
             self._queue.insert(insert_at, req)
         else:
             self._queue.append(req)
-
-    @property
-    def busy(self) -> bool:
-        return self._current is not None or bool(self._queue)
+        self.busy = True
 
     @property
     def owner(self) -> Optional[Requester]:
@@ -98,58 +115,45 @@ class MemoryController:
 
     # -- clock ----------------------------------------------------------------
 
-    def tick(self) -> List[WordDelivery]:
-        """Advance one cycle; return any word deliveries for this cycle."""
-        deliveries: List[WordDelivery] = []
-        if self._current is None and self._queue:
-            self._grant(self._queue.pop(0))
-            return deliveries  # grant cycle itself delivers nothing
-        if self._current is None:
-            return deliveries
+    def tick(self) -> Optional[WordDelivery]:
+        """Advance one cycle; return this cycle's word delivery, if any."""
+        current = self._current
+        if current is None:
+            if self._queue:
+                self._grant(self._queue.pop(0))  # the grant cycle delivers nothing
+            return None
         if self.pace_override is False:
-            return deliveries  # harness held the memory system this cycle
+            return None  # harness held the memory system this cycle
         if self._countdown > 0:
             self._countdown -= 1
-            return deliveries
-        if self._current.write_words is not None:
+            return None
+        if current.write_words is not None:
             # Line write (spill-buffer write-back) completes as a unit once
             # the latency has elapsed.
-            self.memory.write_line(self._current.address, self._current.write_words)
-            deliveries.append(
-                WordDelivery(
-                    requester=self._current.requester,
-                    line_address=line_base(self._current.address),
-                    word_index=0,
-                    word_offset=0,
-                    value=0,
-                    is_last=True,
-                )
+            self.memory.write_line(current.address, current.write_words)
+            delivery = WordDelivery(
+                current.requester, self._line_address, 0, 0, 0, True
             )
             self._finish()
-            return deliveries
-        word_offset, value = self._words[self._delivered]
-        is_last = self._delivered == LINE_WORDS - 1
-        deliveries.append(
-            WordDelivery(
-                requester=self._current.requester,
-                line_address=line_base(self._current.address),
-                word_index=self._delivered,
-                word_offset=word_offset,
-                value=value,
-                is_last=is_last,
-            )
+            return delivery
+        index = self._delivered
+        word_offset, value = self._words[index]
+        is_last = index == LINE_WORDS - 1
+        delivery = WordDelivery(
+            current.requester, self._line_address, index, word_offset, value, is_last
         )
-        self._delivered += 1
+        self._delivered = index + 1
         if is_last:
             self._finish()
-        return deliveries
+        return delivery
 
     def _grant(self, req: MemRequest) -> None:
         self._current = req
+        self._line_address = line_base(req.address)
         self._countdown = self.latency
         self._delivered = 0
         if req.write_words is None:
-            base = line_base(req.address)
+            base = self._line_address
             if req.critical_first:
                 critical = (req.address >> 2) % LINE_WORDS
                 order = [(critical + i) % LINE_WORDS for i in range(LINE_WORDS)]
@@ -165,4 +169,5 @@ class MemoryController:
         self._current = None
         self._words = []
         self._delivered = 0
+        self.busy = bool(self._queue)
         self.transactions_completed += 1

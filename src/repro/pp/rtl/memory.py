@@ -10,6 +10,8 @@ from repro.pp.isa import WORD_MASK
 LINE_WORDS = 4
 #: Byte size of a line (word = 4 bytes).
 LINE_BYTES = LINE_WORDS * 4
+#: ``address >> LINE_SHIFT`` numbers the line holding a (32-bit) address.
+LINE_SHIFT = LINE_BYTES.bit_length() - 1
 
 
 def line_base(address: int) -> int:

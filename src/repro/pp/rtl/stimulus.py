@@ -77,27 +77,32 @@ class QueueStimulus(StimulusSource):
         self._victim: Deque[bool] = deque(victim_dirty)
         self._pace: Deque[bool] = deque(mem_pace)
 
-    @staticmethod
-    def _pop(queue: Deque[bool]) -> Optional[bool]:
-        return queue.popleft() if queue else None
+    # One pop per event; each accessor is written out (no shared helper)
+    # because ``mem_pace`` alone runs on most simulated cycles.
 
     def fetch_hit(self) -> Optional[bool]:
-        return self._pop(self._fetch)
+        queue = self._fetch
+        return queue.popleft() if queue else None
 
     def dcache_hit(self) -> Optional[bool]:
-        return self._pop(self._dcache)
+        queue = self._dcache
+        return queue.popleft() if queue else None
 
     def inbox_ready(self) -> Optional[bool]:
-        return self._pop(self._inbox)
+        queue = self._inbox
+        return queue.popleft() if queue else None
 
     def outbox_ready(self) -> Optional[bool]:
-        return self._pop(self._outbox)
+        queue = self._outbox
+        return queue.popleft() if queue else None
 
     def victim_dirty(self) -> Optional[bool]:
-        return self._pop(self._victim)
+        queue = self._victim
+        return queue.popleft() if queue else None
 
     def mem_pace(self) -> Optional[bool]:
-        return self._pop(self._pace)
+        queue = self._pace
+        return queue.popleft() if queue else None
 
     @property
     def exhausted(self) -> bool:

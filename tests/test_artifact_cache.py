@@ -439,6 +439,123 @@ class TestPhaseCodeDigests:
         (root / "obs/observer.py").write_text("OBS = 99\n")
         assert keys() == before
 
+    #: A tree with the real ``pp/rtl`` layout: the simulator-only units plus
+    #: the modules the vector generator reads.
+    PP_TREE = {
+        "smurphi/model.py": "A = 1\n",
+        "enumeration/bfs.py": "B = 1\n",
+        "tour/gen.py": "C = 1\n",
+        "vectors/generator.py": "D = 1\n",
+        "incremental/replay.py": "F = 1\n",
+        "pp/isa.py": "ISA = 1\n",
+        "pp/rtl/__init__.py": "from repro.pp.rtl.core import PPCore\n",
+        "pp/rtl/memory.py": "LINE_WORDS = 4\n",
+        "pp/rtl/stimulus.py": "S = 1\n",
+        **{
+            f"pp/rtl/{unit}.py": f"{unit.upper()} = 1\n"
+            for unit in ("core", "icache", "dcache", "memctrl", "inbox", "outbox", "regfile")
+        },
+    }
+
+    @staticmethod
+    def _digests(root):
+        from repro.core.cache import PHASES, phase_code_version
+
+        return {p: phase_code_version(p, package_root=root) for p in PHASES}
+
+    def test_pp_tree_names_every_excluded_file(self):
+        from repro.core.cache import PHASE_EXCLUDED
+
+        assert PHASE_EXCLUDED <= set(self.PP_TREE)
+
+    @pytest.mark.parametrize("edited", [
+        "pp/rtl/core.py", "pp/rtl/icache.py", "pp/rtl/dcache.py", "pp/rtl/memctrl.py",
+        "pp/rtl/inbox.py", "pp/rtl/outbox.py", "pp/rtl/regfile.py",
+    ])
+    def test_simulator_only_edit_changes_no_phase_digest(self, tmp_path, edited):
+        # The comparison simulator feeds no artifact bytes: editing it must
+        # not re-key model -> graph -> tours -> traces.
+        root = self._tree(tmp_path, **self.PP_TREE)
+        before = self._digests(root)
+        (root / edited).write_text("EDITED = 2  # a faster cycle loop\n")
+        assert self._digests(root) == before
+
+    @pytest.mark.parametrize("edited", [
+        "pp/rtl/memory.py", "pp/rtl/stimulus.py", "pp/rtl/__init__.py", "pp/isa.py",
+    ])
+    def test_artifact_feeding_pp_edit_still_changes_traces(self, tmp_path, edited):
+        root = self._tree(tmp_path, **self.PP_TREE)
+        before = self._digests(root)
+        (root / edited).write_text("EDITED = 2\n")
+        after = self._digests(root)
+        assert after["traces"] != before["traces"]
+        assert after["model"] != before["model"]
+
+    def test_new_pp_module_is_hashed(self, tmp_path):
+        # The exclusion is a list of files, not of directories: anything
+        # new under pp/ (even next to the simulator units) stays hashed.
+        root = self._tree(tmp_path, **self.PP_TREE)
+        before = self._digests(root)
+        (root / "pp/rtl/new_unit.py").write_text("NEW = 1\n")
+        after = self._digests(root)
+        assert after["traces"] != before["traces"]
+        assert after["model"] != before["model"]
+
+    def test_no_hashed_phase_module_imports_a_simulator_only_module(self):
+        # The exclusion is sound only while no hashed module of a phase
+        # subtree can reach the simulator units: by a direct import, a
+        # ``from <package> import <unit>`` or a name re-exported from one by
+        # ``pp/rtl/__init__.py`` (the one module allowed to import them).
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.core.cache import PHASE_EXCLUDED, PHASE_MODULES
+
+        root = Path(repro.__file__).resolve().parent
+
+        def module_of(rel):
+            parts = ("repro",) + rel.with_suffix("").parts
+            return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+        def imports(rel):
+            package = module_of(rel).split(".")
+            if rel.name != "__init__.py":
+                package = package[:-1]
+            for node in ast.walk(ast.parse((root / rel).read_text())):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        yield alias.name, ()
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    yield module, tuple(alias.name for alias in node.names)
+
+        excluded = {module_of(Path(rel)) for rel in PHASE_EXCLUDED}
+        rtl_init = Path("pp/rtl/__init__.py")
+        reexported = {
+            name
+            for module, names in imports(rtl_init) if module in excluded
+            for name in names
+        }
+        assert "PPCore" in reexported  # the check below is not vacuous
+
+        offenders = []
+        subtrees = {sub for subs in PHASE_MODULES.values() for sub in subs}
+        for sub in sorted(subtrees):
+            for path in sorted((root / sub).rglob("*.py")):
+                rel = path.relative_to(root)
+                if rel.as_posix() in PHASE_EXCLUDED or rel == rtl_init:
+                    continue
+                for module, names in imports(rel):
+                    if (
+                        module in excluded
+                        or any(f"{module}.{name}" in excluded for name in names)
+                        or (module == "repro.pp.rtl" and set(names) & reexported)
+                    ):
+                        offenders.append(f"{rel}: {module} {names}")
+        assert offenders == []
+
 
 class TestCodeVersionRefresh:
     """The staleness escape hatch (ISSUE: PR 10, satellite a)."""

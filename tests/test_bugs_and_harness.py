@@ -1,5 +1,7 @@
 """Tests for the bug catalog/injector, comparison harness, and baselines."""
 
+import dataclasses
+
 import pytest
 
 from repro.bugs import ALL_BUG_IDS, BUGS, bug_table, inject, injected_config
@@ -11,7 +13,7 @@ from repro.harness import (
 from repro.harness.compare import run_trace
 from repro.harness.directed import run_directed_suite
 from repro.pp.asm import assemble
-from repro.pp.rtl import CoreConfig, NaturalStimulus, QueueStimulus
+from repro.pp.rtl import CoreConfig, DCache, NaturalStimulus, QueueStimulus
 
 
 class TestCatalog:
@@ -42,6 +44,19 @@ class TestCatalog:
         config = CoreConfig().with_bugs(1).with_bugs(2)
         assert config.bugs == frozenset({1, 2})
 
+    def test_with_bugs_keeps_every_other_field(self):
+        base = CoreConfig(
+            dual_issue=False, icache_sets=2, dcache_sets=8, mem_latency=5,
+            text_base=0x0020_0000, squashing_branches=True, bugs=frozenset({4}),
+        )
+        armed = base.with_bugs(6)
+        assert armed.bugs == frozenset({4, 6})
+        for field in dataclasses.fields(CoreConfig):
+            if field.name != "bugs":
+                assert getattr(armed, field.name) == getattr(base, field.name)
+                # Every field was set away from its default above.
+                assert getattr(base, field.name) != field.default, field.name
+
 
 class TestCompare:
     def test_clean_run_reports_match(self):
@@ -57,7 +72,26 @@ class TestCompare:
         )
         assert result.deadlocked
         assert result.diverged
+        assert not result.clean
         assert "DEADLOCK" in result.describe()
+
+    def test_simulator_invariant_failure_is_a_divergence_not_a_deadlock(
+        self, monkeypatch
+    ):
+        def broken_refill(self, *args, **kwargs):
+            raise RuntimeError("D-refill started while cache busy")
+
+        monkeypatch.setattr(DCache, "start_refill", broken_refill)
+        result = run_trace(
+            assemble("lw r1, 0x40(r0)"), QueueStimulus(dcache_hits=[False])
+        )
+        assert not result.deadlocked
+        assert result.diverged
+        assert not result.clean
+        assert result.differences == [
+            "implementation error: D-refill started while cache busy"
+        ]
+        assert "D-refill started while cache busy" in result.describe()
 
     def test_strict_write_comparison_catches_extra_write(self):
         # Bug 5's garbage write is post-retirement; strict mode flags the

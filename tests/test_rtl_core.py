@@ -9,6 +9,7 @@ from repro.pp.asm import assemble
 from repro.pp.isa import Instruction, InstructionClass, Opcode, random_instruction
 from repro.pp.rtl import (
     CoreConfig,
+    DeadlockError,
     NaturalStimulus,
     PPCore,
     QueueStimulus,
@@ -163,8 +164,9 @@ class TestStallMachinery:
             CoreConfig(),
             QueueStimulus(inbox_ready=[False] * 100_000),
         )
-        with pytest.raises(RuntimeError, match="did not halt"):
+        with pytest.raises(DeadlockError, match="did not halt"):
             core.run(max_cycles=5_000)
+        assert core.cycle == 5_000
 
 
 class TestDualIssue:

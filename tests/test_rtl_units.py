@@ -53,6 +53,16 @@ class TestMainMemory:
             MainMemory().write_line(0, [1, 2])
 
 
+def collect(ctrl, cycles):
+    """Clock the controller; the words it delivered, in order."""
+    deliveries = []
+    for _ in range(cycles):
+        delivery = ctrl.tick()
+        if delivery is not None:
+            deliveries.append(delivery)
+    return deliveries
+
+
 class TestMemoryController:
     def make(self, latency=0):
         mem = MainMemory()
@@ -62,9 +72,7 @@ class TestMemoryController:
     def test_read_delivers_line_in_order(self):
         _, ctrl = self.make()
         ctrl.request(MemRequest(Requester.ICACHE, 0x00))
-        deliveries = []
-        for _ in range(10):
-            deliveries += ctrl.tick()
+        deliveries = collect(ctrl, 10)
         assert [d.value for d in deliveries] == [100, 101, 102, 103]
         assert deliveries[-1].is_last
         assert ctrl.transactions_completed == 1
@@ -72,9 +80,7 @@ class TestMemoryController:
     def test_critical_word_first(self):
         _, ctrl = self.make()
         ctrl.request(MemRequest(Requester.DCACHE, 0x08, critical_first=True))
-        deliveries = []
-        for _ in range(10):
-            deliveries += ctrl.tick()
+        deliveries = collect(ctrl, 10)
         assert [d.value for d in deliveries] == [102, 103, 100, 101]
         assert deliveries[0].word_offset == 2
 
@@ -83,8 +89,7 @@ class TestMemoryController:
         ctrl.request(MemRequest(Requester.ICACHE, 0x00))
         empties = 0
         while True:
-            deliveries = ctrl.tick()
-            if deliveries:
+            if ctrl.tick() is not None:
                 break
             empties += 1
         assert empties == 4  # grant cycle + 3 latency cycles
@@ -101,7 +106,7 @@ class TestMemoryController:
         ctrl.request(MemRequest(Requester.ICACHE, 0x00))
         ctrl.request(MemRequest(Requester.DCACHE, 0x00, critical_first=True))
         # Nothing granted yet: the D request must jump the queue.
-        deliveries = ctrl.tick()  # grant cycle
+        ctrl.tick()  # grant cycle
         assert ctrl.owner is Requester.DCACHE
 
     def test_no_preemption_of_granted(self):
@@ -116,9 +121,21 @@ class TestMemoryController:
         ctrl.request(MemRequest(Requester.ICACHE, 0x00))
         ctrl.tick()  # grant
         ctrl.pace_override = False
-        assert ctrl.tick() == []
+        assert ctrl.tick() is None
         ctrl.pace_override = None
-        assert len(ctrl.tick()) == 1
+        assert ctrl.tick().value == 100
+
+    def test_busy_tracks_queue_and_transaction(self):
+        _, ctrl = self.make()
+        assert not ctrl.busy
+        ctrl.request(MemRequest(Requester.ICACHE, 0x00))
+        ctrl.request(MemRequest(Requester.ICACHE, 0x10))
+        assert ctrl.busy
+        assert len(collect(ctrl, 5)) == 4  # grant + 4 words: first line done
+        assert ctrl.busy  # the second request is still queued
+        assert len(collect(ctrl, 5)) == 4
+        assert not ctrl.busy
+        assert ctrl.tick() is None
 
 
 class TestRegisterFile:
@@ -186,7 +203,8 @@ class TestICache:
         assert cache.stalling
         for _ in range(10):
             cache.tick()
-            for delivery in ctrl.tick():
+            delivery = ctrl.tick()
+            if delivery is not None:
                 cache.accept(delivery)
         assert cache.state is IRefillState.FIXUP
         cache.finish_fixup()
@@ -203,8 +221,9 @@ class TestICache:
         cache.begin_refill(0x0)
         for _ in range(10):
             cache.tick()
-            for d in ctrl.tick():
-                cache.accept(d)
+            delivery = ctrl.tick()
+            if delivery is not None:
+                cache.accept(delivery)
         cache.finish_fixup()
         assert cache.lookup(0x0) == 1
         assert cache.lookup(0x0, force_hit=False) is None
@@ -228,7 +247,8 @@ def pump(cache, ctrl, cycles=20):
     critical = None
     for _ in range(cycles):
         cache.tick()
-        for delivery in ctrl.tick():
+        delivery = ctrl.tick()
+        if delivery is not None:
             value = cache.accept(delivery)
             if value is not None:
                 critical = value
