@@ -93,7 +93,11 @@ from repro.obs import (
     resolve,
     stderr_if_tty,
 )
-from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
+from repro.pp.fsm_model import (
+    PPModelConfig,
+    build_pp_control_model,
+    pp_control_model,
+)
 from repro.resilience import (
     Budget,
     CheckpointConfig,
@@ -448,21 +452,62 @@ def cmd_enumerate(args) -> int:
     return EXIT_BUDGET_TRUNCATED if stats.truncated else EXIT_OK
 
 
+def _graph_model_mismatch(graph: StateGraph, model) -> str:
+    """Why a saved ``graph`` cannot be costed with ``model``, or ``""``.
+
+    The choice points must match exactly.  The state layout is spot-checked
+    by replaying the out-arcs of the first 64 states: a graph
+    enumerated under other model flags packs its keys differently, and
+    costing it with this model would count the wrong instructions.
+    """
+    if list(graph.choice_names) != list(model.choice_names):
+        return (f"its choice points are {list(graph.choice_names)}, the "
+                f"model's are {list(model.choice_names)}")
+    from repro.smurphi import ModelError
+    from repro.smurphi.state import StateCodec
+
+    codec = StateCodec(model.state_vars)
+    for state in range(min(64, graph.num_states)):
+        for edge in graph.out_edges(state):
+            try:
+                succ = codec.pack(model.step(
+                    codec.unpack(graph.state_key(edge.src)),
+                    graph.condition_as_dict(edge),
+                ))
+            except (IndexError, KeyError, ValueError, ModelError):
+                succ = None  # an undecodable key is a mismatch too
+            if succ != graph.state_key(edge.dst):
+                return f"arc {edge.src}->{edge.dst} does not replay"
+    return ""
+
+
 def cmd_tours(args) -> int:
+    from repro.vectors import pp_instruction_cost
+
+    control = pp_control_model(_model_config(args))
+    model = control.build()
     if args.graph:
         with open(args.graph) as handle:
             graph = StateGraph.from_json(handle.read())
+        mismatch = _graph_model_mismatch(graph, model)
+        if mismatch:
+            print(f"graph {args.graph} does not match the control model "
+                  f"({mismatch}); pass the model flags the graph was "
+                  "enumerated with", file=sys.stderr)
+            return EXIT_USAGE
     else:
-        model = build_pp_control_model(_model_config(args))
         graph, _ = enumerate_states(model)
     tours = IndexedTourGenerator(
-        graph, max_instructions_per_trace=args.limit or None
+        graph,
+        instruction_cost=pp_instruction_cost(control, graph),
+        max_instructions_per_trace=args.limit or None,
     ).generate()
     stats = tours.stats
     report = arc_coverage(graph, (t.edge_indices for t in tours))
     print(f"traces: {stats.num_traces}")
     print(f"arc traversals: {stats.total_edge_traversals:,} over "
           f"{stats.graph_edges:,} arcs (coverage complete: {report.complete})")
+    print(f"instructions: {stats.total_instructions:,}")
     print(f"longest trace: {stats.longest_trace_edges:,} arcs")
     print(f"estimated simulation @100Hz: "
           f"{stats.estimated_simulation_hours():.2f} hours total, "
@@ -785,7 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tours", help="generate transition tours")
     _add_model_flags(p)
-    p.add_argument("--graph", help="reuse a JSON state graph")
+    p.add_argument("--graph",
+                   help="reuse a JSON state graph (enumerated with the same "
+                        "model flags)")
     p.add_argument("--limit", type=int, default=400,
                    help="instructions per trace (0 = unlimited)")
     p.set_defaults(func=cmd_tours)

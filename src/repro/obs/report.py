@@ -219,7 +219,7 @@ class RunReport:
             sections.append(EnumerationStats(**self.enumeration).format_table())
         if self.tour_stats:
             sections.append("")
-            sections.append(_render_tours(self.tour_stats))
+            sections.append(_render_tours(self.tour_stats, self.metrics))
         if self.comparison:
             sections.append("")
             sections.append(_render_comparison(self.comparison))
@@ -330,13 +330,18 @@ def _render_resilience(resilience: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _render_pool(metrics: Mapping[str, Any]) -> Optional[str]:
-    """The persistent worker pool's lifecycle counters, when it ran."""
-    counters = {
+def _counters(metrics: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Unlabelled view of a metrics snapshot's counters, by name."""
+    return {
         row["name"]: row["value"]
         for row in (metrics or {}).get("counters", [])
         if isinstance(row, Mapping)
     }
+
+
+def _render_pool(metrics: Mapping[str, Any]) -> Optional[str]:
+    """The persistent worker pool's lifecycle counters, when it ran."""
+    counters = _counters(metrics)
     spawns = counters.get("enum.pool.spawns")
     if not spawns:
         return None
@@ -394,7 +399,8 @@ def _render_cache(cache: Mapping[str, Any]) -> str:
     return f"{status} ({key[:12]})"
 
 
-def _render_tours(stats: Mapping[str, Any]) -> str:
+def _render_tours(stats: Mapping[str, Any],
+                  metrics: Optional[Mapping[str, Any]] = None) -> str:
     lines = ["Tour generation (Table 3.3)"]
     lines.append(f"  traces:            {stats['num_traces']:,}")
     lines.append(f"  arc traversals:    {stats['total_edge_traversals']:,} "
@@ -402,6 +408,15 @@ def _render_tours(stats: Mapping[str, Any]) -> str:
     lines.append(f"  instructions:      {stats['total_instructions']:,}")
     lines.append(f"  longest trace:     {stats['longest_trace_edges']:,} arcs")
     lines.append(f"  generation time:   {stats['generation_seconds']:.3f} s")
+    counters = _counters(metrics)
+    if "tour.index_rebuilds" in counters:
+        lines.append(
+            f"  distance index:    {int(counters['tour.index_rebuilds'])} "
+            f"build(s), {int(counters.get('tour.index_resettled', 0)):,} "
+            f"states re-settled, "
+            f"{int(counters.get('tour.explore_short_circuits', 0)):,} short "
+            f"circuits, {int(counters.get('tour.explore_fallbacks', 0))} "
+            f"explore fallbacks")
     return "\n".join(lines)
 
 

@@ -2,7 +2,7 @@
 
 :class:`IndexedTourGenerator` produces **bit-identical** output to the
 reference :class:`~repro.tour.fig33.TourGenerator` (same tours, same edge
-order, same splits -- golden- and property-tested) while replacing its two
+order, same splits -- golden- and property-tested) while replacing its
 scaling bottlenecks:
 
 1. **Flat CSR adjacency.**  The graph is frozen into four integer arrays
@@ -13,40 +13,43 @@ scaling bottlenecks:
    splices with an epoch stamp instead of allocating fresh dicts/deques at
    every stuck point.
 
-2. **A nearest-untraversed-arc index.**  The reference generator re-runs a
-   full O(V+E) breadth-first *explore* from scratch at every stuck point
-   (~90% of generation time at paper scale).  Here a reverse multi-source
-   BFS computes, for every state, the distance to the nearest state that
-   still has an untraversed out-arc.  The field is maintained with *lazy
-   epoch invalidation*: traversing arcs only ever shrinks the target set,
-   so a stale field is always a valid **lower bound** and is only rebuilt
-   when an explore actually outruns it.
+2. **An exact nearest-untraversed-arc index.**  The reference generator
+   re-runs a full O(V+E) breadth-first *explore* from scratch at every
+   stuck point (~90% of generation time at paper scale).  Here one
+   reverse multi-source BFS per :meth:`~IndexedTourGenerator.generate`
+   computes, for every state, the distance to the nearest *target* -- a
+   state that still has an untraversed out-arc.  Targets only ever
+   retire, and each retirement is repaired by *decremental upkeep*
+   (Ramalingam--Reps for unit weights): only the states whose every
+   shortest route ran through the retired target are re-settled, so the
+   field equals a fresh reverse BFS at every step.
+
+3. **One cost per arc.**  The instruction cost of every arc is computed
+   once into a flat list at the start of a run; a traversal reads it by
+   edge index instead of calling the cost function again.
 
 The index is used strictly to *prune/early-exit* the forward explore, so
 the BFS queue order and tie-breaks -- hence the chosen splice path and the
 resulting tours -- are unchanged:
 
-- ``dist[s] == INF`` means no untraversed arc was reachable from ``s`` at
-  rebuild time; since targets only shrink this stays true forever, so the
-  explore returns "unreachable" without touching the graph (this is every
-  tour close and the end-of-run check).
-- With a bound ``B >= dist[s]``, a discovered node ``w`` at depth ``k``
-  with ``k + dist[w] > B`` cannot reach any target soon enough to matter,
-  and -- because the field satisfies the BFS triangle inequality from its
-  rebuild epoch -- ``w`` can also never be the parent of any node on the
-  path the un-pruned BFS would return (see DESIGN.md for the argument).
-  Such nodes are marked visited but never enqueued.
-- If the bound was stale-low the pruned BFS finds nothing; the generator
-  then rebuilds the field (making the bound exact) and retries, with an
-  unbounded sweep as the final fallback.  Every escalation step returns
-  either the reference path or "not found", never a different path.
+- ``dist[s] == INF`` means no untraversed arc is reachable from ``s``, so
+  the explore returns "unreachable" without touching the graph (this is
+  every tour close and the end-of-run check).
+- Bounded by ``dist[s]``, a discovered node ``w`` at depth ``k`` with
+  ``k + dist[w] > dist[s]`` lies on no shortest route to a target, and
+  so can never be the parent of any node on the path the un-pruned BFS
+  would return (see DESIGN.md for the argument).  Such nodes are marked
+  visited but never enqueued.
+- Because the bound is exact, the one bounded BFS per explore always
+  finds the reference path.  A miss would mean the field is wrong; it is
+  counted (``tour.explore_fallbacks``) and answered by an unpruned sweep.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.enumeration.graph import StateGraph
 from repro.obs.observer import Observer, resolve
@@ -123,34 +126,43 @@ class IndexedTourGenerator:
         """Run the Fig. 3.3 loop; same events/counters as the reference,
         plus ``tour.explore_pruned`` (BFS enqueues skipped via the index),
         ``tour.explore_short_circuits`` (explores answered straight from
-        the distance field) and ``tour.index_rebuilds``."""
+        the distance field), ``tour.explore_fallbacks`` (bounded explores
+        that missed; 0 unless the field is wrong), ``tour.index_rebuilds``
+        (full builds of the field: 1 per run) and ``tour.index_resettled``
+        (states whose distance the upkeep re-settled)."""
         obs = resolve(obs)
         started = time.perf_counter()
         graph = self.graph
         num_states = graph.num_states
         num_edges = graph.num_edges
 
+        self._cost = [self.instruction_cost(e) for e in graph.edges()]
         self._traversed = bytearray(num_edges)
         self._cursors = list(self._indptr[:num_states])
         self._untraversed_out = [
             self._indptr[s + 1] - self._indptr[s] for s in range(num_states)
         ]
         self._remaining = num_edges
-        # Distance index state.  INF exceeds any possible BFS depth.
-        self._inf = num_states + 1
-        self._dist = [self._inf] * num_states
-        self._field_valid = False
-        self._field_stale = False
         # Preallocated BFS scratch, recycled across splices via the epoch.
         self._visit_mark = [0] * num_states
         self._visit_epoch = 0
         self._parent = [-1] * num_states
         self._depth = [0] * num_states
         self._queue = [0] * num_states
+        # Upkeep scratch: ``_upkeep_mark[s]`` is the epoch if ``s`` is in
+        # the current affected set, minus the epoch if it was examined and
+        # kept its distance.
+        self._upkeep_mark = [0] * num_states
+        self._upkeep_epoch = 0
         # Run counters (flushed once at the end, observability style).
         self._explore_pruned = 0
         self._short_circuits = 0
+        self._fallbacks = 0
         self._rebuilds = 0
+        self._resettled = 0
+        # Distance index.  INF exceeds any possible BFS depth.
+        self._inf = num_states + 1
+        self._build_index()
 
         tours: List[Tour] = []
         limit_restarts = 0
@@ -209,15 +221,19 @@ class IndexedTourGenerator:
         obs.inc("tour.explore_splices", explore_splices)
         obs.inc("tour.explore_pruned", self._explore_pruned)
         obs.inc("tour.explore_short_circuits", self._short_circuits)
+        obs.inc("tour.explore_fallbacks", self._fallbacks)
         obs.inc("tour.index_rebuilds", self._rebuilds)
+        obs.inc("tour.index_resettled", self._resettled)
         obs.observe("tour.seconds", elapsed)
         logger.info(
             "generated %d tours covering %d arcs (%d instructions, "
             "%d limit restarts, %d explore splices; %d pruned enqueues, "
-            "%d short circuits, %d index rebuilds) in %.3fs",
+            "%d short circuits, %d explore fallbacks, %d index rebuilds, "
+            "%d states re-settled) in %.3fs",
             len(tours), num_edges, cumulative_instructions,
             limit_restarts, explore_splices, self._explore_pruned,
-            self._short_circuits, self._rebuilds, elapsed,
+            self._short_circuits, self._fallbacks, self._rebuilds,
+            self._resettled, elapsed,
         )
         return TourSet(self.graph, tours, elapsed)
 
@@ -248,20 +264,18 @@ class IndexedTourGenerator:
 
     def _take(self, index: int, tour: Tour) -> None:
         tour.edge_indices.append(index)
-        tour.instructions += self.instruction_cost(self.graph.edge(index))
+        tour.instructions += self._cost[index]
         if not self._traversed[index]:
             self._traversed[index] = 1
             src = self._edge_src[index]
             self._untraversed_out[src] -= 1
             self._remaining -= 1
             if not self._untraversed_out[src]:
-                # A target left the index's source set: finite distances
-                # decay to lower bounds (INF entries stay exact forever).
-                self._field_stale = True
+                self._retire_target(src)
 
     # -- the distance index -----------------------------------------------------
 
-    def _rebuild_index(self) -> None:
+    def _build_index(self) -> None:
         """Reverse multi-source BFS: distance to the nearest state that
         still has an untraversed out-arc, for every state at once.
 
@@ -270,7 +284,7 @@ class IndexedTourGenerator:
         """
         self._rebuilds += 1
         inf = self._inf
-        num_states = len(self._dist)
+        num_states = self.graph.num_states
         untraversed_out = self._untraversed_out
         self._dist = dist = [inf] * num_states
         frontier = [s for s in range(num_states) if untraversed_out[s]]
@@ -289,58 +303,103 @@ class IndexedTourGenerator:
                         dist[src] = next_depth
                         push(src)
             frontier = level
-        self._field_valid = True
-        self._field_stale = False
 
-    #: On a bounded miss the bound doubles this many times (a retry costs
-    #: one pruned BFS) before paying for a full index rebuild, which makes
-    #: the next bound exact.  1 = rebuild on the first miss: measured on
-    #: the pp graph, deferring rebuilds lets the whole field go stale and
-    #: the loosened pruning costs more than the rebuilds saved.
-    RETRIES_BEFORE_REBUILD = 1
+    def _retire_target(self, target: int) -> None:
+        """Repair the field after ``target`` lost its last untraversed arc.
+
+        Decremental BFS for unit weights (Ramalingam--Reps): a state's
+        distance can only grow, and only if *every* out-neighbour one step
+        closer to a target is itself affected.  Collect that affected set
+        level by level from ``target`` (old distances are exact, so the
+        levels are the old distances), seed each affected state from its
+        unaffected out-neighbours, then settle the set in distance order
+        with a bucket queue over the reverse CSR.  INF entries and the
+        remaining targets are never touched.
+        """
+        dist = self._dist
+        indptr = self._indptr
+        out_dst = self._out_dst
+        rindptr = self._rindptr
+        rin_src = self._rin_src
+        mark = self._upkeep_mark
+        self._upkeep_epoch += 1
+        epoch = self._upkeep_epoch
+        kept = -epoch
+
+        # 1. The affected set: states whose every shortest route to a
+        # target ran through ``target``.
+        mark[target] = epoch
+        affected = [target]
+        level = [target]
+        depth = 0  # == dist of every state in ``level``
+        while level:
+            parent_depth = depth + 1
+            next_level: List[int] = []
+            for node in level:
+                for src in rin_src[rindptr[node]:rindptr[node + 1]]:
+                    if dist[src] != parent_depth:
+                        continue
+                    seen = mark[src]
+                    if seen == epoch or seen == kept:
+                        continue
+                    for dst in out_dst[indptr[src]:indptr[src + 1]]:
+                        if dist[dst] == depth and mark[dst] != epoch:
+                            mark[src] = kept  # has a route avoiding the set
+                            break
+                    else:
+                        mark[src] = epoch
+                        next_level.append(src)
+            affected.extend(next_level)
+            level = next_level
+            depth = parent_depth
+
+        # 2. Seed each affected state from its unaffected out-neighbours,
+        # whose distances are final.
+        inf = self._inf
+        buckets: Dict[int, List[int]] = {}
+        for node in affected:
+            best = inf
+            for dst in out_dst[indptr[node]:indptr[node + 1]]:
+                if mark[dst] != epoch and dist[dst] < best:
+                    best = dist[dst]
+            if best < inf:
+                best += 1
+                buckets.setdefault(best, []).append(node)
+            dist[node] = best
+
+        # 3. Settle in distance order; relaxations stay inside the set.
+        while buckets:
+            settled = min(buckets)
+            via = settled + 1
+            for node in buckets.pop(settled):
+                if dist[node] != settled:
+                    continue  # re-queued at a smaller distance already
+                for src in rin_src[rindptr[node]:rindptr[node + 1]]:
+                    if mark[src] == epoch and dist[src] > via:
+                        dist[src] = via
+                        buckets.setdefault(via, []).append(src)
+        self._resettled += len(affected)
 
     def _explore(self, state: int) -> Optional[List[int]]:
         """Explore phase: identical result to the reference ``_explore_bfs``.
 
-        Escalation ladder: index-bounded BFS at the field's lower bound ->
-        bound-doubling retries -> rebuild the field (exact bound) -> full
-        sweep.  Every rung is reference-equivalent for *any* bound as long
-        as the field is a valid lower bound (see ``_bounded_bfs``): it
-        either returns the reference path or proves no target lies within
-        its bound, so only the escalation *cost* depends on staleness,
-        never the result.  The final bound of ``2 * num_states`` exceeds
-        any possible ``depth + dist`` sum, so the last rung prunes nothing
-        and is the reference algorithm itself on CSR arrays.
+        One BFS bounded by the exact ``dist[state]``.  It either returns
+        the reference path or, if the field were ever wrong, misses; the
+        miss is counted and answered by a sweep at ``2 * num_states``,
+        which exceeds any ``depth + dist`` sum, prunes nothing and is the
+        reference algorithm itself on CSR arrays.
         """
         if self._untraversed_out[state]:
             return []
-        if not self._field_valid:
-            self._rebuild_index()
-        if self._dist[state] >= self._inf:
-            # Sound even when stale: the target set only ever shrinks.
+        bound = self._dist[state]
+        if bound >= self._inf:
             self._short_circuits += 1
             return None
-        bound = self._dist[state]
-        ceiling = 2 * len(self._dist)
-        retries = 0
-        while True:
-            path = self._bounded_bfs(state, bound)
-            if path is not None:
-                return path
-            if bound >= ceiling:
-                return None  # exact: the full sweep found nothing
-            retries += 1
-            if retries == self.RETRIES_BEFORE_REBUILD:
-                # The stale lower bound keeps undershooting: make it exact.
-                self._rebuild_index()
-                if self._dist[state] >= self._inf:
-                    self._short_circuits += 1
-                    return None
-                bound = self._dist[state]
-            elif retries > self.RETRIES_BEFORE_REBUILD:
-                bound = ceiling  # fresh exact bound missed: defensive sweep
-            else:
-                bound = 2 * bound + 1
+        path = self._bounded_bfs(state, bound)
+        if path is None:
+            self._fallbacks += 1
+            path = self._bounded_bfs(state, 2 * len(self._dist))
+        return path
 
     def _bounded_bfs(self, state: int, bound: int) -> Optional[List[int]]:
         """Forward BFS in reference discovery order, skipping (but still
@@ -370,14 +429,11 @@ class IndexedTourGenerator:
                     continue
                 visit_mark[dst] = epoch
                 parent[dst] = edge_index
-                # Prune BEFORE the target check: a target always has
-                # dist == 0 (stale fields only shrink the target set, so
-                # a current target was one at rebuild time too), so this
-                # also rejects targets deeper than the bound.  A stale-low
-                # bound therefore can never return *any* target -- a
-                # return would imply a genuine path shorter than the true
-                # nearest-target distance -- and falls through to the
-                # rebuild rung instead of picking a wrong-parent detour.
+                # Prune BEFORE the target check: a target has dist == 0,
+                # so this also rejects targets deeper than the bound.  A
+                # bounded search therefore returns a target only along a
+                # genuine path of length <= bound, never a wrong-parent
+                # detour.
                 if child_depth + dist[dst] > bound:
                     pruned += 1
                     continue

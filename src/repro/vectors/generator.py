@@ -573,11 +573,14 @@ def pp_instruction_cost(
     fetch on that transition contributes to the trace file (0 when the
     cycle fetches nothing -- stalls, refills, bubbles).
 
-    Used as the :class:`~repro.tour.fig33.TourGenerator` cost function so
-    tour statistics count instructions the way Table 3.3 does.  Pass the
-    pipeline's shared :class:`TransitionEventMemo` so the transitions this
-    replays are never recomputed by vector generation (the tour phase
-    touches every arc, so afterwards the memo is fully warm).
+    Used as the tour generators' cost function so tour statistics count
+    instructions the way Table 3.3 does.  The indexed generator calls it
+    once per arc, at the start of a run, and reads the cost by edge index
+    on every traversal; the Fig. 3.3 reference calls it per traversal.
+    Pass the pipeline's shared :class:`TransitionEventMemo` so the
+    transitions this replays are never recomputed by vector generation
+    (the cost pass touches every arc, so afterwards the memo is fully
+    warm).
     """
     if memo is None:
         memo = TransitionEventMemo(model, graph)

@@ -31,9 +31,39 @@ class TestTours:
         path = tmp_path / "g.json"
         main(["enumerate", "--fill-words", "1", "--graph-out", str(path)])
         capsys.readouterr()
-        assert main(["tours", "--graph", str(path), "--limit", "0"]) == 0
+        assert main(["tours", "--graph", str(path), "--fill-words", "1",
+                     "--limit", "0"]) == 0
         out = capsys.readouterr().out
         assert "traces: " in out
+
+    def test_saved_graph_from_other_model_rejected(self, tmp_path, capsys):
+        # The graph is costed with the model the flags name, so a graph
+        # enumerated under other flags is refused, not silently miscounted.
+        path = tmp_path / "g.json"
+        main(["enumerate", "--fill-words", "1", "--graph-out", str(path)])
+        capsys.readouterr()
+        assert main(["tours", "--graph", str(path), "--limit", "0"]) == 2
+        assert "does not match the control model" in capsys.readouterr().err
+        assert main(["tours", "--graph", str(path), "--fill-words", "1",
+                     "--branches", "--limit", "0"]) == 2
+        assert "choice points" in capsys.readouterr().err
+
+    def test_limit_counts_pipeline_instructions(self, capsys):
+        # --limit is instructions per trace, costed as the pipeline costs
+        # them, so the CLI reports the pipeline's tours.
+        from repro.core import ValidationPipeline
+        from repro.pp.fsm_model import PPModelConfig
+
+        assert main(["tours", "--fill-words", "2", "--limit", "400"]) == 0
+        out = capsys.readouterr().out
+        stats = ValidationPipeline(
+            model_config=PPModelConfig(fill_words=2),
+            max_instructions_per_trace=400,
+        ).build().tours.stats
+        assert stats.num_traces == 53
+        assert f"traces: {stats.num_traces}\n" in out
+        assert f"arc traversals: {stats.total_edge_traversals:,} over" in out
+        assert f"instructions: {stats.total_instructions:,}\n" in out
 
 
 class TestJobsFlag:

@@ -250,3 +250,8 @@ class TestPipelineObserver:
         rendered = report.render()
         assert "Coverage curve" in rendered
         assert "Per-phase timing" in rendered
+        # The tour generator's index counters: one build, then upkeep.
+        assert observer.metrics.total("tour.index_rebuilds") == 1
+        assert observer.metrics.total("tour.explore_fallbacks") == 0
+        assert observer.metrics.total("tour.index_resettled") > 0
+        assert "distance index:    1 build(s)" in rendered

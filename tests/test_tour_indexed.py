@@ -4,9 +4,12 @@ The load-bearing property is *bit-identity*: `IndexedTourGenerator` must
 produce exactly the tours the reference Fig. 3.3 `TourGenerator` does --
 same components, same edge order, same instruction counts -- on any
 reset-reachable graph, with and without instruction limits.  Everything
-else (CSR layout, the distance index, the escalation ladder) is internal
-machinery that only exists to get there faster.
+else (CSR layout, the distance index and its upkeep) is internal machinery
+that only exists to get there faster -- but the index must also stay
+*exact*: equal to a from-scratch reverse BFS after every retired target.
 """
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,76 @@ from repro.tour import IndexedTourGenerator, TourGenerator, arc_coverage
 from repro.vectors import pp_instruction_cost
 
 from tests.test_tour import build_graph, counter_graph, ring
+
+
+def reverse_bfs(gen):
+    """From-scratch distance field for ``gen``'s current traversal state.
+
+    A reverse multi-source BFS over the graph itself (not the generator's
+    CSR) from every state that still has an untraversed out-arc; ``gen._inf``
+    where none is reachable.
+    """
+    graph = gen.graph
+    preds = [[] for _ in range(graph.num_states)]
+    for edge in graph.edges():
+        preds[edge.dst].append(edge.src)
+    dist = [gen._inf] * graph.num_states
+    queue = deque()
+    for state in range(graph.num_states):
+        if any(not gen._traversed[i] for i in graph.out_edge_indices(state)):
+            dist[state] = 0
+            queue.append(state)
+    while queue:
+        node = queue.popleft()
+        for src in preds[node]:
+            if dist[src] > dist[node] + 1:
+                dist[src] = dist[node] + 1
+                queue.append(src)
+    return dist
+
+
+class CheckedTourGenerator(IndexedTourGenerator):
+    """Asserts after every retired target that the maintained field is
+    exactly the from-scratch one."""
+
+    retired = 0
+
+    def _retire_target(self, target):
+        super()._retire_target(target)
+        self.retired += 1
+        assert self._dist == reverse_bfs(self), f"field wrong after retiring {target}"
+
+
+def assert_exact_field(graph, limit=None, instruction_cost=None):
+    """Run the checked generator; return its tours and metrics."""
+    kwargs = {"max_instructions_per_trace": limit}
+    if instruction_cost is not None:
+        kwargs["instruction_cost"] = instruction_cost
+    metrics = MetricsRegistry()
+    gen = CheckedTourGenerator(graph, **kwargs)
+    tours = gen.generate(obs=Observer(metrics=metrics))
+    # Every state with out-arcs retires exactly once.
+    assert gen.retired == sum(
+        1 for s in range(graph.num_states) if graph.out_edge_indices(s)
+    )
+    assert metrics.counter_value("tour.index_rebuilds") == 1
+    assert metrics.counter_value("tour.explore_fallbacks") == 0
+    return tours, metrics
+
+
+def random_reachable_graph(n, data):
+    edges = []
+    for i in range(1, n):
+        j = data.draw(st.integers(0, i - 1))
+        edges.append((j, i))
+    extra = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=2 * n,
+        )
+    )
+    edges.extend(extra)
+    return build_graph(edges, n)
 
 
 def tour_dump(tour_set):
@@ -156,15 +229,59 @@ class TestCSRIndex:
             )
             assert srcs == expected
 
-    def test_distance_field_is_exact_after_rebuild(self):
-        # Fresh generator: every state has untraversed out-arcs, so the
-        # first rebuild must set dist=0 everywhere a state has out-arcs.
+    def test_distance_field_is_exact_after_run(self):
         graph = build_graph([(0, 1), (1, 2), (2, 0)], 3)
         gen = IndexedTourGenerator(graph)
         gen.generate()
-        # After the run every arc is traversed: a rebuild now yields all-INF.
-        gen._rebuild_index()
+        # After the run every arc is traversed: the maintained field is
+        # all-INF, exactly what a from-scratch BFS gives.
+        assert gen._dist == reverse_bfs(gen)
         assert all(d >= gen._inf for d in gen._dist)
+
+
+class TestExactField:
+    """The maintained distance field equals a fresh reverse BFS after every
+    retired target, so one build per run suffices and no explore misses."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 30), st.data())
+    def test_random_reachable_graphs(self, n, data):
+        graph = random_reachable_graph(n, data)
+        tours, _ = assert_exact_field(graph)
+        assert tours.complete
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 20), st.integers(1, 12), st.data())
+    def test_random_graphs_with_limits(self, n, limit, data):
+        graph = random_reachable_graph(n, data)
+        tours, _ = assert_exact_field(graph, limit=limit)
+        assert tours.complete
+
+    def test_pp_graph_with_pipeline_cost(self):
+        control = PPControlModel(PPModelConfig(fill_words=1))
+        graph, _ = enumerate_states(control.build())
+        cost = pp_instruction_cost(control, graph)
+        tours, metrics = assert_exact_field(graph, limit=300, instruction_cost=cost)
+        reference = TourGenerator(
+            graph, instruction_cost=cost, max_instructions_per_trace=300
+        ).generate()
+        assert tour_dump(tours) == tour_dump(reference)
+        assert metrics.counter_value("tour.index_resettled") >= graph.num_states - 1
+
+    def test_cost_function_called_once_per_arc(self):
+        graph = counter_graph(limit=6)
+        calls = []
+
+        def cost(edge):
+            calls.append(edge)
+            return 2
+
+        tours = IndexedTourGenerator(
+            graph, instruction_cost=cost, max_instructions_per_trace=3
+        ).generate()
+        assert len(calls) == graph.num_edges
+        assert sum(len(t) for t in tours) > graph.num_edges
+        assert all(t.instructions == 2 * len(t) for t in tours)
 
 
 class TestObservability:
@@ -192,8 +309,11 @@ class TestObservability:
         names = idx.counter_names()
         assert "tour.explore_pruned" in names
         assert "tour.explore_short_circuits" in names
+        assert "tour.explore_fallbacks" in names
         assert "tour.index_rebuilds" in names
-        assert idx.counter_value("tour.index_rebuilds") >= 1
+        assert "tour.index_resettled" in names
+        assert idx.counter_value("tour.index_rebuilds") == 1
+        assert idx.counter_value("tour.explore_fallbacks") == 0
 
 
 class TestUnreachable:
