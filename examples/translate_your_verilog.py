@@ -18,7 +18,7 @@ Usage::
 """
 
 from repro.enumeration import enumerate_states
-from repro.tour import TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 from repro.translate import input_vectors_for_walk, translate_verilog
 
 ARBITER = """
@@ -81,7 +81,7 @@ def main() -> None:
           f"(of {2 ** stats.bits_per_state} possible states)")
 
     print("\ngenerating transition tours...")
-    tours = TourGenerator(graph, max_instructions_per_trace=64).generate()
+    tours = IndexedTourGenerator(graph, max_instructions_per_trace=64).generate()
     report = arc_coverage(graph, (t.edge_indices for t in tours))
     print(f"  {tours.stats.num_traces} tours, "
           f"{tours.stats.total_edge_traversals} traversals, "

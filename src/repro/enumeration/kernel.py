@@ -14,7 +14,10 @@ A *kernel* owns exactly that computation:
   masks, validate-on-first-sight plus sampled re-validation instead of
   per-transition re-validation, and an optional per-process successor
   memo.  On the PP control model this is a >3x end-to-end enumeration
-  speedup (``benchmarks/bench_kernel.py`` asserts it).
+  speedup (``benchmarks/bench_kernel.py`` asserts it).  When the model
+  carries a generated ``expand`` (translated models do), the compiled
+  kernel runs it instead of one ``next_state`` call and one ``pack`` per
+  transition.
 
 The two kernels produce **bit-identical** expansions -- same successor
 keys, same condition tuples, same order -- so state graphs, checkpoints
@@ -35,15 +38,23 @@ reads such keys); it is caught deterministically on the first state ever
 expanded (validate-on-first-sight) and probabilistically thereafter
 (full re-validation every ``sample_every`` transitions).  ``strict=True``
 restores exhaustive per-transition validation for tests and debugging.
+
+A generated ``expand`` is held to the dict path the same way: the first
+state expanded is compared in full with ``pack(model.step(...))``, every
+``sample_every``-th transition after it is re-run through ``model.step``,
+and a mismatch raises :class:`ModelError`.  If ``expand`` raises, the
+state is expanded again through the dict path, which raises the error a
+model without ``expand`` would.  ``strict=True`` never calls it.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
-from repro.smurphi.model import SyncModel
+from repro.smurphi.model import ModelError, SyncModel
 from repro.smurphi.state import StateCodec
 
 #: Kernel selector values accepted by the engine's ``kernel=`` seam.
@@ -88,7 +99,8 @@ class InterpretedKernel:
 
 class CompiledKernel:
     """Specialized expansion: precomputed choice tables, closure codec,
-    reduced validation, optional successor memo.  Build via
+    reduced validation, optional successor memo, and the model's
+    generated ``expand`` when it has one.  Build via
     :func:`compile_model` (which caches kernels per model so campaigns
     and ablations share one memo)."""
 
@@ -102,12 +114,13 @@ class CompiledKernel:
         sample_every: int = 1024,
     ):
         started = time.perf_counter()
-        self.model = model
+        self._model = model  # compile_model swaps in a weak reference
         self.strict = bool(strict)
         self.sample_every = max(1, int(sample_every))
         self.codec = CompiledStateCodec(model.state_vars)
         self.tables = ChoiceTables(model)
         self._next_state = model._next_state
+        self._generated = None if self.strict else model.generated_expand
         self._memo: Optional[Dict[int, Tuple[int, Tuple[Transition, ...]]]] = (
             {} if memo else None
         )
@@ -117,6 +130,16 @@ class CompiledKernel:
         self._validation_tick = 0
         self._first_sight_done = False
         self.compile_seconds = time.perf_counter() - started
+
+    @property
+    def model(self) -> SyncModel:
+        model = self._model
+        return model() if isinstance(model, weakref.ref) else model
+
+    @property
+    def generated(self) -> bool:
+        """Whether expansion runs the model's generated ``expand``."""
+        return self._generated is not None
 
     @property
     def memo_entries(self) -> int:
@@ -146,15 +169,26 @@ class CompiledKernel:
             if hit is not None:
                 self.memo_hits += 1
                 return hit
+        result = None
+        if self._generated is not None:
+            try:
+                result = self._generated(key, self.tables.select)
+            except Exception:
+                pass  # the dict path below raises the model's own error
+            else:
+                self._check_generated(key, result)
+        if result is None:
+            result = self._expand_dict(key)
+        self.expansions += 1
+        if memo is not None:
+            memo[key] = result
+        return result
+
+    def _expand_dict(self, key: int) -> Tuple[int, Tuple[Transition, ...]]:
+        """Expand ``key`` through ``next_state`` and the codec."""
         codec = self.codec
         state = codec.unpack(key)
-        tables = self.tables
-        sig = tables.signature(state)
-        mask = 0
-        for i, bit in enumerate(sig):
-            if bit:
-                mask |= 1 << i
-        table = tables.table(sig)
+        mask, table = self.tables.select(state)
         pack = codec.pack
         if self.strict or not self._first_sight_done:
             # Exhaustive validation: the very first state expanded (any
@@ -167,35 +201,60 @@ class CompiledKernel:
             )
             self.sampled_validations += len(table)
             self._first_sight_done = True
-        else:
-            next_state = self._next_state
-            tick = self._validation_tick
-            cadence = self.sample_every
-            out = []
-            for choice, condition in table:
-                tick += 1
-                if tick >= cadence:
-                    tick = 0
-                    nxt = self.model.step(state, dict(choice))
-                    self.sampled_validations += 1
-                else:
-                    nxt = next_state(state, choice)
-                try:
-                    packed = pack(nxt)
-                except KeyError:
-                    # Missing or out-of-domain variable: re-run the
-                    # validated step to raise the exact ModelError the
-                    # interpreted path would have produced.
-                    self.model.step(state, dict(choice))
-                    raise  # step validated clean yet pack failed: mutation
-                out.append((condition, packed))
-            self._validation_tick = tick
-            row = tuple(out)
-        self.expansions += 1
-        result = (mask, row)
-        if memo is not None:
-            memo[key] = result
-        return result
+            return mask, row
+        next_state = self._next_state
+        tick = self._validation_tick
+        cadence = self.sample_every
+        out = []
+        for choice, condition in table:
+            tick += 1
+            if tick >= cadence:
+                tick = 0
+                nxt = self.model.step(state, dict(choice))
+                self.sampled_validations += 1
+            else:
+                nxt = next_state(state, choice)
+            try:
+                packed = pack(nxt)
+            except KeyError:
+                # Missing or out-of-domain variable: re-run the
+                # validated step to raise the exact ModelError the
+                # interpreted path would have produced.
+                self.model.step(state, dict(choice))
+                raise  # step validated clean yet pack failed: mutation
+            out.append((condition, packed))
+        self._validation_tick = tick
+        return mask, tuple(out)
+
+    def _check_generated(
+        self, key: int, result: Tuple[int, Tuple[Transition, ...]]
+    ) -> None:
+        """Hold the generated ``expand`` to ``next_state``: in full on the
+        first state expanded, then every ``sample_every``-th transition,
+        on the same cadence the dict path re-validates."""
+        if not self._first_sight_done:
+            if result != self._expand_dict(key):
+                self._disagree(key)
+            return
+        row = result[1]
+        tick = self._validation_tick + len(row)
+        cadence = self.sample_every
+        if tick >= cadence:
+            state = self.codec.unpack(key)
+            table = self.tables.select(state)[1]
+            step, pack = self.model.step, self.codec.pack
+            for index in range(cadence - self._validation_tick - 1, len(row), cadence):
+                choice, condition = table[index]
+                self.sampled_validations += 1
+                if row[index] != (condition, pack(step(state, dict(choice)))):
+                    self._disagree(key)
+        self._validation_tick = tick % cadence
+
+    def _disagree(self, key: int) -> None:
+        raise ModelError(
+            f"generated expand of {self.model.name!r} disagrees with its "
+            f"next_state at state {self.codec.unpack(key)!r}"
+        )
 
     def counters(self) -> Dict[str, int]:
         """Monotonic counters for delta-flushing into an observer."""
@@ -232,6 +291,10 @@ def compile_model(
         kernel = cache[options] = CompiledKernel(
             model, strict=strict, memo=memo, sample_every=sample_every
         )
+        # The model owns this kernel: a strong reference back would make
+        # the pair (and its memo) a cycle that outlives the model's last
+        # user until a full garbage collection.
+        kernel._model = weakref.ref(model)
     return kernel
 
 
@@ -268,5 +331,6 @@ def flush_kernel_metrics(obs, kernel: Kernel, before: Dict[str, int]) -> None:
         delta = value - before.get(name, 0)
         if delta:
             obs.inc(f"enum.kernel.{name}", delta)
+    obs.gauge("enum.kernel.generated", int(kernel.generated))
     obs.gauge("enum.kernel.memo_entries", kernel.memo_entries)
     obs.gauge("enum.kernel.choice_tables", kernel.tables.num_tables)

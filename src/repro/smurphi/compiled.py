@@ -105,10 +105,22 @@ class ChoiceTables:
             (i, c.guard) for i, c in enumerate(model.choices) if c.guard is not None
         )
         self._tables: Dict[Tuple[bool, ...], Tuple[Tuple[Dict, Tuple], ...]] = {}
+        self._selected: Dict[Tuple[bool, ...], Tuple[int, Tuple]] = {}
 
-    def signature(self, state: Mapping) -> Tuple[bool, ...]:
-        """Evaluate every guard exactly once against ``state``."""
-        return tuple(bool(guard(state)) for _, guard in self.guards)
+    def select(self, state: Mapping) -> Tuple[int, Tuple[Tuple[Dict, Tuple], ...]]:
+        """``(mask, table)`` for ``state``: its guard signature as a
+        bitmask (bit ``i`` = guard ``i`` fired) and that signature's
+        table.  Each guard runs exactly once; the pair is built once per
+        signature."""
+        sig = tuple(bool(guard(state)) for _, guard in self.guards)
+        selected = self._selected.get(sig)
+        if selected is None:
+            mask = 0
+            for i, bit in enumerate(sig):
+                if bit:
+                    mask |= 1 << i
+            selected = self._selected[sig] = (mask, self.table(sig))
+        return selected
 
     @property
     def num_tables(self) -> int:

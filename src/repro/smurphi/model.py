@@ -107,6 +107,15 @@ class SyncModel:
         layered onto.  With ``rules``, lets a diff separate "same base
         model, extra rewrites appended" (localized) from "different model"
         (structural).
+    generated_expand:
+        Optional generated fast path ``expand(key, select)`` over packed
+        state keys, as the translator emits it: given a key in the
+        declaration-order layout of :class:`~repro.smurphi.state.StateCodec`
+        and a :meth:`~repro.smurphi.compiled.ChoiceTables.select`, it
+        returns ``(mask, row)`` with ``row`` the ``(condition,
+        successor_key)`` pairs of the choice table, in table order.
+        ``next_state`` stays the definition: the compiled kernel checks
+        this function against it and falls back to it on any error.
 
     >>> from repro.smurphi import BoolType
     >>> toggle = SyncModel(
@@ -128,6 +137,7 @@ class SyncModel:
         invariants: Optional[Mapping[str, Callable[[Mapping], bool]]] = None,
         rules: Optional[Sequence] = None,
         base_step: Optional[Callable[[Mapping, Mapping], State]] = None,
+        generated_expand: Optional[Callable] = None,
     ):
         self.name = name
         self.state_vars = list(state_vars)
@@ -136,6 +146,7 @@ class SyncModel:
         self.invariants = dict(invariants or {})
         self.rules = tuple(rules or ())
         self.base_step = base_step
+        self.generated_expand = generated_expand
         self._check_declarations()
 
     def _check_declarations(self) -> None:

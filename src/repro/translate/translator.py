@@ -23,7 +23,10 @@ emits the scheduled combinational items and the clocked blocks as one
 ``next_state(state, choice)`` function over locals, compiled once per
 design under the filename ``<translated {top}>``.  The AST interpreter
 (``_Translator._next_state``) defines the semantics and is kept as the
-compiled function's test oracle.
+compiled function's test oracle.  The same compilation defines
+``expand(key, select)``, which expands a packed state over every choice
+without building dicts; the model carries it as ``generated_expand``,
+and the compiled kernel holds it to ``next_state``.
 """
 
 from __future__ import annotations
@@ -132,14 +135,13 @@ class _Translator:
         """Topologically order continuous assigns and comb always blocks."""
         items: List[Tuple[Set[str], Set[str], object]] = []  # (defs, uses, item)
         for assign in self.flat.assigns:
-            items.append(({assign.target}, _expr_uses(assign.value), assign))
+            items.append((_item_defines(assign), _item_reads(assign), assign))
         for block in self.flat.always_blocks:
             if block.clocked:
                 continue
-            defines = _targets(block.body)
+            defines = _item_defines(block)
             self._check_no_comb_latch(block, defines)
-            uses = _block_uses(block.body) - defines
-            items.append((defines, uses, block))
+            items.append((defines, _item_reads(block) - defines, block))
 
         known = set(self.state_names) | set(self.choice_names)
         ordered: List = []
@@ -223,34 +225,35 @@ class _Translator:
                 ChoicePoint(name, RangeType(0, (1 << self.widths[name]) - 1))
                 for name in self.choice_names
             ]
+        source = _Codegen(self, False, state_vars, choices).source()
+        namespace = self._exec(source, self._next_state_checked)
         return SyncModel(
             name=self.flat.name,
             state_vars=state_vars,
             choices=choices,
-            next_state=self._compile(checked=False),
+            next_state=namespace.pop("next_state"),
+            generated_expand=namespace.pop("expand"),
         )
 
-    # -- compiled next-state function -------------------------------------------------
+    # -- compiled functions -----------------------------------------------------------
 
-    def _compile(self, checked: bool) -> Callable[[Mapping, Mapping], Dict]:
-        """Compile the design into one ``next_state(state, choice)`` function.
+    def _exec(self, source: str, checked: Optional[Callable]) -> Dict[str, object]:
+        """Compile and run ``source``; return its globals.
 
-        The fast variant assumes ``state`` and ``choice`` hold exactly the
-        state variables and free inputs; any other input is handed to the
-        checked variant, which replays the interpreter's ``env`` lookups
-        one read at a time and is compiled on first use.
+        Callers pop the functions they keep, so no function stays in a
+        cycle with its own globals.
         """
-        source = _Codegen(self, checked).source()
-        namespace = dict(
-            _RUNTIME,
-            _checked=None if checked else self._next_state_checked,
-        )
+        namespace = dict(_RUNTIME, _checked=checked)
         exec(compile(source, f"<translated {self.flat.name}>", "exec"), namespace)
-        return namespace.pop("next_state")  # no function <-> globals cycle
+        return namespace
 
     def _next_state_checked(self, state: Mapping, choice: Mapping) -> Dict:
+        """The checked ``next_state``, compiled on first use: the fast one
+        hands it any ``state`` or ``choice`` whose keys are not exactly
+        the state variables and free inputs."""
         if self._checked_fn is None:
-            self._checked_fn = self._compile(checked=True)
+            source = _Codegen(self, True).source()
+            self._checked_fn = self._exec(source, None).pop("next_state")
         return self._checked_fn(state, choice)
 
     # -- reference interpreter (the compiled function's test oracle) -----------------
@@ -467,7 +470,8 @@ _RUNTIME = {
 
 
 class _Codegen:
-    """Emits the source of one ``next_state(state, choice)`` function.
+    """Emits the source of ``next_state(state, choice)`` and, for the fast
+    variant, ``expand(key, select)``.
 
     Each net lives in a Python local (``v<i>_<name>``); each non-blocking
     target gets a second local (``u<i>_<name>``) so that clocked blocks
@@ -480,12 +484,30 @@ class _Codegen:
     variant binds every checked net from the interpreter's ``env``
     (``state`` updated by ``choice``) and starts with nothing bound, which
     reproduces the interpreter's failures on incomplete or extra keys.
+
+    ``expand`` is ``next_state`` over every choice of one packed state at
+    once.  It unpacks each state variable from ``key`` by shift and mask,
+    hands ``select`` (:meth:`ChoiceTables.select`) one state dict for the
+    guards, and runs once per state the combinational items whose reads
+    are, transitively, state variables only.  A flat loop over the
+    choice table binds the free inputs from each condition tuple, runs
+    the other items and the clocked blocks, and packs the successor by
+    shift and or.  It returns ``(mask, row)``, ``row`` holding one
+    ``(condition, successor_key)`` pair per table entry, in table order.
     """
 
-    def __init__(self, translator: _Translator, checked: bool):
+    def __init__(
+        self,
+        translator: _Translator,
+        checked: bool,
+        state_vars: Sequence[StateVar] = (),
+        choices: Sequence[ChoicePoint] = (),
+    ):
         self.translator = translator
         self.checked = checked
         self.widths = translator.widths
+        self.state_vars = list(state_vars)
+        self.choices = list(choices)
         self.locals: Dict[str, str] = {}
         #: Nets read where they may be unassigned, in first-read order.
         self.unbound_reads: Dict[str, None] = {}
@@ -497,14 +519,16 @@ class _Codegen:
         inputs = list(t.state_names) + list(t.choice_names)
         defined: Set[str] = set() if self.checked else set(inputs)
 
-        comb: List[str] = []
+        comb: List[List[str]] = []  # the lines of each comb item
         for item in t.comb_items:
+            lines: List[str] = []
             if isinstance(item, ast.ContinuousAssign):
                 value = self._masked(item.target, item.value, defined)
-                comb.append(f"    {self._local(item.target)} = {value}")
+                lines.append(f"    {self._local(item.target)} = {value}")
                 defined = defined | {item.target}
             else:
-                defined = self._block(item.body, comb, 1, defined, clocked=False)
+                defined = self._block(item.body, lines, 1, defined, clocked=False)
+            comb.append(lines)
 
         self.readable = defined
         clocked: List[str] = []
@@ -544,7 +568,7 @@ class _Codegen:
             lines += [
                 f"    {self._local(name)} = None" for name in self.unbound_reads
             ]
-        lines += comb
+        lines += [line for item_lines in comb for line in item_lines]
         # A held register keeps ``state[name]``; the checked variant looks
         # it up only after the clocked blocks ran, as the interpreter does.
         for name in held:
@@ -560,7 +584,71 @@ class _Codegen:
                 value = f"(state[{name!r}] if {value} is None else {value})"
             entries.append(f"{name!r}: {value}")
         lines.append("    return {" + ", ".join(entries) + "}")
+        if not self.checked:
+            lines += self._expand(comb, held, clocked)
         return "\n".join(lines) + "\n"
+
+    def _expand(
+        self, comb: List[List[str]], held: List[str], clocked: List[str]
+    ) -> List[str]:
+        """The lines of ``expand(key, select)``; ``comb`` holds the lines
+        of each scheduled comb item, ``clocked`` those of the clocked
+        blocks, both as ``next_state`` runs them."""
+        t = self.translator
+        # A translated state variable is RangeType(0, 2**width - 1), so its
+        # packed index is its value: unpacking is a shift and a mask.
+        assert [v.name for v in self.state_vars] == list(t.state_names)
+        assert sorted(c.name for c in self.choices) == sorted(t.choice_names)
+        fields: List[Tuple[str, int, int]] = []  # (name, offset, mask)
+        offset = 0
+        for var in self.state_vars:
+            width = self.widths[var.name]
+            assert isinstance(var.type, RangeType)
+            assert (var.type.lo, var.type.hi) == (0, (1 << width) - 1)
+            assert var.type.bit_width() == width
+            fields.append((var.name, offset, (1 << width) - 1))
+            offset += width
+
+        lines = ["", "", "def expand(key, select):"]
+        for name, offset, mask in fields:
+            shifted = f"(key >> {offset})" if offset else "key"
+            lines.append(f"    {self._local(name)} = {shifted} & {mask}")
+        state = ", ".join(f"{name!r}: {self._local(name)}" for name, _, _ in fields)
+        lines.append(f"    _mask, _table = select({{{state}}})")
+        lines += [f"    {self._local(name)} = None" for name in self.unbound_reads]
+
+        per_state = set(t.state_names)  # nets fixed for the whole state
+        loop: List[str] = []
+        loop_defines: Set[str] = set()
+        for item, item_lines in zip(t.comb_items, comb):
+            defines = _item_defines(item)
+            if _item_reads(item) - defines <= per_state:
+                lines += item_lines
+                per_state |= defines
+            else:
+                loop += item_lines
+                loop_defines |= defines
+
+        lines += ["    _row = []", "    _append = _row.append", "    for _, _cond in _table:"]
+        if self.choices:
+            targets = "".join(f"{self._local(c.name)}, " for c in self.choices)
+            lines.append(f"        {targets}= _cond")
+        # A loop item may read its own target before assigning it; that
+        # read must fail as in ``next_state``, not see the last choice's.
+        lines += [
+            f"        {self._local(name)} = None"
+            for name in self.unbound_reads if name in loop_defines
+        ]
+        lines += ["    " + line for line in loop]
+        lines += [f"        {self._next(name)} = {self._local(name)}" for name in held]
+        lines += ["    " + line for line in clocked]
+        successor = " | ".join(
+            f"({self._next(name)} << {offset})" if offset else self._next(name)
+            for name, offset, _ in fields
+        )
+        lines.append(f"        _append((_cond, {successor or '0'}))")
+        lines.append("    return _mask, tuple(_row)")
+        return lines
 
     # -- names ---------------------------------------------------------------
 
@@ -776,6 +864,20 @@ def _targets(body: Sequence[ast.Statement]) -> Set[str]:
             for _, case_body in statement.items:
                 found |= _targets(case_body)
     return found
+
+
+def _item_defines(item) -> Set[str]:
+    """The nets one scheduled comb item (assign or block) drives."""
+    if isinstance(item, ast.ContinuousAssign):
+        return {item.target}
+    return _targets(item.body)
+
+
+def _item_reads(item) -> Set[str]:
+    """The nets one scheduled comb item reads."""
+    if isinstance(item, ast.ContinuousAssign):
+        return _expr_uses(item.value)
+    return _block_uses(item.body)
 
 
 def _assigned_on_all_paths(body: Sequence[ast.Statement]) -> Set[str]:

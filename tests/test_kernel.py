@@ -11,8 +11,11 @@ skip and prove the escape hatches (``strict=True``, pack-failure
 fallback) restore the interpreted diagnostics.
 """
 
+import gc
 import json
+import os
 import random
+import weakref
 import zlib
 
 import pytest
@@ -28,6 +31,7 @@ from repro.enumeration import (
 )
 from repro.obs import Observer
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
+from repro.pp.verilog_src import build_pp_control_model_from_verilog
 from repro.resilience import CheckpointConfig, FaultPlan
 from repro.smurphi import (
     BoolType,
@@ -44,6 +48,16 @@ SMALL = PPModelConfig(fill_words=1)
 
 def small_model():
     return build_pp_control_model(SMALL)
+
+
+def translated_model(fill_words: int = 1) -> SyncModel:
+    """The PP control translated from Verilog: it has a generated expand."""
+    return build_pp_control_model_from_verilog(PPModelConfig(fill_words=fill_words))[0]
+
+
+def dict_twin(model: SyncModel) -> SyncModel:
+    """``model`` without its generated expand: expansion takes the dict path."""
+    return SyncModel(model.name, model.state_vars, model.choices, model._next_state)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +390,122 @@ class TestReducedValidationSoundness:
 
 
 # ---------------------------------------------------------------------------
+# The generated expand of translated models
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_successor(generated, bad_key):
+    """``generated`` with the first successor of state ``bad_key`` off by
+    one bit."""
+    def expand(key, select):
+        mask, row = generated(key, select)
+        if key == bad_key:
+            (condition, successor), *rest = row
+            row = ((condition, successor ^ 1), *rest)
+        return mask, row
+    return expand
+
+
+class TestGeneratedExpand:
+    @pytest.mark.parametrize("fill_words", [1, 2, 3, 4])
+    def test_every_state_matches_the_dict_path(self, fill_words):
+        model = translated_model(fill_words)
+        graph, _ = enumerate_states(model)
+        generated = CompiledKernel(model, memo=False)
+        reference = CompiledKernel(dict_twin(model), memo=False)
+        assert generated.generated and not reference.generated
+        for key in map(graph.state_key, range(graph.num_states)):
+            assert generated.expand_masked(key) == reference.expand_masked(key)
+        assert generated.sampled_validations == reference.sampled_validations
+
+    def test_graph_matches_the_dict_path(self):
+        model = translated_model(2)
+        graph, _ = enumerate_states(model)
+        reference, _ = enumerate_states(dict_twin(model))
+        assert graph.to_json() == reference.to_json()
+
+    def test_jobs2_is_byte_identical_to_jobs1(self):
+        obs = Observer()
+        parallel, _ = enumerate_states(translated_model(2), jobs=2, obs=obs)
+        sequential, _ = enumerate_states(translated_model(2), jobs=1)
+        assert parallel.to_json() == sequential.to_json()
+        assert obs.metrics.gauge_value("enum.kernel.generated") == 1
+        shard_workers = {
+            row["labels"]["worker"] for row in obs.metrics.snapshot()["counters"]
+            if row["name"] == "enum.shard.states"
+        }
+        assert shard_workers - {str(os.getpid())}, "no wave reached a worker"
+
+    def test_strict_takes_the_dict_path(self):
+        model = translated_model()
+        calls = []
+
+        def counting(key, select, _generated=model.generated_expand):
+            calls.append(key)
+            return _generated(key, select)
+
+        model.generated_expand = counting
+        strict = CompiledKernel(model, strict=True)
+        assert not strict.generated
+        graph, _ = enumerate_states(model, kernel=strict)
+        assert calls == []
+        fast = CompiledKernel(model)
+        assert graph.to_json() == enumerate_states(model, kernel=fast)[0].to_json()
+        assert len(calls) == graph.num_states
+
+    def test_first_sight_catches_a_corrupt_successor(self):
+        model = translated_model()
+        reset = compile_model(model).reset_key()
+        model.generated_expand = _corrupt_successor(model.generated_expand, reset)
+        with pytest.raises(ModelError, match="disagrees with its next_state"):
+            enumerate_states(model, kernel=CompiledKernel(model))
+
+    def test_sampled_check_catches_a_corrupt_successor(self):
+        model = translated_model()
+        graph, _ = enumerate_states(model)
+        model.generated_expand = _corrupt_successor(
+            model.generated_expand, graph.state_key(graph.num_states - 1)
+        )
+        # The first state expanded is sound; re-validating every
+        # transition reaches the bad one.
+        with pytest.raises(ModelError, match="disagrees with its next_state"):
+            enumerate_states(model, kernel=CompiledKernel(model, sample_every=1))
+
+    def test_an_error_in_generated_code_reruns_the_dict_path(self):
+        model = translated_model()
+
+        def broken(key, select):
+            raise ZeroDivisionError("generated code failed")
+
+        model.generated_expand = broken
+        kern = CompiledKernel(model)
+        graph, _ = enumerate_states(model, kernel=kern)
+        reference, _ = enumerate_states(dict_twin(model))
+        assert graph.to_json() == reference.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Lifetime: a dropped model is freed without the cycle collector
+# ---------------------------------------------------------------------------
+
+
+class TestModelLifetime:
+    @pytest.mark.parametrize("build", [small_model, translated_model])
+    def test_enumerated_model_is_freed_by_reference_counting(self, build):
+        gc.collect()
+        gc.disable()
+        try:
+            model = build()
+            graph, _ = enumerate_states(model)
+            assert compile_model(model).memo_entries == graph.num_states
+            ref = weakref.ref(model)
+            del model, graph
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # Observability: identical enum.* totals, new enum.kernel.* counters
 # ---------------------------------------------------------------------------
 
@@ -427,6 +557,17 @@ class TestKernelMetrics:
             if name.startswith("enum.kernel.")
         ]
         assert kernel_counters == []
+
+    @pytest.mark.parametrize("build, strict, generated", [
+        (small_model, False, 0),
+        (translated_model, False, 1),
+        (translated_model, True, 0),
+    ])
+    def test_generated_gauge_names_the_expansion_path(self, build, strict, generated):
+        obs = Observer()
+        model = build()
+        enumerate_states(model, obs=obs, kernel=compile_model(model, strict=strict))
+        assert obs.metrics.gauge_value("enum.kernel.generated") == generated
 
     def test_parallel_workers_report_kernel_counters(self):
         obs = Observer()
