@@ -12,12 +12,18 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.enumeration.pool import WorkerPool
 from repro.obs.observer import Observer, resolve
 from repro.pp.isa import Instruction
-from repro.pp.rtl.core import BRANCH_OPCODES, CoreConfig, DeadlockError, PPCore
+from repro.pp.rtl.core import (
+    BRANCH_OPCODES,
+    CoreConfig,
+    DeadlockError,
+    PPCore,
+    Predecoded,
+)
 from repro.pp.rtl.stimulus import StimulusSource
 from repro.pp.spec import ArchState, SpecSimulator
 from repro.vectors.generator import TestVectorTrace
@@ -80,6 +86,7 @@ def run_trace(
     inbox_tasks: Sequence[int] = DEFAULT_INBOX,
     strict_writes: bool = True,
     max_cycles: int = 500_000,
+    decode_table: Optional[Dict[int, Predecoded]] = None,
 ) -> ComparisonResult:
     """Run ``program`` on the RTL under ``stimulus`` and on the spec; compare.
 
@@ -91,9 +98,13 @@ def run_trace(
     ``RuntimeError`` out of the simulator is a broken unit invariant (say,
     a D-refill started while the cache is busy): it is reported as a
     divergence carrying the error's message, never as a deadlock.
+
+    ``decode_table`` is the :class:`PPCore` decode table to share with
+    other runs (see :func:`run_vector_traces`); ``None`` keeps it private.
     """
     config = config or CoreConfig(mem_latency=0)
-    core = PPCore(program, config, stimulus, inbox_tasks=list(inbox_tasks))
+    core = PPCore(program, config, stimulus, inbox_tasks=list(inbox_tasks),
+                  decode_table=decode_table)
     try:
         core.run(max_cycles=max_cycles)
     except DeadlockError:
@@ -143,9 +154,12 @@ def _trace_chunk_job(
     payload: Sequence[Tuple[int, TestVectorTrace]], attempt: int = 0
 ) -> List[Tuple[int, ComparisonResult]]:
     """Pool task: one chunk of indexed traces, config fork-inherited
-    through :data:`_TRACE_WORKER_CONFIG` (pure -- safe to retry)."""
+    through :data:`_TRACE_WORKER_CONFIG` (pure -- safe to retry).  The
+    chunk's traces share one decode table."""
+    decode_table: Dict[int, Predecoded] = {}
     return [
-        (index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG))
+        (index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG,
+                                 decode_table=decode_table))
         for index, trace in payload
     ]
 
@@ -195,6 +209,12 @@ def run_vector_traces(
     amortizes dispatch/pickling without re-creating the imbalance that
     one giant chunk of the longest traces would.
 
+    Each distinct program word is decoded once per call: the in-process
+    loop shares one ``{word: Predecoded}`` table across all its traces,
+    and each pool chunk builds its own.  The table lives only as long as
+    the call (one entry per distinct word, a few MB at most), so there is
+    no process-global memo to grow.
+
     ``obs`` receives per-trace instruction/cycle histograms, running
     ``compare.*`` counters, ``compare.workers``/``compare.chunksize``
     gauges, a ``compare.seconds`` sample, and a ``compare.divergence``
@@ -208,8 +228,9 @@ def run_vector_traces(
         results: List[ComparisonResult] = []
         diverging: List[int] = []
         obs.gauge("compare.workers", 1)
+        decode_table: Dict[int, Predecoded] = {}
         for index, trace in enumerate(traces):
-            result = run_vector_trace(trace, config=config)
+            result = run_vector_trace(trace, config=config, decode_table=decode_table)
             results.append(result)
             _record_result(obs, index, result)
             obs.heartbeat("compare", traces=index + 1, total=len(traces),

@@ -12,11 +12,15 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from repro.pp.isa import Instruction, InstructionClass, Opcode, random_instruction
+from repro.pp.isa import Instruction, InstructionClass
 from repro.pp.rtl.core import CoreConfig
 from repro.pp.rtl.stimulus import RandomStimulus
 from repro.harness.compare import ComparisonResult, run_trace
-from repro.vectors.generator import DEFAULT_ADDRESS_POOL
+from repro.vectors.generator import (
+    DEFAULT_ADDRESS_POOL,
+    check_address_pool,
+    vector_instruction,
+)
 
 #: Instruction-class mix of typical protocol code: mostly ALU work, some
 #: memory traffic, occasional task switching / message sends.
@@ -35,23 +39,21 @@ def random_program(
     class_weights=None,
     address_pool: Sequence[int] = DEFAULT_ADDRESS_POOL,
 ) -> List[Instruction]:
-    """A random instruction stream with the given class mix."""
+    """A random instruction stream with the given class mix.
+
+    Instructions are filled exactly as generated vectors are
+    (:func:`~repro.vectors.generator.vector_instruction`), so the two
+    methods of Table 2.1 differ only in which classes and forcing they
+    pick.  ``address_pool`` is checked the same way too.
+    """
     weights = class_weights or DEFAULT_CLASS_WEIGHTS
+    pool = check_address_pool(address_pool)
     classes = list(weights)
     probabilities = [weights[c] for c in classes]
-    program = []
-    for _ in range(length):
-        klass = rng.choices(classes, probabilities)[0]
-        instruction = random_instruction(klass, rng, address_pool=list(address_pool))
-        if instruction.opcode in (Opcode.LW, Opcode.SW):
-            instruction = Instruction(
-                instruction.opcode,
-                rd=instruction.rd,
-                rs=0,
-                imm=rng.choice(list(address_pool)),
-            )
-        program.append(instruction)
-    return program
+    return [
+        vector_instruction(rng.choices(classes, probabilities)[0], rng, pool)
+        for _ in range(length)
+    ]
 
 
 def random_trace(

@@ -180,17 +180,40 @@ class Instruction:
         rd = (word >> 21) & 0x1F
         rs = (word >> 16) & 0x1F
         if opcode in R_FORMAT:
-            return cls(opcode, rd=rd, rs=rs, rt=(word >> 11) & 0x1F)
+            return trusted_instruction(opcode, rd, rs, (word >> 11) & 0x1F, 0)
         imm = word & 0xFFFF
         if imm >= 1 << 15:
             imm -= 1 << 16
-        return cls(opcode, rd=rd, rs=rs, imm=imm)
+        return trusted_instruction(opcode, rd, rs, 0, imm)
 
     def is_nop(self) -> bool:
         return self.opcode is Opcode.NOP
 
 
 NOP = Instruction(Opcode.NOP)
+
+_new_instance = object.__new__
+_set_field = object.__setattr__
+
+
+def trusted_instruction(
+    opcode: Opcode, rd: int, rs: int, rt: int, imm: int
+) -> Instruction:
+    """An :class:`Instruction` whose fields the caller guarantees in range.
+
+    Skips the dataclass ``__init__`` and its range checks: for fields that
+    are in range by construction (masked out of a word, drawn from a
+    bounded range, read back from a packed real instruction).  The result
+    is indistinguishable from ``Instruction(...)``: fields are set in
+    declaration order, so it hashes, compares and pickles the same.
+    """
+    ins = _new_instance(Instruction)
+    _set_field(ins, "opcode", opcode)
+    _set_field(ins, "rd", rd)
+    _set_field(ins, "rs", rs)
+    _set_field(ins, "rt", rt)
+    _set_field(ins, "imm", imm)
+    return ins
 
 
 def random_instruction(
@@ -209,13 +232,13 @@ def random_instruction(
     rd = rng.randrange(1, NUM_REGS)
     rs = rng.randrange(0, NUM_REGS)
     if opcode in R_FORMAT:
-        return Instruction(opcode, rd=rd, rs=rs, rt=rng.randrange(0, NUM_REGS))
+        return trusted_instruction(opcode, rd, rs, rng.randrange(0, NUM_REGS), 0)
     if opcode in X_FORMAT:
-        return Instruction(opcode, rd=rd, rs=rs)
+        return trusted_instruction(opcode, rd, rs, 0, 0)
     if opcode in (Opcode.LW, Opcode.SW):
         if address_pool:
-            offset = rng.choice(address_pool)
-        else:
-            offset = rng.randrange(0, 1 << 8) & ~0x3  # word-aligned
-        return Instruction(opcode, rd=rd, rs=0, imm=offset)
-    return Instruction(opcode, rd=rd, rs=rs, imm=rng.randrange(-(1 << 15), 1 << 15))
+            # Caller-supplied: the range check stays.
+            return Instruction(opcode, rd=rd, rs=0, imm=rng.choice(address_pool))
+        offset = rng.randrange(0, 1 << 8) & ~0x3  # word-aligned
+        return trusted_instruction(opcode, rd, 0, 0, offset)
+    return trusted_instruction(opcode, rd, rs, 0, rng.randrange(-(1 << 15), 1 << 15))

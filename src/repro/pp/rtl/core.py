@@ -12,10 +12,13 @@ switch turns a correct design into each of the documented faulty ones.
 Per-cycle cost.  Comparison simulation runs this loop for every generated
 vector, so the cycle is kept free of work the model does not need:
 
-- each program word is decoded once per core, into a :class:`Predecoded`
-  record (instruction, class, memory/branch flags, source and destination
-  registers); IF uses it whenever the fetched word is the program word at
-  that address, and decodes only what differs (Bug #1's corrupted I-line);
+- each distinct instruction word is decoded once per decode table, into
+  a :class:`Predecoded` record (instruction, class, memory/branch flags,
+  source and destination registers); a comparison run shares one table
+  across all its cores, otherwise each core keeps a private one.  IF uses
+  the program word's entry whenever the fetched word is the program word
+  at that address, and looks up only what differs (Bug #1's corrupted
+  I-line);
 - trace events are formatted only when ``trace=True``;
 - the memory controller hands back at most one word per cycle, and idle
   units (refill FSMs, memory port) are not ticked at all.
@@ -160,6 +163,12 @@ def predecode(word: int) -> Predecoded:
     )
 
 
+def _decode_into(table: Dict[int, Predecoded], word: int) -> Predecoded:
+    """:func:`predecode` ``word`` and remember it in ``table``."""
+    decoded = table[word] = predecode(word)
+    return decoded
+
+
 class MicroOp:
     """One instruction in flight: its predecoded facts plus the operand
     and result latches the stages fill in."""
@@ -211,6 +220,10 @@ class PPCore:
         Task words the Inbox supplies to ``switch``.
     trace:
         When true, record :class:`TraceEvent` entries in ``self.events``.
+    decode_table:
+        ``{word: Predecoded}`` shared with other cores (decoding is
+        independent of the configuration); words this core decodes are
+        added to it.  ``None`` gives the core a private table.
     """
 
     def __init__(
@@ -220,6 +233,7 @@ class PPCore:
         stimulus: Optional[StimulusSource] = None,
         inbox_tasks: Optional[Sequence[int]] = None,
         trace: bool = False,
+        decode_table: Optional[Dict[int, Predecoded]] = None,
     ):
         self.config = config or CoreConfig()
         self.stimulus = stimulus or NaturalStimulus()
@@ -228,9 +242,12 @@ class PPCore:
         text_base = self.config.text_base
         self._text = [ins.encode() for ins in self.program]
         self.memory.load_program(text_base, self._text)
-        # Per-core predecode: one entry per program word, used while the
-        # fetched word still equals it.
-        self._predecoded = [predecode(word) for word in self._text]
+        # One entry per program word, used while the fetched word still
+        # equals it.
+        self._decode_table = table = {} if decode_table is None else decode_table
+        self._predecoded = [
+            table.get(word) or _decode_into(table, word) for word in self._text
+        ]
         # Whether the instruction at each pc may take a slot-B partner: dual
         # issue on, a next instruction exists and shares the fetch line.
         count = len(self._text)
@@ -779,7 +796,7 @@ class PPCore:
         program entry unless the word differs from the program's."""
         if word == self._text[pc]:
             return self._predecoded[pc]
-        return predecode(word)
+        return self._decode_table.get(word) or _decode_into(self._decode_table, word)
 
     # -- architectural extraction ---------------------------------------------------
 

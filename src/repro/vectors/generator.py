@@ -5,7 +5,8 @@ The generator walks each tour arc, replays
 recorded condition, and translates events into:
 
 - the **test program**: one biased-random instruction per successful fetch
-  (two when the dual-issue choice fired);
+  (two when the dual-issue choice fired), built once by
+  :func:`vector_instruction`;
 - the **stimulus queues** a :class:`~repro.pp.rtl.stimulus.QueueStimulus`
   replays into the RTL model: I-fetch outcomes, D-probe outcomes,
   Inbox/Outbox readiness, victim dirtiness, memory pacing.
@@ -33,15 +34,71 @@ from repro.enumeration.graph import Edge, StateGraph
 from repro.enumeration.pool import WorkerPool
 from repro.obs.observer import Observer, resolve
 from repro.pp.fsm_model import PPControlModel
-from repro.pp.isa import Instruction, InstructionClass, Opcode, random_instruction
+from repro.pp.isa import (
+    NUM_REGS,
+    OPCODES_BY_CLASS,
+    Instruction,
+    InstructionClass,
+    Opcode,
+    random_instruction,
+    trusted_instruction,
+)
 from repro.pp.rtl.memory import LINE_WORDS
 from repro.pp.rtl.stimulus import QueueStimulus
-from repro.smurphi.state import StateCodec
+from repro.smurphi.compiled import CompiledStateCodec
 from repro.tour.fig33 import Tour
 
 #: Distinct cache-line base addresses used for memory operands (kept low so
 #: data never aliases the program text segment).
 DEFAULT_ADDRESS_POOL = tuple(range(0, 16 * LINE_WORDS * 4, LINE_WORDS * 4))
+
+_LD = InstructionClass.LD
+_SD = InstructionClass.SD
+#: Instruction class of each ``fetch`` event's class name.
+_CLASS_BY_NAME = {klass.value: klass for klass in InstructionClass}
+
+
+def check_address_pool(address_pool: Sequence[int]) -> List[int]:
+    """``address_pool`` as a list, or ``ValueError`` if it cannot serve.
+
+    Memory operands are immediates, so every address must fit the signed
+    16-bit field; and a load realized as *not* conflicting needs some
+    address other than the pending store's, so the pool needs at least
+    two distinct ones.
+    """
+    pool = list(address_pool)
+    if len(set(pool)) < 2:
+        raise ValueError(
+            f"address_pool needs at least two distinct addresses, got {pool!r}"
+        )
+    outside = [a for a in pool if not -(1 << 15) <= a < (1 << 15)]
+    if outside:
+        raise ValueError(
+            f"address_pool addresses {outside!r} do not fit a 16-bit immediate"
+        )
+    return pool
+
+
+def vector_instruction(
+    klass: InstructionClass, rng: random.Random, address_pool: Sequence[int]
+) -> Instruction:
+    """Biased-random member of ``klass`` for a test program.
+
+    Memory operands use rs=r0 so the effective address is the immediate
+    -- the generator stays in full control of which line each access
+    touches -- drawn from ``address_pool`` (see :func:`check_address_pool`).
+
+    The draws are exactly those of ``random_instruction(klass, rng,
+    address_pool)`` followed, for a load or store, by a second pool draw
+    that replaces the first operand; the instruction is built once.
+    """
+    if klass is _LD or klass is _SD:
+        opcode = rng.choice(OPCODES_BY_CLASS[klass])
+        rd = rng.randrange(1, NUM_REGS)
+        rng.randrange(0, NUM_REGS)  # rs: drawn, then forced to r0
+        rng.choice(address_pool)  # the superseded first operand
+        return trusted_instruction(opcode, rd, 0, 0, rng.choice(address_pool))
+    return random_instruction(klass, rng, address_pool)
 
 
 @dataclass
@@ -172,20 +229,15 @@ def pack_trace_set(trace_set: TraceSet) -> Dict:
 def unpack_trace_set(payload: Dict) -> TraceSet:
     """Inverse of :func:`pack_trace_set`.
 
-    Rebuilds instructions via ``__new__`` + ``object.__setattr__``: the
-    packed fields came from real instructions, so re-running the
+    Rebuilds instructions with :func:`~repro.pp.isa.trusted_instruction`:
+    the packed fields came from real instructions, so re-running the
     dataclass range validation per slot would only cost time.
     """
     by_value = {int(op): op for op in Opcode}
-    table: List[Instruction] = []
-    for opcode, rd, rs, rt, imm in payload["table"]:
-        ins = Instruction.__new__(Instruction)
-        object.__setattr__(ins, "opcode", by_value[opcode])
-        object.__setattr__(ins, "rd", rd)
-        object.__setattr__(ins, "rs", rs)
-        object.__setattr__(ins, "rt", rt)
-        object.__setattr__(ins, "imm", imm)
-        table.append(ins)
+    table = [
+        trusted_instruction(by_value[opcode], rd, rs, rt, imm)
+        for opcode, rd, rs, rt, imm in payload["table"]
+    ]
     traces = []
     for indices, fh, dh, ir, our, vd, mp, edges in payload["rows"]:
         traces.append(
@@ -228,13 +280,16 @@ class TransitionEventMemo:
     one enumerated graph; share one instance per pipeline build.  Arcs
     with the same ``(src, condition)`` share one entry; the additional
     per-edge-index view (:meth:`lookup_edge`) just skips re-deriving the
-    key on the generator's hot path.
+    key on the generator's hot path.  Source states are unpacked with
+    :class:`~repro.smurphi.compiled.CompiledStateCodec`: the same layout
+    and key order as :class:`~repro.smurphi.state.StateCodec`, at about
+    half the cost per key.
     """
 
     def __init__(self, model: PPControlModel, graph: StateGraph):
         self.model = model
         self.graph = graph
-        self.codec = StateCodec(model.state_vars)
+        self.codec = CompiledStateCodec(model.state_vars)
         self._entries: Dict[Tuple[int, Tuple], Tuple] = {}
         self._by_edge: List[Optional[Tuple]] = [None] * graph.num_edges
         self.computed = 0
@@ -326,6 +381,9 @@ class VectorGenerator:
         The enumerated state graph.
     seed:
         Seed for the biased-random fill of control-irrelevant fields.
+    address_pool:
+        Addresses memory operands draw from: at least two distinct ones,
+        each fitting a 16-bit immediate (``ValueError`` otherwise).
     memo:
         A shared :class:`TransitionEventMemo` (e.g. the one the tour
         phase's cost function already filled).  ``None`` creates a
@@ -347,9 +405,9 @@ class VectorGenerator:
     ):
         self.model = model
         self.graph = graph
-        self.codec = StateCodec(model.state_vars)
+        self.codec = CompiledStateCodec(model.state_vars)
         self.seed = seed
-        self.address_pool = list(address_pool)
+        self.address_pool = check_address_pool(address_pool)
         if memo is not None:
             self.memo: Optional[TransitionEventMemo] = memo
         elif memoize:
@@ -514,19 +572,9 @@ class VectorGenerator:
     def _emit_instruction(
         self, trace: TestVectorTrace, klass_name: str, rng: random.Random
     ) -> None:
-        klass = InstructionClass(klass_name)
-        instruction = random_instruction(klass, rng, address_pool=self.address_pool)
-        if klass in (InstructionClass.LD, InstructionClass.SD):
-            # Memory operands use rs=r0 so the effective address is the
-            # immediate -- the generator stays in full control of which
-            # line each access touches.
-            instruction = Instruction(
-                instruction.opcode,
-                rd=instruction.rd,
-                rs=0,
-                imm=rng.choice(self.address_pool),
-            )
-        trace.program.append(instruction)
+        trace.program.append(
+            vector_instruction(_CLASS_BY_NAME[klass_name], rng, self.address_pool)
+        )
 
     def _operand_address(self, trace: TestVectorTrace, index: int) -> Optional[int]:
         if index is None or index >= len(trace.program):

@@ -11,19 +11,25 @@ scale:
   without memoization);
 - load-balanced comparison scheduling (results, divergence cut point and
   metrics identical to the sequential contract at any pool size or
-  chunksize; a degraded or closed pool runs exactly the sequential loop).
+  chunksize; a degraded or closed pool runs exactly the sequential loop);
+- the comparison run's shared decode table (results identical to
+  per-trace runs with private tables, under the clean and every bug
+  config, in process and on a pool).
 """
 
 import pickle
 
 import pytest
 
-from repro.bugs import injected_config
+from repro.bugs import BUGS, injected_config
+from repro.core.pipeline import ValidationPipeline
 from repro.enumeration import WorkerPool, enumerate_states
 from repro.harness import compare as compare_mod
-from repro.harness.compare import run_vector_traces
+from repro.harness.compare import run_vector_trace, run_vector_traces
 from repro.obs import MetricsRegistry, Observer
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
+from repro.pp.rtl.core import CoreConfig, PPCore, predecode
+from repro.smurphi.state import StateCodec
 from repro.tour import IndexedTourGenerator
 from repro.vectors import (
     TransitionEventMemo,
@@ -120,6 +126,18 @@ class TestTransitionEventMemo:
             assert src_mem == state["mem"]
             assert st_pend_after == bool(control.step(state, choice)["st_pend"])
             assert advanced == any(e[0] == "pipe_advance" for e in events)
+
+    def test_unpack_matches_state_codec(self, control, graph):
+        """The memo's compiled codec gives the same dicts, in the same key
+        order, as the reference codec."""
+        reference = StateCodec(control.state_vars)
+        codec = TransitionEventMemo(control, graph).codec
+        for state_id in range(graph.num_states):
+            key = graph.state_key(state_id)
+            expected = reference.unpack(key)
+            got = codec.unpack(key)
+            assert got == expected
+            assert list(got) == list(expected)
 
     def test_lookup_edge_shares_entries(self, control, graph):
         memo = TransitionEventMemo(control, graph)
@@ -320,3 +338,48 @@ class TestComparisonScheduling:
         assert diverging == seq_div
         assert len(calls) == seq_div[0] + 1
         assert self.results_dump(results) == self.results_dump(seq_results)
+
+
+class TestDecodeTable:
+    """One ``{word: Predecoded}`` table per comparison run: the results
+    are exactly those of per-trace runs with a private table each."""
+
+    @pytest.fixture(scope="class")
+    def pipeline_traces(self):
+        pipeline = ValidationPipeline(PPModelConfig(fill_words=1), seed=0,
+                                      jobs=1, use_cache=False)
+        return list(pipeline.build().traces)
+
+    def test_entries_equal_predecode(self, pipeline_traces):
+        table = {}
+        for trace in pipeline_traces[:5]:
+            run_vector_trace(trace, decode_table=table)
+        words = {ins.encode() for t in pipeline_traces[:5] for ins in t.program}
+        assert words <= set(table)
+        for word, entry in table.items():
+            assert entry == predecode(word)
+
+    def test_cores_share_entries(self, pipeline_traces):
+        table = {}
+        program = pipeline_traces[0].program
+        first = PPCore(program, decode_table=table)
+        second = PPCore(program, decode_table=table)
+        assert len(table) == len({ins.encode() for ins in program})
+        assert all(a is b for a, b in zip(first._predecoded, second._predecoded))
+        assert PPCore(program)._predecoded == first._predecoded
+
+    @pytest.mark.parametrize("bug", [None] + sorted(BUGS))
+    def test_results_match_private_tables(self, pipeline_traces, worker_pool, bug):
+        config = CoreConfig(mem_latency=0)
+        if bug is not None:
+            config = config.with_bugs(bug)
+        expected = [run_vector_trace(t, config=config) for t in pipeline_traces]
+        if bug is None:
+            assert not any(r.diverged for r in expected)
+        for pool in (None, worker_pool(2)):
+            results, diverging = run_vector_traces(
+                pipeline_traces, config=config, stop_on_divergence=False,
+                pool=pool,
+            )
+            assert results == expected
+            assert diverging == [i for i, r in enumerate(expected) if r.diverged]
