@@ -288,8 +288,7 @@ def pipeline_phase_keys(
     plus the semantic digests of any model edits; the graph key adds the
     enumeration mode; the tours key the per-trace split limit; the traces
     key the vector seed.  ``code_digests`` overrides individual phase code
-    digests (tests and benchmarks use it to simulate source edits without
-    touching the tree).
+    digests (tests use it to key a synthetic source tree).
 
     A derived ``"splice"`` key addresses the incremental-support sidecar
     (per-edge instruction costs + the transition-event memo) stored next

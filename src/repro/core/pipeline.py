@@ -140,11 +140,6 @@ class ValidationPipeline:
         region and splice tours/traces on a localized diff.  The result
         is byte-identical to a cold build either way -- disabling this
         only ever costs time (kept as an escape hatch / A-B switch).
-    phase_code_overrides:
-        Mapping ``phase -> digest`` overriding the per-phase code digests
-        used for cache keys.  A test/benchmark hook: salting a phase's
-        digest simulates a source edit to that phase's modules without
-        touching the tree.
     """
 
     def __init__(
@@ -163,7 +158,6 @@ class ValidationPipeline:
         retry: Optional[RetryPolicy] = None,
         edits: Sequence[ModelEdit] = (),
         incremental: bool = True,
-        phase_code_overrides: Optional[Dict[str, str]] = None,
     ):
         self.model_config = model_config or PPModelConfig(fill_words=2)
         self.max_instructions_per_trace = max_instructions_per_trace
@@ -179,7 +173,6 @@ class ValidationPipeline:
         self.retry = retry
         self.edits = tuple(edits)
         self.incremental = incremental
-        self.phase_code_overrides = dict(phase_code_overrides or {})
         base = pp_control_model(self.model_config)
         self.control = EditedPPControl(base, self.edits) if self.edits else base
         self._pool: Optional[WorkerPool] = None
@@ -256,8 +249,7 @@ class ValidationPipeline:
     def _phase_digests(self) -> Dict[str, str]:
         """The per-phase code digests this pipeline keys with."""
         return {
-            phase: self.phase_code_overrides.get(phase)
-            or phase_code_version(phase)
+            phase: phase_code_version(phase)
             for phase in ("model", "graph", "tours", "traces")
         }
 
@@ -268,7 +260,6 @@ class ValidationPipeline:
             max_instructions_per_trace=self.max_instructions_per_trace,
             seed=self.seed,
             edits=self.edits,
-            code_digests=self.phase_code_overrides,
         )
 
     def _build_flags(self) -> Dict[str, Any]:

@@ -13,11 +13,11 @@ A *kernel* owns exactly that computation:
   choice tables, closure-based pack/unpack with precomputed shifts and
   masks, validate-on-first-sight plus sampled re-validation instead of
   per-transition re-validation, and an optional per-process successor
-  memo.  On the PP control model this is a >3x end-to-end enumeration
-  speedup (``benchmarks/bench_kernel.py`` asserts it).  When the model
-  carries a generated ``expand`` (translated models do), the compiled
-  kernel runs it instead of one ``next_state`` call and one ``pack`` per
-  transition.
+  memo.  On the PP control model this was a >3x end-to-end enumeration
+  speedup when it landed; the benchmark's ``enumerate`` workload times
+  it now.  When the model carries a generated ``expand`` (translated
+  models do), the compiled kernel runs it instead of one ``next_state``
+  call and one ``pack`` per transition.
 
 The two kernels produce **bit-identical** expansions -- same successor
 keys, same condition tuples, same order -- so state graphs, checkpoints

@@ -133,7 +133,7 @@ class BranchVectorGenerator(VectorGenerator):
 
         for edge_index in tour.edge_indices:
             edge = self.graph.edge(edge_index)
-            state = self.codec.unpack(self.graph.state_key(edge.src))
+            state = self.memo.codec.unpack(self.graph.state_key(edge.src))
             choice = dict(zip(self.model.choice_names, edge.condition))
             events = self.model.transition_events(state, choice)
             advanced = any(e[0] == "pipe_advance" for e in events)

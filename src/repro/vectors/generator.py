@@ -388,10 +388,6 @@ class VectorGenerator:
         A shared :class:`TransitionEventMemo` (e.g. the one the tour
         phase's cost function already filled).  ``None`` creates a
         private one.
-    memoize:
-        ``False`` disables memoization entirely and replays transitions
-        exactly the way the pre-memo generator did (``transition_events``
-        then ``step`` per arc) -- kept as the benchmark baseline.
     """
 
     def __init__(
@@ -401,19 +397,12 @@ class VectorGenerator:
         seed: int = 0,
         address_pool: Sequence[int] = DEFAULT_ADDRESS_POOL,
         memo: Optional[TransitionEventMemo] = None,
-        memoize: bool = True,
     ):
         self.model = model
         self.graph = graph
-        self.codec = CompiledStateCodec(model.state_vars)
         self.seed = seed
         self.address_pool = check_address_pool(address_pool)
-        if memo is not None:
-            self.memo: Optional[TransitionEventMemo] = memo
-        elif memoize:
-            self.memo = TransitionEventMemo(model, graph)
-        else:
-            self.memo = None
+        self.memo = memo if memo is not None else TransitionEventMemo(model, graph)
 
     # -- public API -------------------------------------------------------------
 
@@ -442,7 +431,7 @@ class VectorGenerator:
         parallel = pool is not None and pool.available and len(tours) > 1
         # Gauge before generating: sequential and parallel runs report the
         # same value (worker-side memo fills are invisible to the parent).
-        obs.gauge("vectors.memo_entries", len(self.memo) if self.memo is not None else 0)
+        obs.gauge("vectors.memo_entries", len(self.memo))
         obs.gauge("vectors.workers", min(pool.jobs, len(tours)) if parallel else 1)
         if parallel:
             traces = self._generate_with_pool(tours, pool, obs)
@@ -499,20 +488,12 @@ class VectorGenerator:
     # -- the mapping --------------------------------------------------------------
 
     def _transition(self, edge_index: int) -> Tuple[List[Tuple], str, bool, bool]:
-        """``(events, src_mem, st_pend_after, advanced)`` for one arc --
-        from the memo when enabled, otherwise replayed the pre-memo way."""
-        if self.memo is not None:
-            events, src_mem, st_pend_after, _, advanced = self.memo.lookup_edge(
-                edge_index
-            )
-            return events, src_mem, st_pend_after, advanced
-        edge = self.graph.edge(edge_index)
-        state = self.codec.unpack(self.graph.state_key(edge.src))
-        choice = dict(zip(self.model.choice_names, edge.condition))
-        events = self.model.transition_events(state, choice)
-        next_state = self.model.step(state, choice)
-        advanced = any(e[0] == "pipe_advance" for e in events)
-        return events, state["mem"], bool(next_state["st_pend"]), advanced
+        """``(events, src_mem, st_pend_after, advanced)`` for one arc,
+        from the memo."""
+        events, src_mem, st_pend_after, _, advanced = self.memo.lookup_edge(
+            edge_index
+        )
+        return events, src_mem, st_pend_after, advanced
 
     def _trace_from_tour(self, tour: Tour, rng: random.Random) -> TestVectorTrace:
         trace = TestVectorTrace(edges_traversed=len(tour.edge_indices))

@@ -43,6 +43,23 @@ class TestKeying:
         assert build_key(PPModelConfig(), record_all_conditions=True) != base
         assert build_key(PPModelConfig(), max_instructions_per_trace=100) != base
 
+        # Each input re-keys its own phase and every phase downstream of
+        # it, and leaves the upstream entries live.
+        phases = pipeline_phase_keys(PPModelConfig(), max_instructions_per_trace=400)
+
+        def changed(model_config=PPModelConfig(), **flags):
+            keys = pipeline_phase_keys(model_config, **flags)
+            return {phase for phase in phases if keys[phase] != phases[phase]}
+
+        assert changed(max_instructions_per_trace=400, seed=1) == {"traces"}
+        assert changed(max_instructions_per_trace=100) == {
+            "tours", "splice", "traces",
+        }
+        assert changed(max_instructions_per_trace=400, record_all_conditions=True) \
+            == {"graph", "tours", "splice", "traces"}
+        assert changed(PPModelConfig(fill_words=1), max_instructions_per_trace=400) \
+            == set(phases)
+
     def test_code_version_is_memoized_hex(self):
         first = code_version()
         assert first == code_version()

@@ -7,8 +7,8 @@ scale:
   once per unique ``(src, condition)`` pair across the tour cost function
   AND vector generation);
 - parallel vector generation on a :class:`WorkerPool` (byte-identical
-  TraceSets in-process vs on ``WorkerPool(2)``/``WorkerPool(4)``, with and
-  without memoization);
+  TraceSets in-process vs on ``WorkerPool(2)``/``WorkerPool(4)``, all
+  equal to a memo-free replay of every arc);
 - load-balanced comparison scheduling (results, divergence cut point and
   metrics identical to the sequential contract at any pool size or
   chunksize; a degraded or closed pool runs exactly the sequential loop);
@@ -59,12 +59,28 @@ def tours(control, graph):
     return list(tour_set)
 
 
+class ReplayVectorGenerator(VectorGenerator):
+    """Reference generator: replays every traversed arc through the model
+    (``transition_events`` then ``step``) instead of reading the memo."""
+
+    def __init__(self, model, graph, seed):
+        super().__init__(model, graph, seed=seed)
+        self.codec = StateCodec(model.state_vars)
+
+    def _transition(self, edge_index):
+        edge = self.graph.edge(edge_index)
+        state = self.codec.unpack(self.graph.state_key(edge.src))
+        choice = dict(zip(self.model.choice_names, edge.condition))
+        events = self.model.transition_events(state, choice)
+        next_state = self.model.step(state, choice)
+        advanced = any(e[0] == "pipe_advance" for e in events)
+        return events, state["mem"], bool(next_state["st_pend"]), advanced
+
+
 @pytest.fixture(scope="module")
 def baseline_traces(control, graph, tours):
-    """The pre-memo sequential path, used as the identity reference."""
-    return VectorGenerator(
-        control, graph, seed=11, memoize=False
-    ).generate(tours)
+    """The memo-free sequential replay, used as the identity reference."""
+    return ReplayVectorGenerator(control, graph, seed=11).generate(tours)
 
 
 def dumps(trace_set):

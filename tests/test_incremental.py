@@ -13,6 +13,8 @@ import random
 import pytest
 
 from repro.core import ValidationPipeline
+from repro.core import cache as cache_mod
+from repro.core import pipeline as pipeline_mod
 from repro.enumeration import enumerate_states
 from repro.incremental.diff import LOCALIZED, NO_OP, STRUCTURAL, diff_models
 from repro.incremental.edits import (
@@ -122,19 +124,24 @@ class TestDiffClassification:
 
 
 class TestAdoptionAndSplice:
-    def test_noop_source_edit_adopts_every_phase(self, tmp_path):
+    def test_noop_source_edit_adopts_every_phase(self, tmp_path, monkeypatch):
         """Salting the model phase digest simulates a comment-only edit to
         a model source file: new keys, identical semantics -- the diff is
         a no-op and every downstream entry is adopted by byte copy."""
         cache_dir = str(tmp_path / "cache")
         _pipeline(cache_dir).build()
 
+        real = cache_mod.phase_code_version
+
+        def salted(phase, *args, **kwargs):
+            if phase == "model":
+                return "salted-model-digest"
+            return real(phase, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "phase_code_version", salted)
+        monkeypatch.setattr(pipeline_mod, "phase_code_version", salted)
         observer = Observer()
-        edited = _pipeline(
-            cache_dir,
-            phase_code_overrides={"model": "salted-model-digest"},
-            observer=observer,
-        )
+        edited = _pipeline(cache_dir, observer=observer)
         edited.build()
         report = edited.incremental_report
         assert report.classification == NO_OP
