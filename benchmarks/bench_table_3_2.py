@@ -20,10 +20,8 @@ On top of the sequential Table 3.2 reproduction, every scale is
 re-enumerated through :func:`enumerate_states_parallel` at each job
 count in ``BENCH_TABLE32_JOBS`` (default ``1,2,4``) against one
 persistent :class:`WorkerPool` per job count -- with the worker
-generation retired before every timed run, because the pool's
-content-based context tag would otherwise hand a repeat of the same
-config fully warm successor memos and turn the cell into a memo-lookup
-benchmark -- asserting the graph is
+generation retired before every timed run, so each cell pays the same
+cold start the sequential run pays -- asserting the graph is
 **bit-identical** to the sequential run (via ``graph.to_json()``
 digests) every time.  At the largest scale the jobs=N speedup is
 floor-asserted at ``N/2`` -- but only proportionally to the CPUs the
@@ -118,10 +116,9 @@ def test_table_3_2_parallel_sweep(benchmark):
     previous_states = 0
     try:
         for name, config in sweep:
-            # Fresh model per timed run: kernels (and their successor
-            # memos) cache per model object, so sharing one model would
-            # let the sequential run warm the caches for the parallel
-            # runs and inflate every speedup.
+            # Fresh model per timed run: kernels cache per model
+            # object, so sharing one model would let the sequential run
+            # build the choice tables for the parallel runs.
             seq_seconds, (graph, stats) = _best_of(
                 lambda c=config: enumerate_states(build_pp_control_model(c))
             )
@@ -135,13 +132,10 @@ def test_table_3_2_parallel_sweep(benchmark):
                     pool = pools[jobs] = WorkerPool(jobs)
                 # Retire the worker generation before every timed run:
                 # the pool's context tag is content-based, so a repeat
-                # of the same config would otherwise dispatch into live
-                # workers whose successor memos are fully warm -- a
-                # memo-lookup benchmark, not an enumeration one (the
-                # skew once recorded jobs=2 "4.5x faster" than
-                # sequential on a 1-CPU container).  Each timed cell is
-                # one cold enumeration: fork + cross-wave reuse, the
-                # same cold-start the sequential cell pays.
+                # of the same config would otherwise dispatch into live,
+                # already-warm workers.  Each timed cell is one cold
+                # enumeration: fork + cross-wave reuse, the same
+                # cold start the sequential cell pays.
                 par_seconds, (par_graph, par_stats) = _best_of(
                     lambda c=config, j=jobs, p=pool:
                         enumerate_states_parallel(

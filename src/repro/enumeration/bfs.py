@@ -225,7 +225,7 @@ def enumerate_states(
     kernel:
         ``"compiled"`` (default), ``"interpreted"`` or a kernel object
         from :mod:`repro.enumeration.kernel` -- the seam the kernel tests
-        and benchmark compare through.  All produce bit-identical graphs.
+        compare through.  All produce bit-identical graphs.
     jobs / pool / retry:
         Worker processes (``None``: ``pool.jobs`` or every CPU), a shared
         :class:`~repro.enumeration.pool.WorkerPool` (without one, a run
@@ -234,6 +234,7 @@ def enumerate_states(
     """
     obs = resolve(obs)
     kern = resolve_kernel(model, kernel)
+    kern.start_run()
     kernel_before = kern.counters()
     started = time.perf_counter()
     digest = model_digest(model, record_all_conditions)

@@ -75,8 +75,8 @@ DISPATCH_MIN_STATES = 192
 _MIN_SPAN_STATES = 64
 
 #: Transition kernel published by the coordinator immediately before the
-#: pool forks; workers inherit the ready-built choice tables, codec
-#: closures and warm successor memo without pickling.
+#: pool forks; workers inherit the ready-built choice tables and codec
+#: closures without pickling.
 _WORKER_KERNEL: Optional[Kernel] = None
 #: Whether workers collect per-span metrics snapshots (False keeps the
 #: no-sink path overhead-free).

@@ -11,9 +11,10 @@ A *kernel* owns exactly that computation:
 - :class:`CompiledKernel` (built by :func:`compile_model`) specializes
   everything that depends only on the declaration: per-guard-signature
   choice tables, closure-based pack/unpack with precomputed shifts and
-  masks, validate-on-first-sight plus sampled re-validation instead of
-  per-transition re-validation, and an optional per-process successor
-  memo.  On the PP control model this was a >3x end-to-end enumeration
+  masks, and validate-on-first-sight plus sampled re-validation instead
+  of per-transition re-validation.  It keeps no successor memo: one
+  enumeration expands each state once, and the graph holds every
+  arc.  On the PP control model this was a >3x end-to-end enumeration
   speedup when it landed; the benchmark's ``enumerate`` workload times
   it now.  When the model carries a generated ``expand`` (translated
   models do), the compiled kernel runs it instead of one ``next_state``
@@ -34,13 +35,13 @@ a missing variable or out-of-domain value raises ``KeyError``, which the
 kernel converts into the exact interpreted-path :class:`ModelError` by
 re-running the validated step.  The only check that is genuinely
 relaxed is the *undeclared extra variable* class (packing simply never
-reads such keys); it is caught deterministically on the first state ever
-expanded (validate-on-first-sight) and probabilistically thereafter
+reads such keys); it is caught deterministically on the first state each
+run expands (validate-on-first-sight) and probabilistically thereafter
 (full re-validation every ``sample_every`` transitions).  ``strict=True``
 restores exhaustive per-transition validation for tests and debugging.
 
-A generated ``expand`` is held to the dict path the same way: the first
-state expanded is compared in full with ``pack(model.step(...))``, every
+A generated ``expand`` is held to the dict path the same way: a run's
+first state is compared in full with ``pack(model.step(...))``, every
 ``sample_every``-th transition after it is re-run through ``model.step``,
 and a mismatch raises :class:`ModelError`.  If ``expand`` raises, the
 state is expanded again through the dict path, which raises the error a
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
 from repro.smurphi.model import ModelError, SyncModel
@@ -82,6 +83,9 @@ class InterpretedKernel:
     def unpack(self, key: int) -> Dict[str, object]:
         return self.codec.unpack(key)
 
+    def start_run(self) -> None:
+        pass  # every transition is validated; there is no schedule
+
     def expand(self, key: int) -> Iterator[Transition]:
         # A generator on purpose: the in-process executor interleaves
         # each step with the loop's bookkeeping, preserving error
@@ -99,10 +103,9 @@ class InterpretedKernel:
 
 class CompiledKernel:
     """Specialized expansion: precomputed choice tables, closure codec,
-    reduced validation, optional successor memo, and the model's
-    generated ``expand`` when it has one.  Build via
-    :func:`compile_model` (which caches kernels per model so campaigns
-    and ablations share one memo)."""
+    reduced validation, and the model's generated ``expand`` when it has
+    one.  Build via :func:`compile_model` (which caches kernels per model
+    so campaigns and ablations share one set of choice tables)."""
 
     kind = "compiled"
 
@@ -110,7 +113,6 @@ class CompiledKernel:
         self,
         model: SyncModel,
         strict: bool = False,
-        memo: bool = True,
         sample_every: int = 1024,
     ):
         started = time.perf_counter()
@@ -121,10 +123,6 @@ class CompiledKernel:
         self.tables = ChoiceTables(model)
         self._next_state = model._next_state
         self._generated = None if self.strict else model.generated_expand
-        self._memo: Optional[Dict[int, Tuple[int, Tuple[Transition, ...]]]] = (
-            {} if memo else None
-        )
-        self.memo_hits = 0
         self.expansions = 0
         self.sampled_validations = 0
         self._validation_tick = 0
@@ -141,15 +139,19 @@ class CompiledKernel:
         """Whether expansion runs the model's generated ``expand``."""
         return self._generated is not None
 
-    @property
-    def memo_entries(self) -> int:
-        return len(self._memo) if self._memo is not None else 0
-
     def reset_key(self) -> int:
         return self.codec.pack(self.model.reset_state())
 
     def unpack(self, key: int) -> Dict[str, object]:
         return self.codec.unpack(key)
+
+    def start_run(self) -> None:
+        """Restart the validation schedule: the run's first state is
+        validated in full and sampling counts from zero, so two runs of
+        one model do the same checks and report the same
+        ``sampled_validations`` delta."""
+        self._validation_tick = 0
+        self._first_sight_done = False
 
     def expand(self, key: int) -> Tuple[Transition, ...]:
         return self.expand_masked(key)[1]
@@ -163,12 +165,6 @@ class CompiledKernel:
         ``tables.table(signature)``, which is what lets pool workers
         ship one integer instead of pickled per-transition conditions.
         """
-        memo = self._memo
-        if memo is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                self.memo_hits += 1
-                return hit
         result = None
         if self._generated is not None:
             try:
@@ -180,8 +176,6 @@ class CompiledKernel:
         if result is None:
             result = self._expand_dict(key)
         self.expansions += 1
-        if memo is not None:
-            memo[key] = result
         return result
 
     def _expand_dict(self, key: int) -> Tuple[int, Tuple[Transition, ...]]:
@@ -191,7 +185,7 @@ class CompiledKernel:
         mask, table = self.tables.select(state)
         pack = codec.pack
         if self.strict or not self._first_sight_done:
-            # Exhaustive validation: the very first state expanded (any
+            # Exhaustive validation: the run's first state (any
             # systematic next_state bug shows up immediately), and every
             # state in strict mode.
             step = self.model.step
@@ -230,7 +224,7 @@ class CompiledKernel:
         self, key: int, result: Tuple[int, Tuple[Transition, ...]]
     ) -> None:
         """Hold the generated ``expand`` to ``next_state``: in full on the
-        first state expanded, then every ``sample_every``-th transition,
+        run's first state, then every ``sample_every``-th transition,
         on the same cadence the dict path re-validates."""
         if not self._first_sight_done:
             if result != self._expand_dict(key):
@@ -260,7 +254,6 @@ class CompiledKernel:
         """Monotonic counters for delta-flushing into an observer."""
         return {
             "expansions": self.expansions,
-            "memo_hits": self.memo_hits,
             "sampled_validations": self.sampled_validations,
         }
 
@@ -273,27 +266,26 @@ KernelSpec = Union[str, None, Kernel]
 def compile_model(
     model: SyncModel,
     strict: bool = False,
-    memo: bool = True,
     sample_every: int = 1024,
 ) -> CompiledKernel:
     """Compile ``model``'s expansion hot path; cached per model instance.
 
     Repeat calls with the same options return the same kernel, so the
-    successor memo and choice tables built by one enumeration are reused
-    by the next (campaigns, ``record_all_conditions`` ablations --
-    expansion does not depend on the arc-recording mode -- and pool
-    workers, which inherit the coordinator's kernel by fork).
+    choice tables and codec built for one enumeration are reused by the
+    next (campaigns, ``record_all_conditions`` ablations -- expansion
+    does not depend on the arc-recording mode -- and pool workers, which
+    inherit the coordinator's kernel by fork).
     """
     cache = model.__dict__.setdefault("_kernel_cache", {})
-    options = (bool(strict), bool(memo), int(sample_every))
+    options = (bool(strict), int(sample_every))
     kernel = cache.get(options)
     if kernel is None:
         kernel = cache[options] = CompiledKernel(
-            model, strict=strict, memo=memo, sample_every=sample_every
+            model, strict=strict, sample_every=sample_every
         )
         # The model owns this kernel: a strong reference back would make
-        # the pair (and its memo) a cycle that outlives the model's last
-        # user until a full garbage collection.
+        # the pair a cycle that outlives the model's last user until a
+        # full garbage collection.
         kernel._model = weakref.ref(model)
     return kernel
 
@@ -332,5 +324,4 @@ def flush_kernel_metrics(obs, kernel: Kernel, before: Dict[str, int]) -> None:
         if delta:
             obs.inc(f"enum.kernel.{name}", delta)
     obs.gauge("enum.kernel.generated", int(kernel.generated))
-    obs.gauge("enum.kernel.memo_entries", kernel.memo_entries)
     obs.gauge("enum.kernel.choice_tables", kernel.tables.num_tables)

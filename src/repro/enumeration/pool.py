@@ -13,10 +13,10 @@ so workers inherit them through fork copy-on-write from module globals
 the coordinator publishes before dispatch.  Each phase publishes its
 globals and declares a *context tag* (:meth:`WorkerPool.set_context`);
 while the tag is unchanged, dispatches reuse the live workers (warm
-kernel tables, warm memos, zero spawn cost -- the common case: every
-wave of an enumeration, every chunk of a vector/compare phase, repeated
-runs against the same model).  When the tag changes, the pool retires
-its workers and lazily re-forks on the next dispatch, so the new
+kernel tables and transition memos, zero spawn cost -- the common case:
+every wave of an enumeration, every chunk of a vector/compare phase,
+repeated runs against the same model).  When the tag changes, the pool
+retires its workers and lazily re-forks on the next dispatch, so the new
 generation inherits the new phase's globals without pickling a byte --
 re-forking from the live coordinator is strictly cheaper than
 broadcasting a multi-hundred-megabyte state graph through pipes.

@@ -14,10 +14,14 @@ This module does exactly that on top of the base control model:
   fetch queue (the PP's squashing-branch semantics -- no prediction state,
   just kill-on-taken).
 
-The matching RTL behaviour is ``CoreConfig(squashing_branches=True)``, and
-:class:`BranchVectorGenerator` realizes the abstract outcome with real
-branch instructions: ``beq r0, r0, +1`` for taken (skipping exactly the
-squashed slot), ``bne r0, r0, +1`` for not-taken.
+The matching RTL behaviour is ``CoreConfig(squashing_branches=True)``.
+Vectors come from the base generator's one arc loop,
+:meth:`~repro.vectors.generator.VectorGenerator._trace_from_tour`, which
+reads each arc's events from the shared transition memo like every other
+trace: :class:`BranchVectorGenerator` only emits a placeholder
+``bne r0, r0, +1`` (not taken) for a BR fetch, and the loop's
+``branch_resolved`` arm patches a taken branch to ``beq r0, r0, +1``
+(skipping exactly the squashed slot).
 """
 
 from __future__ import annotations
@@ -124,74 +128,12 @@ class BranchVectorGenerator(VectorGenerator):
     squash killed) or left as ``bne r0, r0, +1`` (never taken).
     """
 
-    def _trace_from_tour(self, tour, rng: random.Random) -> TestVectorTrace:
-        trace = TestVectorTrace(edges_traversed=len(tour.edge_indices))
-        ifq_index: Optional[int] = None
-        ex_index: Optional[int] = None
-        mem_index: Optional[int] = None
-        pending_store_addr: Optional[int] = None
-
-        for edge_index in tour.edge_indices:
-            edge = self.graph.edge(edge_index)
-            state = self.memo.codec.unpack(self.graph.state_key(edge.src))
-            choice = dict(zip(self.model.choice_names, edge.condition))
-            events = self.model.transition_events(state, choice)
-            advanced = any(e[0] == "pipe_advance" for e in events)
-            squashed = any(e[0] == "squash" for e in events)
-            fetched_index: Optional[int] = None
-
-            for event in events:
-                kind = event[0]
-                if kind == "fetch":
-                    _, klass_name, i_hit, dual = event
-                    trace.fetch_hits.append(bool(i_hit))
-                    if i_hit:
-                        fetched_index = len(trace.program)
-                        if klass_name == "BR":
-                            trace.program.append(
-                                Instruction(Opcode.BNE, rd=0, rs=0, imm=1)
-                            )
-                        else:
-                            self._emit_instruction(trace, klass_name, rng)
-                        if dual:
-                            self._emit_instruction(trace, "ALU", rng)
-                elif kind == "branch_resolved":
-                    taken = event[1]
-                    if taken and ex_index is not None and ex_index < len(trace.program):
-                        # Skip exactly the squashed slot.  When the slot
-                        # behind the branch was a bubble (nothing fetched
-                        # yet), branch to the fall-through target instead so
-                        # no real instruction is skipped.
-                        skip = 1 if ifq_index is not None else 0
-                        trace.program[ex_index] = Instruction(
-                            Opcode.BEQ, rd=0, rs=0, imm=skip
-                        )
-                elif kind == "d_probe":
-                    trace.dcache_hits.append(bool(event[1]))
-                    if state["mem"] == "SD" and event[1] and mem_index is not None:
-                        pending_store_addr = self._operand_address(trace, mem_index)
-                elif kind == "refill_start":
-                    trace.victim_dirty.append(bool(event[1]))
-                    if state["mem"] == "SD" and mem_index is not None:
-                        pending_store_addr = self._operand_address(trace, mem_index)
-                elif kind == "conflict":
-                    self._realize_conflict(
-                        trace, bool(event[1]), mem_index, pending_store_addr, rng
-                    )
-                elif kind == "inbox_query":
-                    trace.inbox_ready.append(bool(event[1]))
-                elif kind == "outbox_query":
-                    trace.outbox_ready.append(bool(event[1]))
-                elif kind == "mem_word":
-                    trace.mem_pace.append(bool(event[1]))
-
-            next_state = self.model.step(state, choice)
-            if not next_state["st_pend"]:
-                pending_store_addr = None
-            if advanced:
-                mem_index, ex_index, ifq_index = ex_index, ifq_index, None
-                if squashed:
-                    ex_index = None  # the wrong-path slot never executes
-            if fetched_index is not None:
-                ifq_index = fetched_index
-        return trace
+    def _emit_instruction(
+        self, trace: TestVectorTrace, klass_name: str, rng: random.Random
+    ) -> None:
+        if klass_name == "BR":
+            # Draws nothing from rng: the shared arc loop patches the
+            # outcome in when the branch resolves.
+            trace.program.append(Instruction(Opcode.BNE, rd=0, rs=0, imm=1))
+        else:
+            super()._emit_instruction(trace, klass_name, rng)

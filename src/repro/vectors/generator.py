@@ -1,8 +1,8 @@
 """Tour -> test-vector conversion for the PP control model.
 
-The generator walks each tour arc, replays
-:meth:`~repro.pp.fsm_model.PPControlModel.transition_events` for the arc's
-recorded condition, and translates events into:
+The generator walks each tour arc, reads the arc's interface events from
+the shared :class:`TransitionEventMemo` (one ``_step`` per unique
+``(state, condition)`` pair), and translates them into:
 
 - the **test program**: one biased-random instruction per successful fetch
   (two when the dual-issue choice fired), built once by
@@ -10,6 +10,10 @@ recorded condition, and translates events into:
 - the **stimulus queues** a :class:`~repro.pp.rtl.stimulus.QueueStimulus`
   replays into the RTL model: I-fetch outcomes, D-probe outcomes,
   Inbox/Outbox readiness, victim dirtiness, memory pacing.
+
+This is the one event-to-stimulus loop: the squashing-branch extension
+(:mod:`repro.pp.branches`) runs it too, its ``branch_resolved`` and
+``squash`` events being two arms that never fire on the base model.
 
 Address realization: the abstract model's *conflict* comparator choice is
 realized through actual addresses rather than forced (forcing it could
@@ -508,6 +512,7 @@ class VectorGenerator:
         for edge_index in tour.edge_indices:
             events, src_mem, st_pend_after, advanced = self._transition(edge_index)
             fetched_index: Optional[int] = None
+            squashed = False
 
             for event in events:
                 kind = event[0]
@@ -538,6 +543,18 @@ class VectorGenerator:
                     trace.outbox_ready.append(bool(event[1]))
                 elif kind == "mem_word":
                     trace.mem_pace.append(bool(event[1]))
+                elif kind == "branch_resolved":
+                    if event[1] and ex_index is not None:
+                        # Skip exactly the squashed slot.  When the slot
+                        # behind the branch was a bubble (nothing fetched
+                        # yet), branch to the fall-through target instead
+                        # so no real instruction is skipped.
+                        trace.program[ex_index] = Instruction(
+                            Opcode.BEQ, rd=0, rs=0,
+                            imm=1 if ifq_index is not None else 0,
+                        )
+                elif kind == "squash":
+                    squashed = True
 
             # The split store's idle-cycle data write clears the pending
             # address exactly when the model clears st_pend.
@@ -546,6 +563,8 @@ class VectorGenerator:
 
             if advanced:
                 mem_index, ex_index, ifq_index = ex_index, ifq_index, None
+                if squashed:
+                    ex_index = None  # the wrong-path slot never executes
             if fetched_index is not None:
                 ifq_index = fetched_index
         return trace

@@ -5,7 +5,7 @@ scale:
 
 - the shared :class:`TransitionEventMemo` (transitions computed exactly
   once per unique ``(src, condition)`` pair across the tour cost function
-  AND vector generation);
+  AND vector generation, for the base and the branch-extended model);
 - parallel vector generation on a :class:`WorkerPool` (byte-identical
   TraceSets in-process vs on ``WorkerPool(2)``/``WorkerPool(4)``, all
   equal to a memo-free replay of every arc);
@@ -27,6 +27,7 @@ from repro.enumeration import WorkerPool, enumerate_states
 from repro.harness import compare as compare_mod
 from repro.harness.compare import run_vector_trace, run_vector_traces
 from repro.obs import MetricsRegistry, Observer
+from repro.pp.branches import BranchPPControlModel, BranchVectorGenerator
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.pp.rtl.core import CoreConfig, PPCore, predecode
 from repro.smurphi.state import StateCodec
@@ -39,24 +40,39 @@ from repro.vectors import (
 
 
 @pytest.fixture(scope="module")
-def control():
-    return PPControlModel(PPModelConfig(fill_words=1))
+def model_setup():
+    """``model_setup(cls)``: a fill_words=1 ``cls`` control model, its
+    graph and its indexed tours (limit 200), built once per class."""
+    built = {}
+
+    def get(cls):
+        if cls not in built:
+            control = cls(PPModelConfig(fill_words=1))
+            graph, _ = enumerate_states(control.build())
+            memo = TransitionEventMemo(control, graph)
+            cost = pp_instruction_cost(control, graph, memo=memo)
+            tour_set = IndexedTourGenerator(
+                graph, instruction_cost=cost, max_instructions_per_trace=200
+            ).generate()
+            built[cls] = control, graph, list(tour_set)
+        return built[cls]
+
+    return get
 
 
 @pytest.fixture(scope="module")
-def graph(control):
-    graph, _ = enumerate_states(control.build())
-    return graph
+def control(model_setup):
+    return model_setup(PPControlModel)[0]
 
 
 @pytest.fixture(scope="module")
-def tours(control, graph):
-    memo = TransitionEventMemo(control, graph)
-    cost = pp_instruction_cost(control, graph, memo=memo)
-    tour_set = IndexedTourGenerator(
-        graph, instruction_cost=cost, max_instructions_per_trace=200
-    ).generate()
-    return list(tour_set)
+def graph(model_setup):
+    return model_setup(PPControlModel)[1]
+
+
+@pytest.fixture(scope="module")
+def tours(model_setup):
+    return model_setup(PPControlModel)[2]
 
 
 class ReplayVectorGenerator(VectorGenerator):
@@ -104,7 +120,14 @@ def worker_pool():
 
 
 class TestTransitionEventMemo:
-    def test_events_computed_once_per_unique_pair(self, control, graph, tours):
+    @pytest.mark.parametrize("model_cls, generator_cls", [
+        (PPControlModel, VectorGenerator),
+        (BranchPPControlModel, BranchVectorGenerator),
+    ], ids=["base", "branch"])
+    def test_events_computed_once_per_unique_pair(
+        self, model_setup, model_cls, generator_cls
+    ):
+        control, graph, tours = model_setup(model_cls)
         memo = TransitionEventMemo(control, graph)
         calls = []
         original_step = control._step
@@ -118,7 +141,7 @@ class TestTransitionEventMemo:
             cost = pp_instruction_cost(control, graph, memo=memo)
             for edge in graph.edges():
                 cost(edge)
-            VectorGenerator(control, graph, seed=11, memo=memo).generate(tours)
+            generator_cls(control, graph, seed=11, memo=memo).generate(tours)
         finally:
             control._step = original_step
 

@@ -259,7 +259,7 @@ class TestPPGolden:
 
 
 # ---------------------------------------------------------------------------
-# Kernel mechanics: resolution, caching, memo
+# Kernel mechanics: resolution, caching
 # ---------------------------------------------------------------------------
 
 
@@ -286,25 +286,8 @@ class TestKernelResolution:
         model = small_model()
         assert compile_model(model) is compile_model(model)
         assert compile_model(model) is not compile_model(model, strict=True)
-        # A different model instance gets its own kernel (and memo).
+        # A different model instance gets its own kernel.
         assert compile_model(model) is not compile_model(small_model())
-
-    def test_memo_reused_across_runs_and_record_modes(self):
-        model = small_model()
-        first, _ = enumerate_states(model, kernel="compiled")
-        kern = compile_model(model)
-        assert kern.memo_hits == 0
-        assert kern.memo_entries == first.num_states
-        enumerate_states(model, record_all_conditions=True, kernel="compiled")
-        assert kern.memo_hits >= first.num_states
-
-    def test_memo_can_be_disabled(self):
-        model = random_model(5)
-        kern = CompiledKernel(model, memo=False)
-        graph, _ = enumerate_states(model, kernel=kern)
-        assert kern.memo_entries == 0
-        reference, _ = enumerate_states(model, kernel="interpreted")
-        assert graph.to_json() == reference.to_json()
 
     def test_choice_tables_are_few(self):
         # The whole point: table count is bounded by guard signatures
@@ -411,8 +394,8 @@ class TestGeneratedExpand:
     def test_every_state_matches_the_dict_path(self, fill_words):
         model = translated_model(fill_words)
         graph, _ = enumerate_states(model)
-        generated = CompiledKernel(model, memo=False)
-        reference = CompiledKernel(dict_twin(model), memo=False)
+        generated = CompiledKernel(model)
+        reference = CompiledKernel(dict_twin(model))
         assert generated.generated and not reference.generated
         for key in map(graph.state_key, range(graph.num_states)):
             assert generated.expand_masked(key) == reference.expand_masked(key)
@@ -497,7 +480,7 @@ class TestModelLifetime:
         try:
             model = build()
             graph, _ = enumerate_states(model)
-            assert compile_model(model).memo_entries == graph.num_states
+            assert compile_model(model).expansions == graph.num_states
             ref = weakref.ref(model)
             del model, graph
             assert ref() is None
@@ -543,11 +526,16 @@ class TestKernelMetrics:
         # Kernels are cached across runs; each run must report only its
         # own delta, or aggregated reports double-count.
         model = small_model()
-        enumerate_states(model, kernel="compiled")  # warm the memo
-        obs = Observer()
-        graph, _ = enumerate_states(model, obs=obs, kernel="compiled")
-        assert obs.metrics.total("enum.kernel.memo_hits") == graph.num_states
-        assert obs.metrics.total("enum.kernel.expansions") == 0
+        first, second = Observer(), Observer()
+        enumerate_states(model, obs=first, kernel="compiled")
+        graph, _ = enumerate_states(model, obs=second, kernel="compiled")
+        assert compile_model(model).expansions == 2 * graph.num_states
+        assert second.metrics.total("enum.kernel.expansions") == graph.num_states
+        # Each run restarts the validation schedule, so both do the same
+        # checks.
+        validations = "enum.kernel.sampled_validations"
+        assert (second.metrics.total(validations)
+                == first.metrics.total(validations) > 0)
 
     def test_interpreted_emits_no_kernel_counters(self):
         obs = Observer()

@@ -1,9 +1,10 @@
 """Pins and oracles for biased-random instruction emission.
 
-- Absolute SHA-256 pins of the generated vectors and of the Table 2.1
-  random baseline program: the other identity tests compare generation
-  paths against each other, so only these notice a change to the RNG
-  stream itself.
+- Absolute SHA-256 pins of the generated vectors (base model through the
+  pipeline, branch-extended model in process and on a worker pool) and
+  of the Table 2.1 random baseline program: the other identity tests
+  compare generation paths against each other, so only these notice a
+  change to the RNG stream itself.
 - The emission oracle: the straightforward ``random_instruction`` plus
   memory-operand re-draw, kept here verbatim, against the single-build
   emission the generator uses.
@@ -18,7 +19,10 @@ import random
 import pytest
 
 from repro.core.pipeline import ValidationPipeline
+from repro.enumeration import WorkerPool, enumerate_states
 from repro.harness.random_testing import random_program
+from repro.obs import MetricsRegistry, Observer
+from repro.pp.branches import BranchPPControlModel, BranchVectorGenerator
 from repro.pp.fsm_model import PPModelConfig
 from repro.pp.isa import (
     NUM_REGS,
@@ -30,9 +34,11 @@ from repro.pp.isa import (
     Opcode,
     random_instruction,
 )
+from repro.tour import IndexedTourGenerator
 from repro.vectors.generator import (
     DEFAULT_ADDRESS_POOL,
     VectorGenerator,
+    pp_instruction_cost,
     vector_instruction,
 )
 
@@ -40,6 +46,9 @@ from repro.vectors.generator import (
 TRACES_FW1_SHA256 = "c6b136c2eec3b38a490ec5c00890017b9393f304950368b0f2075054db97b1b8"
 #: Same at fill_words=2, limit 400 (``bench/golden.json`` cold-verdict).
 TRACES_FW2_SHA256 = "9ad680e7694ad20b7b3e61ed45fd57e77a817e34bb4047940ccb6645c2b6003d"
+#: ``BranchVectorGenerator(seed=3)`` over the fill_words=1 branch model's
+#: indexed tours (limit 300): 113 traces, 33,936 instructions.
+BRANCH_TRACES_FW1_SHA256 = "3bf2fe0fb21d4322094e8abcff560be63fe1b1fa998c5d5ab2061e6a32831fb4"
 #: ``random_program(random.Random(0), 1000)`` flattened to field lists.
 RANDOM_PROGRAM_SHA256 = "9a28299881267023659e5281aada551d6802803b290752f9dd7a72b08abdde81"
 
@@ -50,6 +59,17 @@ def sha256(text):
 
 def fields(program):
     return [[int(i.opcode), i.rd, i.rs, i.rt, i.imm] for i in program]
+
+
+@pytest.fixture(scope="module")
+def branch_tours():
+    control = BranchPPControlModel(PPModelConfig(fill_words=1))
+    graph, _ = enumerate_states(control.build())
+    tours = IndexedTourGenerator(
+        graph, instruction_cost=pp_instruction_cost(control, graph),
+        max_instructions_per_trace=300,
+    ).generate()
+    return control, graph, list(tours)
 
 
 class TestPinnedDigests:
@@ -63,6 +83,23 @@ class TestPinnedDigests:
             seed=0, jobs=1, use_cache=False,
         )
         assert sha256(pipeline.build().traces.to_json()) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_branch_traces(self, branch_tours, jobs):
+        control, graph, tours = branch_tours
+        metrics = MetricsRegistry()
+        pool = WorkerPool(jobs) if jobs > 1 else None
+        try:
+            traces = BranchVectorGenerator(control, graph, seed=3).generate(
+                tours, obs=Observer(metrics=metrics), pool=pool
+            )
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert metrics.gauge_value("vectors.workers") == jobs
+        assert traces.num_traces == 113
+        assert traces.total_instructions == 33936
+        assert sha256(traces.to_json()) == BRANCH_TRACES_FW1_SHA256
 
     def test_random_baseline_program(self):
         program = random_program(random.Random(0), 1000)
