@@ -12,8 +12,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from repro.enumeration.graph import StateGraph
 
 
@@ -66,6 +64,8 @@ def depth_histogram(graph: StateGraph) -> Dict[int, int]:
 
 
 def profile(graph: StateGraph) -> GraphProfile:
+    import networkx as nx
+
     depths = depths_from_reset(graph)
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(graph.num_states))

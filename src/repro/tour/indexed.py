@@ -5,13 +5,10 @@ reference :class:`~repro.tour.fig33.TourGenerator` (same tours, same edge
 order, same splits -- golden- and property-tested) while replacing its
 scaling bottlenecks:
 
-1. **Flat CSR adjacency.**  The graph is frozen into four integer arrays
+1. **Flat CSR adjacency.**  The graph is frozen into flat integer arrays
    (``indptr``/``out_edge``/``out_dst`` plus a reverse CSR for the index)
-   so the greedy DFS and the explore BFS walk plain ``list[int]`` lookups
-   instead of per-state tuple rows, and the BFS scratch (visited marks,
-   parent edges, depths, queue) is preallocated once and recycled across
-   splices with an epoch stamp instead of allocating fresh dicts/deques at
-   every stuck point.
+   so the greedy DFS and the explore walk plain ``list[int]`` lookups
+   instead of per-state tuple rows.
 
 2. **An exact nearest-untraversed-arc index.**  The reference generator
    re-runs a full O(V+E) breadth-first *explore* from scratch at every
@@ -22,33 +19,37 @@ scaling bottlenecks:
    retire, and each retirement is repaired by *decremental upkeep*
    (Ramalingam--Reps for unit weights): only the states whose every
    shortest route ran through the retired target are re-settled, so the
-   field equals a fresh reverse BFS at every step.
+   field equals a fresh reverse BFS at every step.  The explore is then
+   no search at all but a descent along the field.
 
 3. **One cost per arc.**  The instruction cost of every arc is computed
    once into a flat list at the start of a run; a traversal reads it by
    edge index instead of calling the cost function again.
 
-The index is used strictly to *prune/early-exit* the forward explore, so
-the BFS queue order and tie-breaks -- hence the chosen splice path and the
-resulting tours -- are unchanged:
+The explore returns exactly the reference BFS's path because the field
+is exact (a lower bound would not do):
 
 - ``dist[s] == INF`` means no untraversed arc is reachable from ``s``, so
   the explore returns "unreachable" without touching the graph (this is
   every tour close and the end-of-run check).
-- Bounded by ``dist[s]``, a discovered node ``w`` at depth ``k`` with
-  ``k + dist[w] > dist[s]`` lies on no shortest route to a target, and
-  so can never be the parent of any node on the path the un-pruned BFS
-  would return (see DESIGN.md for the argument).  Such nodes are marked
-  visited but never enqueued.
-- Because the bound is exact, the one bounded BFS per explore always
-  finds the reference path.  A miss would mean the field is wrong; it is
-  counted (``tour.explore_fallbacks``) and answered by an unpruned sweep.
+- Otherwise the descent takes, from each state, the first out-arc in CSR
+  order whose head is one step closer to a target, until it reaches a
+  target.  Every state the reference BFS dequeues at depth ``k`` on a
+  shortest route has ``dist == dist[s] - k``; the first such state's first
+  downhill head is the first such state discovered at depth ``k + 1``,
+  over that same arc.  By induction the target the BFS discovers first,
+  and its parent chain, are the descent's path (see DESIGN.md).
+- A descent that finds no downhill arc, or ends on a state without an
+  untraversed out-arc, would mean the field is wrong; it is counted
+  (``tour.explore_fallbacks``) and answered by the unpruned reference
+  BFS on the CSR arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from typing import Dict, List, Optional
 
 from repro.enumeration.graph import StateGraph
@@ -100,9 +101,6 @@ class IndexedTourGenerator:
         self._indptr = indptr
         self._out_edge = out_edge
         self._out_dst = out_dst
-        # Prezipped (dst, edge_index) rows: the explore BFS slices these
-        # directly, which beats per-position indexing in pure Python.
-        self._out_pairs = list(zip(out_dst, out_edge))
 
         # Reverse CSR (in-edges by destination) for the distance index;
         # only source ids are needed -- the index never reconstructs paths.
@@ -124,12 +122,14 @@ class IndexedTourGenerator:
 
     def generate(self, obs: Optional[Observer] = None) -> TourSet:
         """Run the Fig. 3.3 loop; same events/counters as the reference,
-        plus ``tour.explore_pruned`` (BFS enqueues skipped via the index),
-        ``tour.explore_short_circuits`` (explores answered straight from
-        the distance field), ``tour.explore_fallbacks`` (bounded explores
-        that missed; 0 unless the field is wrong), ``tour.index_rebuilds``
-        (full builds of the field: 1 per run) and ``tour.index_resettled``
-        (states whose distance the upkeep re-settled)."""
+        plus ``tour.explore_pruned`` (out-arcs the descent scanned and
+        rejected before each downhill arc it took, counted from that
+        arc's offset in its row), ``tour.explore_short_circuits``
+        (explores answered straight from the distance field),
+        ``tour.explore_fallbacks`` (descents that missed; 0 unless the
+        field is wrong), ``tour.index_rebuilds`` (full builds of the
+        field: 1 per run) and ``tour.index_resettled`` (states whose
+        distance the upkeep re-settled)."""
         obs = resolve(obs)
         started = time.perf_counter()
         graph = self.graph
@@ -143,12 +143,6 @@ class IndexedTourGenerator:
             self._indptr[s + 1] - self._indptr[s] for s in range(num_states)
         ]
         self._remaining = num_edges
-        # Preallocated BFS scratch, recycled across splices via the epoch.
-        self._visit_mark = [0] * num_states
-        self._visit_epoch = 0
-        self._parent = [-1] * num_states
-        self._depth = [0] * num_states
-        self._queue = [0] * num_states
         # Upkeep scratch: ``_upkeep_mark[s]`` is the epoch if ``s`` is in
         # the current affected set, minus the epoch if it was examined and
         # kept its distance.
@@ -227,7 +221,7 @@ class IndexedTourGenerator:
         obs.observe("tour.seconds", elapsed)
         logger.info(
             "generated %d tours covering %d arcs (%d instructions, "
-            "%d limit restarts, %d explore splices; %d pruned enqueues, "
+            "%d limit restarts, %d explore splices; %d rejected arcs, "
             "%d short circuits, %d explore fallbacks, %d index rebuilds, "
             "%d states re-settled) in %.3fs",
             len(tours), num_edges, cumulative_instructions,
@@ -383,77 +377,72 @@ class IndexedTourGenerator:
     def _explore(self, state: int) -> Optional[List[int]]:
         """Explore phase: identical result to the reference ``_explore_bfs``.
 
-        One BFS bounded by the exact ``dist[state]``.  It either returns
-        the reference path or, if the field were ever wrong, misses; the
-        miss is counted and answered by a sweep at ``2 * num_states``,
-        which exceeds any ``depth + dist`` sum, prunes nothing and is the
-        reference algorithm itself on CSR arrays.
+        With the field exact, the descent is the reference path.  A descent
+        that misses would mean the field is wrong; the miss is counted and
+        answered by the unpruned sweep.
         """
         if self._untraversed_out[state]:
             return []
-        bound = self._dist[state]
-        if bound >= self._inf:
+        if self._dist[state] >= self._inf:
             self._short_circuits += 1
             return None
-        path = self._bounded_bfs(state, bound)
+        path = self._descend(state)
         if path is None:
             self._fallbacks += 1
-            path = self._bounded_bfs(state, 2 * len(self._dist))
+            path = self._sweep(state)
         return path
 
-    def _bounded_bfs(self, state: int, bound: int) -> Optional[List[int]]:
-        """Forward BFS in reference discovery order, skipping (but still
-        marking) nodes the index proves useless within ``bound``."""
-        self._visit_epoch += 1
-        epoch = self._visit_epoch
-        visit_mark = self._visit_mark
-        parent = self._parent
-        depth = self._depth
-        queue = self._queue
+    def _descend(self, state: int) -> Optional[List[int]]:
+        """Walk down the field: from each state take the first out-arc in
+        CSR order whose head is one step closer to a target, until a
+        target.  ``None`` if some state has no downhill arc or the walk
+        ends on a state without an untraversed out-arc."""
         dist = self._dist
         indptr = self._indptr
-        out_pairs = self._out_pairs
-        untraversed_out = self._untraversed_out
-        pruned = 0
-
-        visit_mark[state] = epoch
-        depth[state] = 0
-        queue[0] = state
-        head, tail = 0, 1
-        while head < tail:
-            current = queue[head]
-            head += 1
-            child_depth = depth[current] + 1
-            for dst, edge_index in out_pairs[indptr[current]:indptr[current + 1]]:
-                if visit_mark[dst] == epoch:
-                    continue
-                visit_mark[dst] = epoch
-                parent[dst] = edge_index
-                # Prune BEFORE the target check: a target has dist == 0,
-                # so this also rejects targets deeper than the bound.  A
-                # bounded search therefore returns a target only along a
-                # genuine path of length <= bound, never a wrong-parent
-                # detour.
-                if child_depth + dist[dst] > bound:
-                    pruned += 1
-                    continue
-                if untraversed_out[dst]:
-                    self._explore_pruned += pruned
-                    return self._reconstruct(dst, state)
-                depth[dst] = child_depth
-                queue[tail] = dst
-                tail += 1
-        self._explore_pruned += pruned
-        return None
-
-    def _reconstruct(self, target: int, start: int) -> List[int]:
+        out_dst = self._out_dst
+        out_edge = self._out_edge
         path: List[int] = []
-        node = target
-        parent = self._parent
-        edge_src = self._edge_src
-        while node != start:
-            index = parent[node]
-            path.append(index)
-            node = edge_src[index]
-        path.reverse()
-        return path
+        rejected = 0
+        node = state
+        height = dist[state]
+        while height:
+            height -= 1
+            start = indptr[node]
+            end = indptr[node + 1]
+            pos = start
+            while pos < end and dist[out_dst[pos]] != height:
+                pos += 1
+            rejected += pos - start
+            if pos == end:
+                self._explore_pruned += rejected
+                return None
+            path.append(out_edge[pos])
+            node = out_dst[pos]
+        self._explore_pruned += rejected
+        return path if self._untraversed_out[node] else None
+
+    def _sweep(self, state: int) -> Optional[List[int]]:
+        """The reference BFS on the CSR arrays, unpruned: the first state
+        discovered with an untraversed out-arc, and its parent chain."""
+        indptr = self._indptr
+        out_dst = self._out_dst
+        out_edge = self._out_edge
+        untraversed_out = self._untraversed_out
+        parent = {state: -1}
+        queue = deque([state])
+        while queue:
+            current = queue.popleft()
+            for pos in range(indptr[current], indptr[current + 1]):
+                dst = out_dst[pos]
+                if dst in parent:
+                    continue
+                parent[dst] = out_edge[pos]
+                if untraversed_out[dst]:
+                    path: List[int] = []
+                    while dst != state:
+                        path.append(parent[dst])
+                        dst = self._edge_src[parent[dst]]
+                    path.reverse()
+                    return path
+                queue.append(dst)
+        return None

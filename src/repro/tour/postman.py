@@ -15,11 +15,12 @@ quantify the overhead of the greedy Fig. 3.3 generator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.enumeration.graph import StateGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class PostmanError(Exception):
@@ -27,6 +28,8 @@ class PostmanError(Exception):
 
 
 def _to_multidigraph(graph: StateGraph) -> nx.MultiDiGraph:
+    import networkx as nx
+
     g = nx.MultiDiGraph()
     g.add_nodes_from(range(graph.num_states))
     for index, edge in enumerate(graph.edges()):
@@ -37,6 +40,8 @@ def _to_multidigraph(graph: StateGraph) -> nx.MultiDiGraph:
 def is_eulerian(graph: StateGraph) -> bool:
     """True when every vertex has in-degree == out-degree and the graph is
     connected on its non-isolated vertices (a closed Euler tour exists)."""
+    import networkx as nx
+
     g = _to_multidigraph(graph)
     active = [n for n in g.nodes if g.in_degree(n) + g.out_degree(n) > 0]
     if not active:
@@ -49,6 +54,8 @@ def euler_tour(graph: StateGraph, start: int = StateGraph.RESET) -> List[int]:
     """Closed Euler tour as a list of edge indices, traversing each arc
     exactly once.  Raises :class:`PostmanError` if the graph is not Eulerian.
     """
+    import networkx as nx
+
     g = _to_multidigraph(graph)
     active = [n for n in g.nodes if g.in_degree(n) + g.out_degree(n) > 0]
     sub = g.subgraph(active).copy()
@@ -86,6 +93,8 @@ def _balancing_duplications(graph: StateGraph) -> Tuple[Dict[Tuple[int, int], in
     extra traversals assigned along the shortest path between them, plus
     the total number of duplicated traversals.
     """
+    import networkx as nx
+
     g = _to_multidigraph(graph)
     active = [n for n in g.nodes if g.in_degree(n) + g.out_degree(n) > 0]
     if not active:
@@ -130,6 +139,8 @@ def chinese_postman_tour(graph: StateGraph, start: int = StateGraph.RESET) -> Li
     Duplicated traversals reuse an arbitrary parallel arc between the same
     endpoints (any is equivalent for coverage purposes).
     """
+    import networkx as nx
+
     duplications, _ = _balancing_duplications(graph)
     g = _to_multidigraph(graph)
     # Add duplicate arcs carrying the same original edge index.

@@ -1,10 +1,15 @@
 """Tests for Fig. 3.3 tour generation, coverage, and the postman baseline."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.enumeration import StateGraph, enumerate_states
 from repro.smurphi import BoolType, ChoicePoint, RangeType, StateVar, SyncModel
+import repro
 from repro.tour import (
     PostmanError,
     TourGenerator,
@@ -223,3 +228,17 @@ class TestPostman:
         optimum = postman_lower_bound(graph)
         tours = TourGenerator(graph).generate()
         assert tours.stats.total_edge_traversals >= optimum
+
+    def test_networkx_loaded_lazily(self):
+        # Only the postman baseline and graph profiling use networkx; the
+        # pipeline, the CLI and the tour package must not import it.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro.core, repro.cli, repro.tour; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr

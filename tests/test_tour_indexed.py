@@ -6,7 +6,9 @@ same components, same edge order, same instruction counts -- on any
 reset-reachable graph, with and without instruction limits.  Everything
 else (CSR layout, the distance index and its upkeep) is internal machinery
 that only exists to get there faster -- but the index must also stay
-*exact*: equal to a from-scratch reverse BFS after every retired target.
+*exact*: equal to a from-scratch reverse BFS after every retired target,
+and every explore's descent along it must be the path the unpruned BFS
+returns.
 """
 
 from collections import deque
@@ -98,12 +100,15 @@ def tour_dump(tour_set):
     return [(t.edge_indices, t.instructions) for t in tour_set]
 
 
-def assert_identical(graph, limit=None, instruction_cost=None):
+def assert_identical(
+    graph, limit=None, instruction_cost=None,
+    generator_cls=IndexedTourGenerator, metrics=None,
+):
     kwargs = {"max_instructions_per_trace": limit}
     if instruction_cost is not None:
         kwargs["instruction_cost"] = instruction_cost
     reference = TourGenerator(graph, **kwargs).generate()
-    indexed = IndexedTourGenerator(graph, **kwargs).generate()
+    indexed = generator_cls(graph, **kwargs).generate(obs=Observer(metrics=metrics))
     assert tour_dump(indexed) == tour_dump(reference)
     return indexed
 
@@ -282,6 +287,91 @@ class TestExactField:
         assert len(calls) == graph.num_edges
         assert sum(len(t) for t in tours) > graph.num_edges
         assert all(t.instructions == 2 * len(t) for t in tours)
+
+
+class DescentCheckedGenerator(IndexedTourGenerator):
+    """Asserts that every descent path equals the unpruned reference
+    sweep's path from the same state."""
+
+    def _descend(self, state):
+        path = super()._descend(state)
+        assert path is not None, f"descent missed from {state}"
+        assert path == self._sweep(state), f"descent from {state} left the BFS path"
+        return path
+
+
+class MissingDescentGenerator(IndexedTourGenerator):
+    """A descent that always misses, so every explore takes the sweep."""
+
+    def _descend(self, state):
+        return None
+
+
+def assert_descents_exact(graph, **kwargs):
+    """Every explore of a run descends to the reference BFS's path."""
+    metrics = MetricsRegistry()
+    assert_identical(
+        graph, generator_cls=DescentCheckedGenerator, metrics=metrics, **kwargs
+    )
+    assert metrics.counter_value("tour.explore_fallbacks") == 0
+    return metrics
+
+
+def assert_misses_take_the_sweep(graph, **kwargs):
+    """A descent that always misses still yields the reference tours."""
+    metrics = MetricsRegistry()
+    assert_identical(
+        graph, generator_cls=MissingDescentGenerator, metrics=metrics, **kwargs
+    )
+    fallbacks = metrics.counter_value("tour.explore_fallbacks")
+    assert fallbacks == metrics.counter_value("tour.explore_splices") > 0
+
+
+class TestDescent:
+    """Every explore's descent is the path the unpruned BFS would return,
+    and a descent that misses is answered by that BFS."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 30), st.data())
+    def test_random_reachable_graphs(self, n, data):
+        assert_descents_exact(random_reachable_graph(n, data))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(3, 20), st.integers(1, 12), st.data())
+    def test_random_graphs_with_limits(self, n, limit, data):
+        assert_descents_exact(random_reachable_graph(n, data), limit=limit)
+
+    def test_pp_graph_with_pipeline_cost(self):
+        control = PPControlModel(PPModelConfig(fill_words=1))
+        graph, _ = enumerate_states(control.build())
+        cost = pp_instruction_cost(control, graph)
+        for limit in (None, 300):
+            metrics = assert_descents_exact(graph, limit=limit, instruction_cost=cost)
+            assert metrics.counter_value("tour.explore_splices") > 0
+
+    def test_pruned_counts_rejected_arcs(self):
+        # From 0 the first arc leads to 1, which has no route to the
+        # remaining target 3; the descent rejects it and takes 0 -> 2.
+        graph = build_graph([(0, 1), (0, 2), (1, 1), (2, 3), (3, 0), (3, 3)], 4)
+        gen = IndexedTourGenerator(graph)
+        gen.generate()
+        gen._untraversed_out = [0, 0, 0, 1]
+        gen._build_index()
+        gen._explore_pruned = 0
+        assert gen._descend(0) == [1, 3]
+        assert gen._explore_pruned == 1
+
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_forced_miss_takes_the_sweep(self, limit):
+        # Stuck at 0 after 0 -> 1 -> 0: the explore splices back to 1.
+        graph = build_graph([(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)], 3)
+        assert_misses_take_the_sweep(graph, limit=limit)
+
+    def test_forced_miss_on_pp_graph(self):
+        control = PPControlModel(PPModelConfig(fill_words=1))
+        graph, _ = enumerate_states(control.build())
+        cost = pp_instruction_cost(control, graph)
+        assert_misses_take_the_sweep(graph, limit=300, instruction_cost=cost)
 
 
 class TestObservability:
