@@ -156,6 +156,27 @@ class TestValidate:
         assert main(["validate", "--bug", "99"]) == 2
 
 
+class TestCampaign:
+    def test_campaign_finds_every_bug_and_reports(self, tmp_path, capsys):
+        from repro.obs import validate_run_report
+
+        path = tmp_path / "campaign.json"
+        assert main(["campaign", "--fill-words", "1", "--limit", "300",
+                     "--metrics-out", str(path)]) == 0
+        assert "generated vectors found 6/6" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert validate_run_report(payload) == []
+        assert payload["command"] == "campaign"
+        assert [row["bug_id"] for row in payload["campaign"]] == [
+            1, 2, 3, 4, 5, 6]
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Run report -- repro campaign" in out
+        assert "Campaign (Table 2.1)" in out
+        assert "bug #1   directed=missed (27 instr), generated=FOUND" in out
+        assert "State Enumeration Statistics" in out
+
+
 class TestMisc:
     def test_errata(self, capsys):
         assert main(["errata"]) == 0
