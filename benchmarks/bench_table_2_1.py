@@ -34,7 +34,9 @@ def _evaluate_all(campaign, random_budget):
 
 
 def test_table_2_1(campaign, benchmark):
-    random_budget = min(20_000, campaign.traces.total_instructions)
+    random_budget = min(
+        20_000, campaign.pipeline.artifacts.traces.total_instructions
+    )
     results = benchmark.pedantic(
         _evaluate_all, args=(campaign, random_budget), rounds=1, iterations=1
     )
@@ -64,4 +66,4 @@ def test_clean_design_no_false_positives(campaign, benchmark):
         kwargs={"stop_on_detection": False}, rounds=1, iterations=1,
     )
     assert not outcome.detected
-    assert outcome.traces_run == campaign.traces.num_traces
+    assert outcome.traces_run == campaign.pipeline.artifacts.traces.num_traces

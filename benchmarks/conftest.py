@@ -7,6 +7,7 @@ session and shared across benchmarks.
 
 import pytest
 
+from repro.core import ValidationPipeline
 from repro.harness.campaign import ValidationCampaign
 from repro.pp.fsm_model import PPModelConfig
 
@@ -15,8 +16,8 @@ from repro.pp.fsm_model import PPModelConfig
 def campaign():
     """The standard campaign: fill_words=2 control model, Fig. 3.3 tours
     with a 400-instruction trace limit, seed 7."""
-    return ValidationCampaign(
+    return ValidationCampaign(ValidationPipeline(
         model_config=PPModelConfig(fill_words=2),
         seed=7,
         max_instructions_per_trace=400,
-    )
+    ))

@@ -16,6 +16,7 @@ import sys
 
 from repro.bugs import BUGS
 from repro.bugs.scenarios import bug_scenarios
+from repro.core import ValidationPipeline
 from repro.harness.campaign import ValidationCampaign
 from repro.pp.fsm_model import PPModelConfig
 from repro.pp.rtl.core import CoreConfig
@@ -28,15 +29,18 @@ def main() -> None:
     print(f"  requires: {bug.trigger}\n")
 
     print("building the methodology pipeline (enumerate, tour, vectors)...")
-    campaign = ValidationCampaign(
+    pipeline = ValidationPipeline(
         model_config=PPModelConfig(fill_words=2),
         seed=7,
         max_instructions_per_trace=400,
     )
-    print(f"  {campaign.enum_stats.num_states:,} control states, "
-          f"{campaign.enum_stats.num_edges:,} arcs, "
-          f"{campaign.traces.num_traces} traces, "
-          f"{campaign.traces.total_instructions:,} instructions\n")
+    artifacts = pipeline.build()
+    print(f"  {artifacts.enumeration.num_states:,} control states, "
+          f"{artifacts.enumeration.num_edges:,} arcs, "
+          f"{artifacts.traces.num_traces} traces, "
+          f"{artifacts.traces.total_instructions:,} instructions\n")
+
+    campaign = ValidationCampaign(pipeline)
 
     config = CoreConfig(mem_latency=0).with_bugs(bug_id)
     for method in ("generated", "random", "directed"):

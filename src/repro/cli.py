@@ -516,12 +516,11 @@ def cmd_tours(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def _build_pipeline(args, observer: Optional[Observer]):
+    """The :class:`ValidationPipeline` that ``validate`` and ``campaign``
+    run, configured from their shared flags and built (steps 1-3)."""
     from repro.core import ValidationPipeline
-    from repro.pp.rtl.core import CoreConfig
 
-    observer = _make_observer(args)
-    obs = resolve(observer)
     _checkpoint_config(args)  # validates --resume/--checkpoint-dir pairing
     pipeline = ValidationPipeline(
         model_config=_model_config(args),
@@ -536,10 +535,25 @@ def cmd_validate(args) -> int:
         budget=_budget(args),
         incremental=args.incremental,
     )
+    pipeline.build(resume=args.resume)
+    _print_cache_status(pipeline)
+    _print_resilience_status(pipeline.artifacts.enumeration)
+    return pipeline
+
+
+def _run_config(args) -> dict:
+    """The run-report ``config`` section ``validate`` and ``campaign`` share."""
+    return {**_model_config_dict(args),
+            "limit": args.limit, "seed": args.seed, "jobs": args.jobs}
+
+
+def cmd_validate(args) -> int:
+    from repro.pp.rtl.core import CoreConfig
+
+    observer = _make_observer(args)
+    obs = resolve(observer)
     with obs.span("cli.validate"):
-        pipeline.build(resume=args.resume)
-        _print_cache_status(pipeline)
-        _print_resilience_status(pipeline.artifacts.enumeration)
+        pipeline = _build_pipeline(args, observer)
         config = CoreConfig(mem_latency=0)
         if args.bug:
             for bug_id in args.bug:
@@ -555,15 +569,8 @@ def cmd_validate(args) -> int:
     run_report = None
     if observer is not None:
         run_report = RunReport.from_validation(
-            report,
-            observer=observer,
-            artifacts=pipeline.artifacts,
-            command="validate",
-            config={**_model_config_dict(args),
-                    "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs,
-                    "bugs": args.bug or []},
-            cache=pipeline.cache_info,
+            report, pipeline,
+            config={**_run_config(args), "bugs": args.bug or []},
         )
     _finish_observer(args, observer, run_report)
     if pipeline.artifacts.enumeration.truncated:
@@ -576,43 +583,20 @@ def cmd_campaign(args) -> int:
 
     observer = _make_observer(args)
     obs = resolve(observer)
-    _checkpoint_config(args)  # validates --resume/--checkpoint-dir pairing
     with obs.span("cli.campaign"):
         with obs.span("campaign.build"):
-            campaign = ValidationCampaign(
-                model_config=_model_config(args),
-                seed=args.seed,
-                max_instructions_per_trace=args.limit or None,
-                jobs=_jobs(args),
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
-                observer=observer,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                budget=_budget(args),
-                resume=args.resume,
-                incremental=args.incremental,
-            )
-        _print_cache_status(campaign.pipeline)
-        _print_resilience_status(campaign.enum_stats)
-        results = campaign.evaluate_all_bugs()
+            pipeline = _build_pipeline(args, observer)
+        results = ValidationCampaign(pipeline).evaluate_all_bugs()
     print(format_campaign_table(results))
     found = sum(r.outcomes["generated"].detected for r in results)
     print(f"\ngenerated vectors found {found}/{len(results)} injected bugs")
     run_report = None
     if observer is not None:
         run_report = RunReport.from_campaign(
-            results,
-            observer=observer,
-            pipeline=campaign.pipeline,
-            command="campaign",
-            config={**_model_config_dict(args),
-                    "limit": args.limit, "seed": args.seed,
-                    "jobs": args.jobs},
-            cache=campaign.pipeline.cache_info,
+            results, pipeline, config=_run_config(args)
         )
     _finish_observer(args, observer, run_report)
-    if campaign.enum_stats.truncated:
+    if pipeline.artifacts.enumeration.truncated:
         return EXIT_BUDGET_TRUNCATED
     return EXIT_OK if found == len(results) else EXIT_VALIDATION_FAILED
 

@@ -205,25 +205,6 @@ class ValidationPipeline:
             ),
         }
 
-    @property
-    def resilience_info(self) -> Dict[str, Any]:
-        """Resilience outcome of the last build, for run reports."""
-        if self._artifacts is None:
-            return {}
-        stats = self._artifacts.enumeration
-        return {
-            "truncated": stats.truncated,
-            "budget_outcome": stats.budget_outcome,
-            "frontier_remaining": stats.frontier_remaining,
-            "explored_fraction": stats.explored_fraction,
-            "resumed": stats.resumed,
-            "checkpoints_written": stats.checkpoints_written,
-            "shards_retried": stats.shards_retried,
-            "pool_respawns": stats.pool_respawns,
-            "degraded": stats.degraded,
-            "checkpoint_dir": self.checkpoint_dir,
-        }
-
     def worker_pool(self) -> Optional[WorkerPool]:
         """The pipeline-wide persistent :class:`WorkerPool` (lazily built).
 
@@ -296,15 +277,10 @@ class ValidationPipeline:
         if traces_entry is None:
             return None
         graph = graph_entry["graph"]
-        tours = TourSet(
-            graph,
-            [Tour(list(e), n) for e, n in tours_entry["tours"]],
-            tours_entry["generation_seconds"],
-        )
         return PipelineArtifacts(
             graph=graph,
             enumeration=graph_entry["stats"],
-            tours=tours,
+            tours=self._tours_from_entry(tours_entry, graph),
             traces=unpack_trace_set(traces_entry["traces"]),
         )
 
@@ -485,11 +461,7 @@ class ValidationPipeline:
         if tours is None and read_ok:
             entry = cache.load(keys["tours"])
             if entry is not None:
-                tours = TourSet(
-                    graph,
-                    [Tour(list(e), n) for e, n in entry["tours"]],
-                    entry["generation_seconds"],
-                )
+                tours = self._tours_from_entry(entry, graph)
                 self._record_phase("tours", True, obs)
                 # Warm the memo from the tours sidecar: the key chain
                 # guarantees the entries were computed for exactly this
@@ -579,6 +551,16 @@ class ValidationPipeline:
             manifest=self._phase_manifest("splice"),
         )
         obs.inc("cache.stores")
+
+    @staticmethod
+    def _tours_from_entry(entry: Dict[str, Any], graph: StateGraph) -> TourSet:
+        """The :class:`TourSet` a tours entry written by :meth:`_store_tours`
+        holds, over ``graph``."""
+        return TourSet(
+            graph,
+            [Tour(list(e), n) for e, n in entry["tours"]],
+            entry["generation_seconds"],
+        )
 
     def _incremental_prepare(
         self,
@@ -797,11 +779,7 @@ class ValidationPipeline:
         if tours_entry is None:
             report.adopted_phases = tuple(adopted)
             return prepared
-        tours = TourSet(
-            graph,
-            [Tour(list(e), n) for e, n in tours_entry["tours"]],
-            tours_entry["generation_seconds"],
-        )
+        tours = self._tours_from_entry(tours_entry, graph)
         # Store under *our* keys -- but export our own memo, not the
         # candidate's sidecar: its dirty-state rows reflect the old model.
         self._store_tours(cache, keys, tours, memo, graph, obs)

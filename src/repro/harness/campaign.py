@@ -1,24 +1,27 @@
 """Full validation campaigns: generated vs random vs directed (Table 2.1).
 
-A :class:`ValidationCampaign` builds the whole methodology pipeline once
-(control model -> state graph -> transition tours -> vector traces) and
-then evaluates any injected-bug configuration under the three strategies,
+A :class:`ValidationCampaign` evaluates any injected-bug configuration
+under the three strategies over one
+:class:`~repro.core.pipeline.ValidationPipeline` the caller built
+(control model -> state graph -> transition tours -> vector traces),
 reporting which method finds which bug and at what simulation cost.
+The generated strategy is ``pipeline.validate``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.bugs.catalog import BUGS
-from repro.harness.compare import ComparisonResult, run_vector_traces
+from repro.harness.compare import ComparisonResult
 from repro.harness.directed import directed_tests
 from repro.harness.random_testing import random_campaign
-from repro.obs.observer import Observer, resolve
-from repro.pp.fsm_model import PPModelConfig
 from repro.pp.rtl.core import CoreConfig
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import ValidationPipeline
 
 logger = logging.getLogger("repro.harness")
 
@@ -50,81 +53,25 @@ class CampaignResult:
 
 
 class ValidationCampaign:
-    """Builds the methodology pipeline once; evaluates designs repeatedly.
+    """Evaluates designs under the three strategies over one built pipeline.
 
     Parameters
     ----------
-    model_config:
-        Control-model scaling (fill words, pipeline depth).
-    seed:
-        Seed for the biased-random vector fill.
-    max_instructions_per_trace:
-        The Fig. 3.3 per-trace limit.
-    jobs:
-        Worker processes, forwarded to the pipeline, whose one worker pool
-        serves enumeration, vector generation and trace simulation (``1``
-        keeps everything in-process, ``None`` uses every CPU).
-    cache_dir / use_cache:
-        Persistent artifact cache settings, forwarded to
-        :class:`~repro.core.pipeline.ValidationPipeline`.
-    observer:
-        Observability sink (:class:`repro.obs.Observer`), forwarded to the
-        pipeline and wrapped around every bug x method evaluation.
-    checkpoint_dir / checkpoint_every / budget / resume:
-        Resilience settings forwarded to the pipeline build: enumeration
-        checkpoints, resource budgets, and continuing an interrupted
-        enumeration.  A budget-truncated build still runs the campaign --
-        over the partial trace set -- and ``enum_stats.truncated`` flags
+    pipeline:
+        A :class:`~repro.core.pipeline.ValidationPipeline` that owns every
+        option of the run (model scaling, trace limit, seed, worker pool,
+        cache, observer, resilience settings).  Call ``pipeline.build()``
+        first to pass build-time arguments (``resume``, ``faults``);
+        otherwise the first strategy builds it with the defaults.  A
+        budget-truncated build still runs the campaign -- over the partial
+        trace set -- and ``pipeline.artifacts.enumeration.truncated`` flags
         that the bug-detection numbers cover only the explored fraction.
+        The pipeline's observer wraps every bug x method evaluation.
     """
 
-    def __init__(
-        self,
-        model_config: Optional[PPModelConfig] = None,
-        seed: int = 0,
-        max_instructions_per_trace: Optional[int] = 400,
-        jobs: Optional[int] = 1,
-        cache_dir: Optional[str] = None,
-        use_cache: bool = True,
-        observer: Optional[Observer] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 1,
-        budget=None,
-        resume: bool = False,
-        incremental: bool = True,
-    ):
-        from repro.core.pipeline import ValidationPipeline
-
-        self.model_config = model_config or PPModelConfig(fill_words=2)
-        self.seed = seed
-        self.obs = resolve(observer)
-        self.pipeline = ValidationPipeline(
-            model_config=self.model_config,
-            max_instructions_per_trace=max_instructions_per_trace,
-            seed=seed,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            observer=observer,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            budget=budget,
-            incremental=incremental,
-        )
-        artifacts = self.pipeline.build(resume=resume)
-        if artifacts.enumeration.truncated:
-            logger.warning(
-                "campaign running over a budget-truncated build "
-                "(%s exhausted; %.1f%% of discovered states expanded)",
-                artifacts.enumeration.budget_outcome,
-                100 * artifacts.enumeration.explored_fraction,
-            )
-        self.control = self.pipeline.control
-        self.model = self.control.build()
-        self.graph = artifacts.graph
-        self.enum_stats = artifacts.enumeration
-        self.tours = artifacts.tours
-        self.traces = artifacts.traces
+    def __init__(self, pipeline: ValidationPipeline):
+        self.pipeline = pipeline
+        self.obs = pipeline.obs
 
     # -- strategies ----------------------------------------------------------------
 
@@ -133,29 +80,21 @@ class ValidationCampaign:
     ) -> MethodOutcome:
         """Replay every generated trace; detect on first divergence.
 
-        Trace simulations fan across the pipeline's worker pool (when its
-        ``jobs`` exceeds one) with the sequential stop-on-detection
-        semantics preserved.
+        Runs :meth:`~repro.core.pipeline.ValidationPipeline.validate`, so
+        trace simulations fan across the pipeline's worker pool with the
+        sequential stop-on-detection semantics preserved.
         """
-        results, diverging = run_vector_traces(
-            self.traces, config=config,
-            stop_on_divergence=stop_on_detection,
-            obs=self.obs,
-            pool=self.pipeline.worker_pool(),
-        )
-        traces = list(self.traces)
-        instructions = sum(t.num_instructions for t in traces[: len(results)])
-        detecting = diverging[0] if diverging else None
-        first: Optional[ComparisonResult] = (
-            results[detecting] if detecting is not None else None
-        )
+        report = self.pipeline.validate(config, stop_on_detection)
+        detecting = report.diverging_traces[0] if report.diverging_traces else None
         return MethodOutcome(
             method="generated",
-            detected=bool(diverging),
-            traces_run=len(results),
-            instructions_run=instructions,
+            detected=not report.clean,
+            traces_run=report.traces_run,
+            instructions_run=sum(r.instructions for r in report.results),
             detecting_trace=detecting,
-            first_divergence=first,
+            first_divergence=(
+                report.results[detecting] if detecting is not None else None
+            ),
         )
 
     def run_random(
@@ -166,10 +105,11 @@ class ValidationCampaign:
     ) -> MethodOutcome:
         """Random testing with the same instruction budget as generated."""
         if instruction_budget is None:
-            instruction_budget = self.traces.total_instructions
+            instruction_budget = self.pipeline.artifacts.traces.total_instructions
         num_traces = max(1, instruction_budget // trace_length)
         outcome = random_campaign(
-            config, num_traces=num_traces, trace_length=trace_length, seed=self.seed
+            config, num_traces=num_traces, trace_length=trace_length,
+            seed=self.pipeline.seed,
         )
         return MethodOutcome(
             method="random",

@@ -72,12 +72,13 @@ class RunReport:
     def from_validation(
         cls,
         validation,  # repro.core.report.ValidationReport
-        observer: Optional[Observer] = None,
-        artifacts=None,  # repro.core.pipeline.PipelineArtifacts
-        command: str = "validate",
+        pipeline,  # repro.core.pipeline.ValidationPipeline
         config: Optional[Dict[str, Any]] = None,
-        cache: Optional[Dict[str, Any]] = None,
     ) -> "RunReport":
+        """The ``validate`` document: ``validation`` plus what ``pipeline``
+        built and observed (phases, metrics, coverage curve, cache)."""
+        from repro.tour.coverage import coverage_curve
+
         comparison = {
             "traces_run": validation.traces_run,
             "total_traces": validation.total_traces,
@@ -97,41 +98,28 @@ class RunReport:
                 for index in validation.diverging_traces
             ],
         }
-        curve: List[Dict[str, Any]] = []
-        if artifacts is not None:
-            from repro.tour.coverage import coverage_curve
-
-            curve = [
-                dataclasses.asdict(point)
-                for point in coverage_curve(
-                    artifacts.graph, artifacts.tours
-                )
-            ]
-        enumeration = dataclasses.asdict(validation.enumeration)
-        return cls(
-            command=command,
-            config=dict(config or {}),
-            enumeration=enumeration,
+        artifacts = pipeline.artifacts
+        curve = [
+            dataclasses.asdict(point)
+            for point in coverage_curve(artifacts.graph, artifacts.tours)
+        ]
+        return cls._from_pipeline(
+            "validate", pipeline, config,
+            enumeration=dataclasses.asdict(validation.enumeration),
             tour_stats=dataclasses.asdict(validation.tour_stats),
             comparison=comparison,
-            cache=dict(cache or {"enabled": False, "hit": validation.from_cache}),
-            phases=_phase_rows(observer),
             coverage_curve=curve,
-            metrics=observer.metrics.snapshot() if observer is not None else {},
-            resilience=_derive_resilience(enumeration),
-            perf=observer.perf_summary() if observer is not None else {},
         )
 
     @classmethod
     def from_campaign(
         cls,
         results,  # Sequence[repro.harness.campaign.CampaignResult]
-        observer: Optional[Observer] = None,
-        pipeline=None,  # repro.core.pipeline.ValidationPipeline
-        command: str = "campaign",
+        pipeline,  # repro.core.pipeline.ValidationPipeline
         config: Optional[Dict[str, Any]] = None,
-        cache: Optional[Dict[str, Any]] = None,
     ) -> "RunReport":
+        """The ``campaign`` document: Table 2.1 ``results`` plus what
+        ``pipeline`` built and observed."""
         campaign = [
             {
                 "bug_id": result.bug_id,
@@ -147,21 +135,32 @@ class RunReport:
             }
             for result in results
         ]
-        enumeration = tour_stats = None
-        if pipeline is not None:
-            enumeration = dataclasses.asdict(pipeline.artifacts.enumeration)
-            tour_stats = dataclasses.asdict(pipeline.artifacts.tours.stats)
+        artifacts = pipeline.artifacts
+        return cls._from_pipeline(
+            "campaign", pipeline, config,
+            enumeration=dataclasses.asdict(artifacts.enumeration),
+            tour_stats=dataclasses.asdict(artifacts.tours.stats),
+            campaign=campaign,
+        )
+
+    @classmethod
+    def _from_pipeline(
+        cls, command: str, pipeline, config: Optional[Dict[str, Any]],
+        **fields: Any,
+    ) -> "RunReport":
+        """The sections every pipeline run shares: cache provenance,
+        resilience, and -- when the pipeline has a real observer -- its
+        phases, metrics and perf summary."""
+        observer = pipeline.obs if pipeline.obs.enabled else None
         return cls(
             command=command,
             config=dict(config or {}),
-            enumeration=enumeration,
-            tour_stats=tour_stats,
-            campaign=campaign,
-            cache=dict(cache or {}),
+            cache=pipeline.cache_info,
             phases=_phase_rows(observer),
             metrics=observer.metrics.snapshot() if observer is not None else {},
-            resilience=_derive_resilience(enumeration),
+            resilience=_derive_resilience(fields["enumeration"]),
             perf=observer.perf_summary() if observer is not None else {},
+            **fields,
         )
 
     # -- (de)serialization -----------------------------------------------------

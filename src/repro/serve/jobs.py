@@ -417,11 +417,12 @@ def _run_enumerate(model_config, params, paths, budget, faults, resume,
     }
 
 
-def _run_validate(model_config, params, paths, cache_dir, budget, faults,
-                  resume, observer) -> Dict[str, Any]:
+def _build_pipeline(model_config, params, paths, cache_dir, budget, faults,
+                    resume, observer):
+    """The built :class:`ValidationPipeline` a validate or campaign job
+    runs; only validate jobs name ``edits`` or switch ``incremental``."""
     from repro.core.pipeline import ValidationPipeline
     from repro.incremental.edits import resolve_edits
-    from repro.pp.rtl.core import CoreConfig
 
     pipeline = ValidationPipeline(
         model_config=model_config,
@@ -432,10 +433,19 @@ def _run_validate(model_config, params, paths, cache_dir, budget, faults,
         observer=observer,
         checkpoint_dir=str(paths.checkpoints),
         budget=budget,
-        edits=resolve_edits(params["edits"]),
-        incremental=params["incremental"],
+        edits=resolve_edits(params.get("edits", [])),
+        incremental=params.get("incremental", True),
     )
     pipeline.build(resume=resume, faults=faults)
+    return pipeline
+
+
+def _run_validate(model_config, params, paths, cache_dir, budget, faults,
+                  resume, observer) -> Dict[str, Any]:
+    from repro.pp.rtl.core import CoreConfig
+
+    pipeline = _build_pipeline(model_config, params, paths, cache_dir,
+                               budget, faults, resume, observer)
     config = CoreConfig(mem_latency=0)
     if params["bugs"]:
         config = config.with_bugs(*params["bugs"])
@@ -459,25 +469,16 @@ def _run_campaign(model_config, params, paths, cache_dir, budget, faults,
                   resume, observer) -> Dict[str, Any]:
     from repro.harness.campaign import ValidationCampaign
 
-    campaign = ValidationCampaign(
-        model_config=model_config,
-        seed=params["seed"],
-        max_instructions_per_trace=params["limit"] or None,
-        jobs=1,
-        cache_dir=cache_dir,
-        observer=observer,
-        checkpoint_dir=str(paths.checkpoints),
-        budget=budget,
-        resume=resume,
-    )
-    results = campaign.evaluate_all_bugs()
+    pipeline = _build_pipeline(model_config, params, paths, cache_dir,
+                               budget, faults, resume, observer)
+    results = ValidationCampaign(pipeline).evaluate_all_bugs()
     found = sum(r.outcomes["generated"].detected for r in results)
-    atomic_write_text(paths.graph, campaign.pipeline.artifacts.graph.to_json())
+    atomic_write_text(paths.graph, pipeline.artifacts.graph.to_json())
     return {
         "bugs_evaluated": len(results),
         "bugs_detected_by_generated": found,
-        "truncated": campaign.enum_stats.truncated,
-        "cache": campaign.pipeline.cache_info,
+        "truncated": pipeline.artifacts.enumeration.truncated,
+        "cache": pipeline.cache_info,
         "graph_path": str(paths.graph),
         "table": [
             {

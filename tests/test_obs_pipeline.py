@@ -233,10 +233,7 @@ class TestPipelineObserver:
         # depth-1 children (pipeline.build / pipeline.validate) exist.
         with observer.span("cli.validate"):
             validation = pipeline.validate()
-        report = RunReport.from_validation(
-            validation, observer, artifacts=pipeline.artifacts,
-            cache=pipeline.cache_info,
-        )
+        report = RunReport.from_validation(validation, pipeline)
         assert validation.clean
         assert report.phase_coverage() >= 0.95
         names = {p["name"] for p in report.phases}
@@ -255,3 +252,30 @@ class TestPipelineObserver:
         assert observer.metrics.total("tour.explore_fallbacks") == 0
         assert observer.metrics.total("tour.index_resettled") > 0
         assert "distance index:    1 build(s)" in rendered
+
+    def test_unobserved_pipeline_reports_without_observer_sections(self):
+        """A pipeline built without an observer still yields a report:
+        the run's sections, but no phases, metrics or perf summary."""
+        from repro.core.pipeline import ValidationPipeline
+        from repro.harness.campaign import ValidationCampaign
+
+        pipeline = ValidationPipeline(
+            model_config=PPModelConfig(fill_words=1),
+            max_instructions_per_trace=300,
+        )
+        validation = pipeline.validate()
+        results = [ValidationCampaign(pipeline).evaluate_bug(
+            3, methods=("generated",))]
+        reports = [
+            RunReport.from_validation(validation, pipeline),
+            RunReport.from_campaign(results, pipeline),
+        ]
+        for report in reports:
+            assert (report.phases, report.metrics, report.perf) == ([], {}, {})
+            assert report.cache == pipeline.cache_info
+            assert report.cache["enabled"] is False
+            assert report.resilience["truncated"] is False
+        assert [r.command for r in reports] == ["validate", "campaign"]
+        assert reports[0].coverage_curve[-1]["coverage_fraction"] == 1.0
+        outcome = reports[1].campaign[0]["outcomes"]["generated"]
+        assert outcome["detected"] and outcome["instructions_run"] == 601

@@ -241,24 +241,25 @@ class TestCampaignPoolRouting:
         """Campaign comparison must go through the pipeline's persistent
         pool -- the one pool every phase shares -- rather than a pool of
         its own."""
-        from repro.harness import campaign as campaign_mod
+        from repro.core import pipeline as pipeline_mod
+        from repro.harness.campaign import ValidationCampaign
         from repro.pp.fsm_model import PPModelConfig
         from repro.pp.rtl import CoreConfig
 
-        campaign = campaign_mod.ValidationCampaign(
+        campaign = ValidationCampaign(pipeline_mod.ValidationPipeline(
             model_config=PPModelConfig(fill_words=1),
             max_instructions_per_trace=300,
             jobs=2,
-        )
+        ))
         try:
             seen = {}
-            real = campaign_mod.run_vector_traces
+            real = pipeline_mod.run_vector_traces
 
             def spy(traces, **kwargs):
                 seen["pool"] = kwargs.get("pool")
                 return real(traces, **kwargs)
 
-            monkeypatch.setattr(campaign_mod, "run_vector_traces", spy)
+            monkeypatch.setattr(pipeline_mod, "run_vector_traces", spy)
             campaign.run_generated(CoreConfig(mem_latency=0))
             assert seen["pool"] is campaign.pipeline.worker_pool()
             assert seen["pool"] is not None

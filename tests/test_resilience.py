@@ -361,7 +361,7 @@ class TestPipelinePropagation:
         )
         artifacts = pipeline.build()
         assert artifacts.enumeration.truncated
-        assert pipeline.resilience_info["truncated"]
+        assert pipeline.artifacts.enumeration.truncated
         # The partial build must not poison the artifact cache.
         assert not ArtifactCache(cache_dir).has(pipeline.cache_key)
 
@@ -372,9 +372,7 @@ class TestPipelinePropagation:
             budget=Budget(max_states=300), observer=observer,
         )
         report = pipeline.validate()
-        run_report = RunReport.from_validation(
-            report, observer=observer, artifacts=pipeline.artifacts,
-        )
+        run_report = RunReport.from_validation(report, pipeline)
         assert run_report.resilience["truncated"]
         assert run_report.resilience["budget_outcome"] == "max_states"
         assert 0.0 < run_report.resilience["explored_fraction"] < 1.0
@@ -391,7 +389,7 @@ class TestPipelinePropagation:
             checkpoint_dir=str(ckpt_dir), budget=Budget(max_states=300),
         )
         truncated.build()
-        assert truncated.resilience_info["checkpoints_written"] > 0
+        assert truncated.artifacts.enumeration.checkpoints_written > 0
 
         resumed = ValidationPipeline(
             model_config=SMALL, max_instructions_per_trace=300,

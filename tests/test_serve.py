@@ -120,6 +120,24 @@ class TestJobSpec:
         assert 5.5 < job.wall_remaining() < 6.5
 
 
+class TestChaosPlanReachesBuild:
+    @pytest.mark.parametrize("kind", ["validate", "campaign"])
+    def test_sigint_plan_interrupts_job(self, tmp_path, kind):
+        """Every pipeline-building kind hands its ``chaos`` plan to the
+        build: a SIGINT after wave 1 interrupts the job, it does not run
+        to completion."""
+        from repro.serve.jobs import JobPaths, execute_job
+
+        job = Job.from_submission({
+            "kind": kind,
+            "params": {"limit": 300, "chaos": {"sigint_after_wave": 1}},
+        })
+        paths = JobPaths.for_job(tmp_path, job.id)
+        with pytest.raises(KeyboardInterrupt):
+            execute_job(job.to_dict(), paths, None, None, False)
+        assert paths.load_result() is None
+
+
 # ---------------------------------------------------------------------------
 # Unit: journal replay
 # ---------------------------------------------------------------------------
