@@ -14,16 +14,28 @@ A *kernel* owns exactly that computation:
   masks, and validate-on-first-sight plus sampled re-validation instead
   of per-transition re-validation.  It keeps no successor memo: one
   enumeration expands each state once, and the graph holds every
-  arc.  On the PP control model this was a >3x end-to-end enumeration
-  speedup when it landed; the benchmark's ``enumerate`` workload times
-  it now.  When the model carries a generated ``expand`` (translated
-  models do), the compiled kernel runs it instead of one ``next_state``
-  call and one ``pack`` per transition.
+  arc.  When the model carries a generated ``expand`` (translated
+  models do), the compiled kernel runs it; otherwise it runs
+  ``next_state`` once per distinct choice read-path (below).
 
 The two kernels produce **bit-identical** expansions -- same successor
 keys, same condition tuples, same order -- so state graphs, checkpoints
 and obs counters are interchangeable between them; the golden and
 property tests in ``tests/test_kernel.py`` lock this down.
+
+Read-set elision
+----------------
+Most rows of a choice table are don't-cares: the transition never reads
+the choice that varies between them.  The dict path hands
+``next_state`` the lowest unfilled row through a read-logging view
+(:class:`_ReadLog`).  ``next_state`` is a deterministic function of the
+state and the choice values it reads, so every row that agrees with
+that row on each ``(name, value)`` read follows the same path and gets
+the same successor; one AND of the table's row masks
+(:meth:`ChoiceTables.row_masks`) finds them all.  A read the view cannot
+pin to one name (iteration, ``keys()``, ``len``, ``in``, ``dict(c)``,
+``env.update(c)``, ...) counts as reading every choice, so that row
+fills only itself.  ``enum.kernel.next_state_calls`` counts the calls.
 
 Soundness of reduced validation
 -------------------------------
@@ -35,24 +47,31 @@ a missing variable or out-of-domain value raises ``KeyError``, which the
 kernel converts into the exact interpreted-path :class:`ModelError` by
 re-running the validated step.  The only check that is genuinely
 relaxed is the *undeclared extra variable* class (packing simply never
-reads such keys); it is caught deterministically on the first state each
-run expands (validate-on-first-sight) and probabilistically thereafter
-(full re-validation every ``sample_every`` transitions).  ``strict=True``
-restores exhaustive per-transition validation for tests and debugging.
+reads such keys).  ``strict=True`` restores exhaustive per-transition
+validation for tests and debugging, and never elides.
 
-A generated ``expand`` is held to the dict path the same way: a run's
-first state is compared in full with ``pack(model.step(...))``, every
-``sample_every``-th transition after it is re-run through ``model.step``,
-and a mismatch raises :class:`ModelError`.  If ``expand`` raises, the
-state is expanded again through the dict path, which raises the error a
-model without ``expand`` would.  ``strict=True`` never calls it.
+Fast rows are held to ``step()``
+--------------------------------
+Both fast paths -- the elided dict path and a generated ``expand`` --
+are checked the same way (:meth:`CompiledKernel._check_row`): a run's
+first state is compared in full with ``pack(model.step(...))`` of every
+row, every ``sample_every``-th transition after it is re-run through
+``model.step``, and a mismatch raises :class:`ModelError`.  That catches
+an extra variable deterministically when it is systematic and by sample
+otherwise, and it catches, on the rows it checks, a ``next_state``
+whose result depends on anything besides the state and the choice
+values it reads (a hidden counter, say).  If ``expand`` raises,
+the state is expanded again through the dict path, which raises the
+error a model without ``expand`` would.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 import weakref
-from typing import Dict, Iterator, Tuple, Union
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Tuple, Union
 
 from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
 from repro.smurphi.model import ModelError, SyncModel
@@ -101,11 +120,87 @@ class InterpretedKernel:
         return {}
 
 
+class _ReadLog:
+    """A read-only view of one choice row that logs what ``next_state``
+    reads from it.
+
+    ``view[name]`` and ``view.get(name)`` append ``(name, value)`` to
+    ``reads``.  A ``get`` of a name the row lacks logs nothing: every row
+    of one table has the same names, so all of them give the default.
+    Every other read -- iteration, ``keys``/``items``/``values``, ``len``,
+    ``in``, ``copy``, ``dict(view)``, ``==``, ``|``, ``env.update(view)``
+    or any other dict method -- sets ``whole``: the transition then
+    counts as having read every choice.
+    """
+
+    __slots__ = ("_choice", "reads", "whole")
+    __hash__ = None
+
+    def __init__(self, choice: Dict[str, object]):
+        self._choice = choice
+        self.reads: List[Tuple[str, object]] = []
+        self.whole = False
+
+    def __getitem__(self, name):
+        value = self._choice[name]
+        self.reads.append((name, value))
+        return value
+
+    def get(self, name, default=None):
+        choice = self._choice
+        if name not in choice:
+            return default
+        value = choice[name]
+        self.reads.append((name, value))
+        return value
+
+    def _everything(self) -> Dict[str, object]:
+        self.whole = True
+        return self._choice
+
+    def __getattr__(self, attr):
+        return getattr(self._everything(), attr)
+
+    def __iter__(self):
+        return iter(self._everything())
+
+    def __reversed__(self):
+        return reversed(self._everything())
+
+    def __len__(self) -> int:
+        return len(self._everything())
+
+    def __contains__(self, name) -> bool:
+        return name in self._everything()
+
+    def __eq__(self, other) -> bool:
+        return self._everything() == other
+
+    def __or__(self, other):
+        return self._everything() | other
+
+    def __ror__(self, other):
+        return other | self._everything()
+
+    def __copy__(self) -> Dict[str, object]:
+        return dict(self._everything())
+
+    def __deepcopy__(self, memo) -> Dict[str, object]:
+        return copy.deepcopy(self._everything(), memo)
+
+    def __repr__(self) -> str:
+        return repr(self._everything())
+
+
+Mapping.register(_ReadLog)
+
+
 class CompiledKernel:
     """Specialized expansion: precomputed choice tables, closure codec,
-    reduced validation, and the model's generated ``expand`` when it has
-    one.  Build via :func:`compile_model` (which caches kernels per model
-    so campaigns and ablations share one set of choice tables)."""
+    read-set elision, reduced validation, and the model's generated
+    ``expand`` when it has one.  Build via :func:`compile_model` (which
+    caches kernels per model so campaigns and ablations share one set of
+    choice tables)."""
 
     kind = "compiled"
 
@@ -124,6 +219,7 @@ class CompiledKernel:
         self._next_state = model._next_state
         self._generated = None if self.strict else model.generated_expand
         self.expansions = 0
+        self.next_state_calls = 0
         self.sampled_validations = 0
         self._validation_tick = 0
         self._first_sight_done = False
@@ -165,49 +261,46 @@ class CompiledKernel:
         ``tables.table(signature)``, which is what lets pool workers
         ship one integer instead of pickled per-transition conditions.
         """
-        result = None
-        if self._generated is not None:
-            try:
-                result = self._generated(key, self.tables.select)
-            except Exception:
-                pass  # the dict path below raises the model's own error
-            else:
-                self._check_generated(key, result)
-        if result is None:
-            result = self._expand_dict(key)
+        if self.strict:
+            result = self._exhaustive(key)
+        else:
+            result = None
+            if self._generated is not None:
+                try:
+                    result = self._generated(key, self.tables.select)
+                except Exception:
+                    pass  # the dict path below raises the model's own error
+                source = "generated expand"
+            if result is None:
+                result = self._expand_dict(key)
+                source = "elided expansion"
+            self._check_row(key, result, source)
         self.expansions += 1
         return result
 
     def _expand_dict(self, key: int) -> Tuple[int, Tuple[Transition, ...]]:
-        """Expand ``key`` through ``next_state`` and the codec."""
+        """Expand ``key`` through ``next_state`` and the codec, calling
+        ``next_state`` once per distinct choice read-path.
+
+        ``next_state`` reads the lowest unfilled row through a
+        :class:`_ReadLog`; every row that agrees with it on each value
+        read takes the same successor.  A whole-mapping read fills only
+        the row itself.
+        """
         codec = self.codec
         state = codec.unpack(key)
         mask, table = self.tables.select(state)
-        pack = codec.pack
-        if self.strict or not self._first_sight_done:
-            # Exhaustive validation: the run's first state (any
-            # systematic next_state bug shows up immediately), and every
-            # state in strict mode.
-            step = self.model.step
-            row = tuple(
-                (condition, pack(step(state, dict(choice))))
-                for choice, condition in table
-            )
-            self.sampled_validations += len(table)
-            self._first_sight_done = True
-            return mask, row
-        next_state = self._next_state
-        tick = self._validation_tick
-        cadence = self.sample_every
-        out = []
-        for choice, condition in table:
-            tick += 1
-            if tick >= cadence:
-                tick = 0
-                nxt = self.model.step(state, dict(choice))
-                self.sampled_validations += 1
-            else:
-                nxt = next_state(state, choice)
+        row_masks = self.tables.row_masks(mask)
+        next_state, pack = self._next_state, codec.pack
+        out: List[Transition] = [None] * len(table)  # type: ignore[list-item]
+        unfilled = (1 << len(table)) - 1
+        calls = 0
+        while unfilled:
+            index = (unfilled & -unfilled).bit_length() - 1
+            choice = table[index][0]
+            view = _ReadLog(choice)
+            nxt = next_state(state, view)
+            calls += 1
             try:
                 packed = pack(nxt)
             except KeyError:
@@ -216,44 +309,72 @@ class CompiledKernel:
                 # interpreted path would have produced.
                 self.model.step(state, dict(choice))
                 raise  # step validated clean yet pack failed: mutation
-            out.append((condition, packed))
-        self._validation_tick = tick
+            if view.whole:
+                rows = 1 << index
+            else:
+                rows = unfilled
+                for name, value in view.reads:
+                    rows &= row_masks[name][value]
+            unfilled ^= rows
+            while rows:
+                low = rows & -rows
+                filled = low.bit_length() - 1
+                out[filled] = (table[filled][1], packed)
+                rows ^= low
+        self.next_state_calls += calls
         return mask, tuple(out)
 
-    def _check_generated(
-        self, key: int, result: Tuple[int, Tuple[Transition, ...]]
+    def _exhaustive(self, key: int) -> Tuple[int, Tuple[Transition, ...]]:
+        """Expand ``key`` with every transition through the validated
+        ``model.step``."""
+        state = self.codec.unpack(key)
+        mask, table = self.tables.select(state)
+        step, pack = self.model.step, self.codec.pack
+        row = tuple(
+            (condition, pack(step(state, dict(choice))))
+            for choice, condition in table
+        )
+        self.sampled_validations += len(table)
+        return mask, row
+
+    def _check_row(
+        self, key: int, result: Tuple[int, Tuple[Transition, ...]], source: str
     ) -> None:
-        """Hold the generated ``expand`` to ``next_state``: in full on the
-        run's first state, then every ``sample_every``-th transition,
-        on the same cadence the dict path re-validates."""
+        """Hold a fast-path expansion to ``model.step``: in full on the
+        run's first state, then every ``sample_every``-th transition."""
         if not self._first_sight_done:
-            if result != self._expand_dict(key):
-                self._disagree(key)
+            if result != self._exhaustive(key):
+                self._disagree(key, source)
+            self._first_sight_done = True
             return
         row = result[1]
-        tick = self._validation_tick + len(row)
+        before = self._validation_tick
+        tick = before + len(row)
         cadence = self.sample_every
         if tick >= cadence:
             state = self.codec.unpack(key)
             table = self.tables.select(state)[1]
             step, pack = self.model.step, self.codec.pack
-            for index in range(cadence - self._validation_tick - 1, len(row), cadence):
+            for index in range(cadence - before - 1, len(row), cadence):
                 choice, condition = table[index]
                 self.sampled_validations += 1
                 if row[index] != (condition, pack(step(state, dict(choice)))):
-                    self._disagree(key)
+                    self._disagree(key, source)
         self._validation_tick = tick % cadence
 
-    def _disagree(self, key: int) -> None:
+    def _disagree(self, key: int, source: str) -> None:
         raise ModelError(
-            f"generated expand of {self.model.name!r} disagrees with its "
-            f"next_state at state {self.codec.unpack(key)!r}"
+            f"{source} of {self.model.name!r} disagrees with its "
+            f"next_state at state {self.codec.unpack(key)!r} (next_state "
+            f"must be a deterministic function of the state and the "
+            f"choice values it reads)"
         )
 
     def counters(self) -> Dict[str, int]:
         """Monotonic counters for delta-flushing into an observer."""
         return {
             "expansions": self.expansions,
+            "next_state_calls": self.next_state_calls,
             "sampled_validations": self.sampled_validations,
         }
 

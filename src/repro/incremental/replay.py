@@ -55,6 +55,7 @@ def incremental_enumerate(
     """
     obs = resolve(obs)
     kern = resolve_kernel(model)
+    kern.start_run()
     started = time.perf_counter()
     graph = reset_graph(model, kern, check_invariants=True)
     old_id_of = old_graph.state_id_of_key

@@ -216,6 +216,9 @@ class RunReport:
         if self.enumeration:
             sections.append("")
             sections.append(EnumerationStats(**self.enumeration).format_table())
+            kernel = _render_kernel(self.enumeration, self.metrics)
+            if kernel:
+                sections.append(kernel)
         if self.tour_stats:
             sections.append("")
             sections.append(_render_tours(self.tour_stats, self.metrics))
@@ -330,12 +333,33 @@ def _render_resilience(resilience: Mapping[str, Any]) -> str:
 
 
 def _counters(metrics: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Unlabelled view of a metrics snapshot's counters, by name."""
-    return {
-        row["name"]: row["value"]
-        for row in (metrics or {}).get("counters", [])
-        if isinstance(row, Mapping)
-    }
+    """A metrics snapshot's counters by name, summed over their labels
+    (pool workers label theirs)."""
+    totals: Dict[str, Any] = {}
+    for row in (metrics or {}).get("counters", []):
+        if isinstance(row, Mapping):
+            totals[row["name"]] = totals.get(row["name"], 0) + row["value"]
+    return totals
+
+
+def _render_kernel(enumeration: Mapping[str, Any],
+                   metrics: Optional[Mapping[str, Any]]) -> Optional[str]:
+    """The compiled kernel's work for the run, when it expanded states."""
+    counters = _counters(metrics)
+    if "enum.kernel.expansions" not in counters:
+        return None
+    transitions = int(enumeration.get("transitions_explored", 0))
+    calls = int(counters.get("enum.kernel.next_state_calls", 0))
+    elided = 1.0 - calls / transitions if transitions else 0.0
+    generated = any(
+        row.get("name") == "enum.kernel.generated" and row.get("value")
+        for row in (metrics or {}).get("gauges", [])
+    )
+    return (f"  kernel: {transitions:,} transitions, {calls:,} next_state "
+            f"calls ({elided:.1%} elided), "
+            f"{int(counters.get('enum.kernel.sampled_validations', 0)):,} "
+            f"checked against step(), generated expand: "
+            f"{'yes' if generated else 'no'}")
 
 
 def _render_pool(metrics: Mapping[str, Any]) -> Optional[str]:

@@ -27,7 +27,8 @@ trace: :class:`BranchVectorGenerator` only emits a placeholder
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, List, Optional, Tuple
 
 from repro.pp.fsm_model import PIPE_CLASSES, PPControlModel, PPModelConfig
 from repro.pp.isa import Instruction, Opcode
@@ -36,6 +37,24 @@ from repro.vectors.generator import TestVectorTrace, VectorGenerator
 
 BR_PIPE_CLASSES = PIPE_CLASSES + ("BR",)
 BR_FETCH_CLASSES = ("ALU", "LD", "SD", "SWITCH", "SEND", "BR")
+
+
+class _FetchAsALU(Mapping):
+    """A choice whose ``fetch_class`` reads as ALU, without copying it: a
+    copy reads every choice, which defeats the compiled kernel's
+    read-set elision."""
+
+    def __init__(self, choice: Mapping):
+        self._choice = choice
+
+    def __getitem__(self, name):
+        return "ALU" if name == "fetch_class" else self._choice[name]
+
+    def __iter__(self):
+        return iter(self._choice)
+
+    def __len__(self) -> int:
+        return len(self._choice)
 
 
 class BranchPPControlModel(PPControlModel):
@@ -75,9 +94,7 @@ class BranchPPControlModel(PPControlModel):
             k: ("ALU" if v == "BR" else v) if isinstance(v, str) else v
             for k, v in state.items()
         }
-        collapsed_choice = dict(c)
-        if c["fetch_class"] == "BR":
-            collapsed_choice["fetch_class"] = "ALU"
+        collapsed_choice = _FetchAsALU(c) if c["fetch_class"] == "BR" else c
         ns, events = super()._step(collapsed_state, collapsed_choice)
         if c["fetch_class"] == "BR":
             # The base step reported the collapsed class; restore BR so the

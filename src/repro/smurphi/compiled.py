@@ -18,7 +18,11 @@ everything that depends only on the *declaration* once:
   or so for the PP model against hundreds of thousands of states.  Each
   signature's full table of ``(choice_dict, condition_tuple)`` pairs is
   built once, in exactly the order :meth:`SyncModel.enumerate_choices`
-  yields, then reused for every state sharing the signature.
+  yields, then reused for every state sharing the signature.  Next to
+  each table it keeps that table's *row masks*: for every choice name
+  and value, the bitmask of the rows that assign that value, so a
+  caller can find in one AND every row that agrees with a given one on
+  the choices a transition read.
 
 The shared choice dicts lean on the documented :class:`SyncModel`
 contract that ``next_state`` must not mutate its arguments; a mutating
@@ -106,6 +110,7 @@ class ChoiceTables:
         )
         self._tables: Dict[Tuple[bool, ...], Tuple[Tuple[Dict, Tuple], ...]] = {}
         self._selected: Dict[Tuple[bool, ...], Tuple[int, Tuple]] = {}
+        self._row_masks: Dict[int, Dict[str, Dict[object, int]]] = {}
 
     def select(self, state: Mapping) -> Tuple[int, Tuple[Tuple[Dict, Tuple], ...]]:
         """``(mask, table)`` for ``state``: its guard signature as a
@@ -121,6 +126,22 @@ class ChoiceTables:
                     mask |= 1 << i
             selected = self._selected[sig] = (mask, self.table(sig))
         return selected
+
+    def row_masks(self, mask: int) -> Dict[str, Dict[object, int]]:
+        """``{name: {value: rows}}`` for the table :meth:`select` returned
+        with guard mask ``mask``: bit ``i`` of ``rows`` is set when row
+        ``i`` of that table assigns ``value`` to choice ``name``.  Built
+        once per signature, on first request."""
+        masks = self._row_masks.get(mask)
+        if masks is None:
+            sig = tuple(bool(mask >> i & 1) for i in range(len(self.guards)))
+            masks = {name: {} for name in self.choice_names}
+            for index, (choice, _) in enumerate(self.table(sig)):
+                for name, value in choice.items():
+                    by_value = masks[name]
+                    by_value[value] = by_value.get(value, 0) | 1 << index
+            self._row_masks[mask] = masks
+        return masks
 
     @property
     def num_tables(self) -> int:

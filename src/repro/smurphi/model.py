@@ -93,7 +93,11 @@ class SyncModel:
     next_state:
         Pure function ``(state, choice) -> state`` computing the values the
         clock will latch.  It must return a complete assignment to every
-        state variable and must not mutate its arguments.
+        state variable, must not mutate its arguments, and must depend on
+        nothing but the state and the choice values it reads: the
+        compiled kernel hands it the choice as a read-only mapping and
+        reuses one result for every choice combination that agrees on
+        those values.
     invariants:
         Optional named predicates over states, checked during enumeration
         (a Murphi feature; handy for catching modeling errors early).

@@ -266,6 +266,7 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "Run report -- repro validate" in out
         assert "State Enumeration Statistics" in out
+        assert "kernel: 52,844 transitions, 13,209 next_state calls" in out
         assert "Per-phase timing" in out
 
     def test_report_curve_csv_export(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from repro.core import ValidationPipeline
 from repro.core import cache as cache_mod
 from repro.core import pipeline as pipeline_mod
-from repro.enumeration import enumerate_states
+from repro.enumeration import compile_model, enumerate_states
 from repro.incremental.diff import LOCALIZED, NO_OP, STRUCTURAL, diff_models
 from repro.incremental.edits import (
     EDIT_CATALOG,
@@ -281,6 +281,32 @@ class TestReplayAccounting:
             for w, n, r, e in expected
         ]
         assert graph.to_json() == enumerate_states(model)[0].to_json()
+
+    def test_replay_validates_its_first_expanded_state_in_full(self):
+        """A replay is a run of its own: even on a model whose kernel
+        has already enumerated, the first state it expands is checked
+        against ``step()`` in full, and no other is."""
+        base = pp_control_model(SMALL)
+        old_graph, _ = enumerate_states(base.build())
+        edits = resolve_edits(["send-clears-stpend"])
+        model = EditedPPControl(base, edits).build()
+        enumerate_states(model)
+        kern = compile_model(model)
+        expanded, checked_in_full = [], []
+
+        def expand_masked(key, _expand_masked=kern.expand_masked):
+            expanded.append(key)
+            return _expand_masked(key)
+
+        def exhaustive(key, _exhaustive=kern._exhaustive):
+            checked_in_full.append(key)
+            return _exhaustive(key)
+
+        kern.expand_masked, kern._exhaustive = expand_masked, exhaustive
+        dirty = dirty_flags(model, old_graph, [e.scope for e in edits])
+        _, _, counts = incremental_enumerate(model, old_graph, dirty)
+        assert len(expanded) == counts["expanded"] > 1
+        assert checked_in_full == expanded[:1]
 
     def test_all_conditions_replay_matches_cold(self):
         base = pp_control_model(SMALL)

@@ -11,6 +11,7 @@ skip and prove the escape hatches (``strict=True``, pack-failure
 fallback) restore the interpreted diagnostics.
 """
 
+import copy
 import gc
 import json
 import os
@@ -24,6 +25,7 @@ from repro.enumeration import (
     KERNEL_MODES,
     CompiledKernel,
     InterpretedKernel,
+    WorkerPool,
     compile_model,
     enumerate_states,
     enumerate_states_parallel,
@@ -42,6 +44,7 @@ from repro.smurphi import (
     StateVar,
     SyncModel,
 )
+from repro.smurphi.state import StateCodec
 
 SMALL = PPModelConfig(fill_words=1)
 
@@ -175,6 +178,244 @@ class TestRandomModelBitIdentity:
             model, record_all_conditions=record_all, kernel="compiled"
         )
         assert compiled.to_json() == interpreted.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Read-set elision: models whose next_state reads choices selectively
+# ---------------------------------------------------------------------------
+
+
+#: One full choice row of :func:`selective_model`, for the ``==`` read.
+SELECTIVE_ROW = {"c0": False, "c1": False, "c2": False, "c3": "e0"}
+
+#: Each whole-mapping read the elision must treat as reading every
+#: choice, as a function of the choice that next_state folds into its
+#: result.
+WHOLE_READS = {
+    "iteration": lambda c: tuple(name for name in c),
+    "keys": lambda c: tuple(c.keys()),
+    "items": lambda c: tuple(sorted(c.items())),
+    "values": lambda c: tuple(map(repr, c.values())),
+    "len": lambda c: len(c),
+    "in": lambda c: "c0" in c,
+    "copy": lambda c: tuple(sorted(c.copy().items())),
+    "copy.copy": lambda c: tuple(sorted(copy.copy(c).items())),
+    "copy.deepcopy": lambda c: tuple(sorted(copy.deepcopy(c).items())),
+    "dict": lambda c: tuple(sorted(dict(c).items())),
+    "eq": lambda c: c == SELECTIVE_ROW,
+    "or": lambda c: tuple(sorted((c | {}).items())),
+    "update": lambda c: tuple(sorted(_updated(c).items())),
+}
+
+
+def _updated(choice):
+    env = {}
+    env.update(choice)
+    return env
+
+
+def selective_model(seed: int, whole_read=None) -> SyncModel:
+    """``random_model(seed)``'s state variables, the choices of
+    :data:`SELECTIVE_ROW` (``c2`` guarded), and a ``next_state`` that
+    walks a state-dependent path of choice reads.
+
+    Each step reads one choice through ``c[name]`` or ``c.get(name,
+    default)`` (sometimes a name twice, sometimes a name the model does
+    not declare), and which name it reads next depends on the values read
+    so far; the successor hashes the state and that read path.  With
+    ``whole_read`` (a :data:`WHOLE_READS` key) every third state instead
+    folds that one whole-mapping read into its successor.
+    """
+    state_vars = random_model(seed).state_vars
+    watched = random.Random(seed).choice(state_vars)
+    guard_value = watched.type.values()[0]
+    choices = [
+        ChoicePoint("c0", BoolType()),
+        ChoicePoint("c1", BoolType()),
+        ChoicePoint("c2", BoolType(),
+                    guard=lambda s: s[watched.name] == guard_value),
+        ChoicePoint("c3", EnumType("sel", ["e0", "e1", "e2"])),
+    ]
+    names = [c.name for c in choices] + ["undeclared"]
+    domains = {v.name: v.type.values() for v in state_vars}
+    whole = WHOLE_READS[whole_read] if whole_read else None
+
+    def next_state(state, choice):
+        here = tuple(sorted(state.items()))
+        path = []
+        if whole is not None and _stable_hash(here) % 3 == 0:
+            path.append(("whole", whole(choice)))
+            steps = 0
+        else:
+            steps = 4
+        for step in range(steps):
+            pick = _stable_hash(here, tuple(path), step)
+            if pick % 5 == 0:
+                break
+            name = names[pick // 5 % len(names)]
+            if pick % 2:
+                path.append((name, choice.get(name, "absent")))
+            elif name != "undeclared":
+                path.append((name, choice[name]))
+        return {
+            name: values[_stable_hash(name, here, tuple(path)) % len(values)]
+            for name, values in domains.items()
+        }
+
+    return SyncModel(f"selective{seed}", state_vars, choices, next_state)
+
+
+def _assert_kernels_agree(model: SyncModel, jobs=(1,)) -> int:
+    """Compiled == interpreted: the graph at each of ``jobs`` and every
+    expansion row.  Returns the compiled kernel's ``next_state`` calls,
+    which must not depend on ``jobs``."""
+    interpreted, _ = enumerate_states(model, kernel="interpreted")
+    calls = set()
+    for count in jobs:
+        obs = Observer()
+        compiled, _ = enumerate_states(model, jobs=count, obs=obs)
+        assert compiled.to_json() == interpreted.to_json()
+        calls.add(obs.metrics.total("enum.kernel.next_state_calls"))
+    interp, comp = InterpretedKernel(model), compile_model(model)
+    comp.start_run()
+    for key in map(interpreted.state_key, range(interpreted.num_states)):
+        assert tuple(interp.expand(key)) == comp.expand(key)
+    (total,) = calls
+    return total
+
+
+class TestReadSetElision:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_selective_reads_match_interpreted(self, seed):
+        model = selective_model(seed)
+        calls = _assert_kernels_agree(model)
+        graph, stats = enumerate_states(model, kernel="interpreted")
+        assert 0 < calls <= stats.transitions_explored
+
+    def test_selective_reads_elide(self):
+        """The family really exercises elision: across the seeds, far
+        fewer next_state calls than transitions."""
+        calls = transitions = 0
+        for seed in range(16):
+            obs = Observer()
+            _, stats = enumerate_states(selective_model(seed), obs=obs)
+            calls += obs.metrics.total("enum.kernel.next_state_calls")
+            transitions += stats.transitions_explored
+        assert calls < transitions / 2
+
+    @pytest.mark.parametrize("whole_read", sorted(WHOLE_READS))
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_whole_mapping_reads_match_interpreted(self, whole_read, seed):
+        _assert_kernels_agree(selective_model(seed, whole_read))
+
+    @pytest.mark.parametrize("whole_read", sorted(WHOLE_READS))
+    def test_whole_mapping_read_fills_only_its_row(self, whole_read):
+        """A row whose next_state read the whole choice shares its
+        successor with no other row: one call per row."""
+        model = SyncModel(
+            "whole",
+            state_vars=[StateVar("q", BoolType(), False)],
+            choices=[ChoicePoint("c0", BoolType()), ChoicePoint("c1", BoolType())],
+            next_state=lambda s, c, _read=WHOLE_READS[whole_read]: (
+                _read(c), {"q": not s["q"]})[1],
+        )
+        kern = compile_model(model)
+        kern.start_run()
+        kern.expand(kern.reset_key())
+        assert kern.next_state_calls == 4
+
+    @pytest.mark.parametrize("sample_every, silent_calls", [(1024, 0), (1, 3)])
+    def test_hidden_state_raises_model_error(self, sample_every, silent_calls):
+        """A next_state that reads a hidden counter instead of its choice
+        is no function of its reads: the first-sight check refuses it,
+        or, when the counter starts to matter only after the first state
+        (one elided call and two checked rows), the sampled check."""
+        calls = [0]
+
+        def next_state(s, c):
+            calls[0] += 1
+            flip = calls[0] > silent_calls and calls[0] % 2 == 1
+            return {"q": flip, "n": (s["n"] + 1) % 4}
+
+        kern = CompiledKernel(_model_with_bug(next_state),
+                              sample_every=sample_every)
+        with pytest.raises(ModelError, match="disagrees with its next_state"):
+            enumerate_states(kern.model, kernel=kern)
+
+    def test_strict_never_elides(self):
+        model = selective_model(4)
+        strict = CompiledKernel(model, strict=True)
+        graph, stats = enumerate_states(model, kernel=strict)
+        assert strict.next_state_calls == 0
+        assert strict.sampled_validations == stats.transitions_explored
+        assert graph.to_json() == enumerate_states(
+            model, kernel="interpreted")[0].to_json()
+
+
+class _PathRecorder(dict):
+    """The test's own log of the choice values a PP step reads."""
+
+    def __init__(self, choice, path):
+        super().__init__(choice)
+        self.path = path
+
+    def __getitem__(self, name):
+        value = super().__getitem__(name)
+        self.path.append((name, value))
+        return value
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
+
+
+def _distinct_read_paths(model, graph) -> int:
+    """Distinct (state, read path) pairs over every state of ``graph``."""
+    codec, total = StateCodec(model.state_vars), 0
+    for key in map(graph.state_key, range(graph.num_states)):
+        state = codec.unpack(key)
+        paths = set()
+        for choice in model.enumerate_choices(state):
+            path = []
+            model._next_state(state, _PathRecorder(choice, path))
+            paths.add(tuple(path))
+        total += len(paths)
+    return total
+
+
+class TestPPElision:
+    def test_branch_model_matches_interpreted(self):
+        """The branch model's step reads ``c["fetch_class"]`` twice on
+        one path and hands the base step a BR-as-ALU view of the choice;
+        jobs=2 expands its large waves on workers."""
+        model = build_pp_control_model(PPModelConfig(fill_words=1,
+                                                     model_branches=True))
+        calls = _assert_kernels_agree(model, jobs=(1, 2))
+        assert calls < enumerate_states(model)[1].transitions_explored / 2
+
+    def test_next_state_calls_are_distinct_read_paths(self):
+        """One next_state call per distinct (state, read path), counted
+        by an independent recorder; the first state's full check runs
+        through step() and is not counted.  Workers on a pool report the
+        same total."""
+        model = small_model()
+        obs = Observer()
+        graph, stats = enumerate_states(model, obs=obs)
+        calls = obs.metrics.total("enum.kernel.next_state_calls")
+        assert stats.transitions_explored == 52844
+        assert calls == _distinct_read_paths(model, graph) == 13209
+        pool, pooled = WorkerPool(2), Observer()
+        try:
+            parallel, _ = enumerate_states(small_model(), jobs=2, pool=pool,
+                                           obs=pooled)
+        finally:
+            pool.shutdown()
+        assert parallel.to_json() == graph.to_json()
+        assert pooled.metrics.total("enum.kernel.next_state_calls") == calls
+        workers = {
+            row["labels"].get("worker") for row in pooled.metrics.snapshot()["counters"]
+            if row["name"] == "enum.kernel.next_state_calls"
+        }
+        assert workers - {None}, "no wave reached a worker"
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,27 @@ class TestWorkerMetricsMerge:
         assert seq == par
         assert seq["count"] == sequential.metrics.total("enum.waves")
 
+    def test_kernel_line_sums_worker_counters(self, pp_model):
+        """The report's kernel line totals the workers' labelled kernel
+        counters: jobs=1 and jobs=4 report the same work.  (Sampled
+        checks follow each worker's own tick, so only their presence is
+        compared.)"""
+        import dataclasses
+
+        for jobs in (1, 4):
+            observer = Observer()
+            _, stats = enumerate_states(pp_model, jobs=jobs, obs=observer)
+            report = RunReport.from_observer(
+                "enumerate", observer, enumeration=dataclasses.asdict(stats)
+            )
+            line, = [line for line in report.render().splitlines()
+                     if line.startswith("  kernel: ")]
+            work, _, checks = line.partition(" elided), ")
+            assert work == ("  kernel: 52,844 transitions, 13,209 "
+                            "next_state calls (75.0%")
+            assert checks.endswith(" checked against step(), "
+                                   "generated expand: no")
+
     def test_jobs1_dispatch_matches_sequential(self, pp_model):
         # enumerate_states_parallel(jobs=1) takes the sequential path but
         # must still produce the same metrics under the same names.
@@ -252,6 +273,9 @@ class TestPipelineObserver:
         assert observer.metrics.total("tour.explore_fallbacks") == 0
         assert observer.metrics.total("tour.index_resettled") > 0
         assert "distance index:    1 build(s)" in rendered
+        # The kernel's work, under the enumeration table.
+        assert ("  kernel: 52,844 transitions, 13,209 next_state calls "
+                "(75.0% elided)") in rendered
 
     def test_unobserved_pipeline_reports_without_observer_sections(self):
         """A pipeline built without an observer still yields a report:
