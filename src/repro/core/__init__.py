@@ -11,15 +11,15 @@
    and report data-value differences.
 """
 
-from repro.core.cache import ArtifactCache, code_version
+from repro.core.cache import ArtifactCache, phase_code_version
 from repro.core.pipeline import ValidationPipeline, PipelineArtifacts
 from repro.core.report import ValidationReport, format_campaign_table
 
 __all__ = [
     "ArtifactCache",
-    "code_version",
     "ValidationPipeline",
     "PipelineArtifacts",
     "ValidationReport",
     "format_campaign_table",
+    "phase_code_version",
 ]

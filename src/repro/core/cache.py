@@ -99,13 +99,13 @@ logger = logging.getLogger("repro.cache")
 #: Bump when the pickled artifact layout changes incompatibly.
 CACHE_SCHEMA_VERSION = 1
 
-_CODE_VERSION: Optional[str] = None
-#: Wall-clock time at which :data:`_CODE_VERSION` was computed.  A
-#: long-lived daemon records this in every manifest it writes, so an
-#: operator can tell "keys computed from startup-time sources" apart from
-#: keys computed after an in-place upgrade (see :func:`code_version`).
-_CODE_VERSION_AT: Optional[float] = None
+#: Per-phase code digests, memoized per process (:func:`phase_code_version`).
 _PHASE_CODE_VERSIONS: Dict[str, str] = {}
+#: Wall-clock time at which each memoized digest was computed.  Every
+#: manifest records it, so an operator can tell "keys computed from a
+#: long-lived daemon's startup-time sources" apart from keys computed
+#: after an in-place upgrade (see :func:`refresh_phase_code_versions`).
+_PHASE_CODE_COMPUTED_AT: Dict[str, float] = {}
 
 #: Pipeline phases, in dependency order.  Each phase's cache entry is keyed
 #: by its own inputs plus a digest of only the source trees that feed it
@@ -155,24 +155,17 @@ PHASE_EXCLUDED = frozenset(
 )
 
 
-def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
-    """SHA-256 over relative path + contents of ``.py`` files under root.
-
-    ``subdirs`` restricts the walk to the named subtrees, minus
-    :data:`PHASE_EXCLUDED` (a *phase* digest); ``None`` hashes the whole
-    package (the monolithic :func:`code_version`).
-    """
+def _digest_tree(package_root: Path, subdirs: tuple) -> str:
+    """SHA-256 over relative path + contents of the ``.py`` files under
+    the named subtrees of ``package_root``, minus :data:`PHASE_EXCLUDED`."""
     digest = hashlib.sha256()
-    if subdirs is None:
-        sources = sorted(package_root.rglob("*.py"))
-    else:
-        sources = []
-        for sub in subdirs:
-            sources.extend(
-                source for source in (package_root / sub).rglob("*.py")
-                if source.relative_to(package_root).as_posix() not in PHASE_EXCLUDED
-            )
-        sources.sort()
+    sources = []
+    for sub in subdirs:
+        sources.extend(
+            source for source in (package_root / sub).rglob("*.py")
+            if source.relative_to(package_root).as_posix() not in PHASE_EXCLUDED
+        )
+    sources.sort()
     for source in sources:
         digest.update(str(source.relative_to(package_root)).encode())
         digest.update(b"\0")
@@ -183,35 +176,6 @@ def _digest_tree(package_root: Path, subdirs: Optional[tuple] = None) -> str:
 
 def _package_root() -> Path:
     return Path(__file__).resolve().parent.parent
-
-
-def code_version(refresh: bool = False) -> str:
-    """Digest of the ``repro`` package sources (memoized per process).
-
-    Hashing relative path + contents of every ``.py`` file means a cache
-    entry is invalidated by any code change that could alter the artifacts,
-    without trying to reason about which module feeds which stage.
-
-    The memo is computed at first call, which is a staleness hazard for
-    long-lived processes: a ``repro serve`` daemon upgraded in place would
-    keep serving keys computed from its startup-time sources.
-    ``refresh=True`` recomputes the digest (and drops the per-phase memos)
-    -- the daemon calls it on journal replay -- and every manifest records
-    the digest plus the time it was computed (``code_computed_at``) so the
-    provenance of an entry is auditable.
-    """
-    global _CODE_VERSION, _CODE_VERSION_AT
-    if refresh or _CODE_VERSION is None:
-        _CODE_VERSION = _digest_tree(_package_root())
-        _CODE_VERSION_AT = time.time()
-        if refresh:
-            _PHASE_CODE_VERSIONS.clear()
-    return _CODE_VERSION
-
-
-def code_version_info() -> Dict[str, Any]:
-    """The memoized digest plus the wall-clock time it was computed."""
-    return {"code_version": code_version(), "code_computed_at": _CODE_VERSION_AT}
 
 
 def phase_code_version(
@@ -231,7 +195,31 @@ def phase_code_version(
         _PHASE_CODE_VERSIONS[phase] = _digest_tree(
             _package_root(), PHASE_MODULES[phase]
         )
+        _PHASE_CODE_COMPUTED_AT[phase] = time.time()
     return _PHASE_CODE_VERSIONS[phase]
+
+
+def refresh_phase_code_versions() -> None:
+    """Recompute every phase digest from the sources on disk now.
+
+    The memo is a staleness hazard for long-lived processes: a
+    ``repro serve`` daemon upgraded in place would keep serving keys
+    computed from its startup-time sources.  The daemon calls this
+    before replaying its journal.
+    """
+    for phase in PHASES:
+        phase_code_version(phase, refresh=True)
+
+
+def phase_code_info(phase: str) -> Dict[str, Any]:
+    """Manifest provenance for an entry of ``phase``: the code digest its
+    key was computed with (the ``splice`` sidecar keys with the tours
+    digest) and the wall-clock time that digest was computed."""
+    code_phase = "tours" if phase == "splice" else phase
+    return {
+        "code_version": phase_code_version(code_phase),
+        "code_computed_at": _PHASE_CODE_COMPUTED_AT.get(code_phase),
+    }
 
 
 def config_payload(model_config: Any) -> Any:
@@ -582,7 +570,6 @@ class ArtifactCache:
             sha256=hashlib.sha256(blob).hexdigest(),
             size=len(blob),
             stored_at=time.time(),
-            **code_version_info(),
         )
         atomic_write_text(
             self.manifest_path(key),
@@ -599,7 +586,8 @@ class ArtifactCache:
         The incremental layer uses this when a model diff proves two keys
         address byte-identical artifacts (a no-op edit): the pickle bytes
         are copied verbatim -- no load/unpickle/re-pickle round trip -- and
-        a fresh manifest records the provenance (``copied_from``).  Returns
+        a fresh manifest records the provenance (``copied_from``, plus the
+        current code digest of the entry's phase).  Returns
         ``False`` (no copy) when the source entry is absent or fails its
         integrity check.
         """
@@ -619,6 +607,9 @@ class ArtifactCache:
         manifest.pop("sha256", None)
         manifest.pop("stored_at", None)
         manifest["copied_from"] = src_key
+        if "phase" in manifest:
+            # The adopted entry is keyed with today's digest of its phase.
+            manifest.update(phase_code_info(manifest["phase"]))
         attempts = 5
         for attempt in range(attempts):
             try:

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.cache import (
     ArtifactCache,
+    phase_code_info,
     phase_code_version,
     pipeline_phase_keys,
 )
@@ -253,6 +254,7 @@ class ValidationPipeline:
     def _phase_manifest(self, phase: str, **extra: Any) -> Dict[str, Any]:
         manifest = {"phase": phase, "model_config": self.model_config}
         manifest.update(self._build_flags())
+        manifest.update(phase_code_info(phase))
         manifest.update(extra)
         return manifest
 

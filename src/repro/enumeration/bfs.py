@@ -10,23 +10,25 @@ mask implementations with *fewer* behaviours (Fig. 4.2).  The fix the
 paper proposes, recording every unique transition condition, is available
 via ``record_all_conditions=True`` and is benchmarked as an ablation.
 
-One loop, two executors
------------------------
+One loop, one executor
+----------------------
 :func:`bfs_waves` is the only BFS loop: it runs the bookkeeping --
 interning, the ``max_states`` cap, invariant checks, arc dedup -- once
 per wave of the frontier, in (source id, choice order), which is exactly
 the order a FIFO one-state-at-a-time search observes.  Each wave's rows
-come from an *executor*: in-process (``jobs=1``, no ``fork``, kernels
-without a guard mask), streaming ``kern.expand(key)`` one state at a
-time; or packed spans on a worker pool
-(:class:`~repro.enumeration.frontier.SpanExecutor`).  Span results are
-replayed in submission order, so the graph, the cap point and the first
+come from the one executor,
+:class:`~repro.enumeration.frontier.SpanExecutor`, over a worker pool
+(at ``jobs=1`` a private one that never forks).  It streams a wave
+in-process, one ``kern.expand(key)`` at a time, when the pool cannot
+dispatch, the kernel has no guard mask, or the wave is small; otherwise
+it sends packed spans to the workers.  Span results are replayed in
+submission order, so the graph, the cap point and the first
 :class:`InvariantViolation` are identical at every job count.  The
 expansion itself is a *transition kernel* (:mod:`repro.enumeration.kernel`).
 
 Resilience: ``checkpoint=`` snapshots the coordinator state at wave
 boundaries and ``resume=`` continues from a snapshot to a
-**bit-identical** graph, whichever executor wrote or reads it;
+**bit-identical** graph, whatever job count wrote or reads it;
 ``budget=`` truncates at a wave boundary (``stats.truncated=True``)
 instead of raising; ``faults=`` injects deterministic failures for the
 chaos suite.
@@ -34,12 +36,13 @@ chaos suite.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.enumeration.frontier import SpanExecutor, can_dispatch
+from repro.enumeration.frontier import SpanExecutor
 from repro.enumeration.graph import StateGraph
 from repro.enumeration.kernel import (
     Kernel,
@@ -205,9 +208,10 @@ def enumerate_states(
     obs:
         Observability sink (:class:`repro.obs.Observer`); receives per-wave
         frontier sizes plus end-of-run ``enum.*`` counters, identical
-        whatever ``jobs``.  Runs with a worker pool add ``enum.shard.*``
-        (labeled by worker pid), recovery and ``enum.pool.*`` counters.
-        ``None`` is the no-op fast path.
+        whatever ``jobs``, and ``enum.shard.*`` counters labeled by worker
+        pid (one coordinator shard per in-process wave).  Runs with a
+        worker pool add recovery and ``enum.pool.*`` counters.  ``None``
+        is the no-op fast path.
     checkpoint / resume:
         :class:`~repro.resilience.CheckpointConfig` snapshots every
         ``every_waves`` wave boundaries; ``resume`` is ``True`` (newest
@@ -228,8 +232,8 @@ def enumerate_states(
         compare through.  All produce bit-identical graphs.
     jobs / pool / retry:
         Worker processes (``None``: ``pool.jobs`` or every CPU), a shared
-        :class:`~repro.enumeration.pool.WorkerPool` (without one, a run
-        that dispatches owns a private pool), and the
+        :class:`~repro.enumeration.pool.WorkerPool` (without one, the run
+        owns a private pool, which never forks at ``jobs=1``), and the
         :class:`~repro.resilience.RetryPolicy` for worker crashes.
     """
     obs = resolve(obs)
@@ -266,21 +270,12 @@ def enumerate_states(
         waves = 0
         resumed = False
 
-    # The executor: packed spans on a worker pool where that is possible,
-    # otherwise in-process, streaming one state's row at a time.
-    spans: Optional[SpanExecutor] = None
-    if can_dispatch(kern, jobs):
-        spans = SpanExecutor(kern, jobs, obs, ("enumerate", digest, obs.enabled),
-                             pool=pool, retry=retry, faults=faults)
-
-    def rows(ids: List[int], index: int):
-        if spans is not None:
-            return spans.rows(graph, ids, index)
-        return ((src, kern.expand(graph.state_key(src))) for src in ids)
-
+    spans = SpanExecutor(kern, jobs, obs, ("enumerate", digest, obs.enabled),
+                         pool=pool, retry=retry, faults=faults)
     try:
         for waves, done, frontier, transitions in bfs_waves(
-            model, graph, frontier, rows, kern.unpack, seen_arcs,
+            model, graph, frontier, functools.partial(spans.rows, graph),
+            kern.unpack, seen_arcs,
             record_all_conditions=record_all_conditions,
             max_states=max_states,
             needs_check=_always if check_invariants else None,
@@ -319,8 +314,7 @@ def enumerate_states(
             if faults is not None:
                 faults.boundary_hook(waves)
     finally:
-        if spans is not None:
-            spans.close()
+        spans.close()
 
     elapsed = time.perf_counter() - started
     obs.heartbeat("enumerate", wave=waves - 1, frontier=0,
@@ -340,7 +334,7 @@ def enumerate_states(
         model.name, jobs, graph.num_states, graph.num_edges,
         transitions, waves, elapsed,
     )
-    retried, respawns = spans.recovery() if spans is not None else (0, 0)
+    retried, respawns = spans.recovery()
     stats = EnumerationStats(
         model_name=model.name,
         num_states=graph.num_states,
@@ -356,7 +350,7 @@ def enumerate_states(
         checkpoints_written=checkpoints_written,
         shards_retried=retried,
         pool_respawns=respawns,
-        degraded=spans is not None and spans.pool.degraded,
+        degraded=spans.pool.degraded,
     )
     return graph, stats
 

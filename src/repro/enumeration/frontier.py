@@ -1,13 +1,16 @@
-"""The BFS engine's worker-pool executor: packed shared-memory spans.
+"""The BFS engine's executor: in-process rows or packed shared-memory spans.
 
-:class:`SpanExecutor` expands the waves of
-:func:`~repro.enumeration.bfs.enumerate_states` on a
-:class:`~repro.enumeration.pool.WorkerPool`.  State keys are already fixed-width bit-packed integers
-(:class:`~repro.smurphi.state.StateCodec` assigns every declared variable
-a bit-field), so a BFS wave does not need to travel to the workers as a
-pickled Python list of arbitrary-precision ints.  This module packs a
-wave into a flat little-endian ``uint64`` word array inside one
-``multiprocessing.shared_memory`` segment:
+:class:`SpanExecutor` is the one row source of
+:func:`~repro.enumeration.bfs.enumerate_states`.  It always runs over a
+:class:`~repro.enumeration.pool.WorkerPool` -- the caller's, or a private
+``WorkerPool(jobs)`` that never forks at ``jobs=1`` -- and picks, wave by
+wave, whether the coordinator expands the wave itself or the pool's
+workers expand it as packed spans.  State keys are already fixed-width
+bit-packed integers (:class:`~repro.smurphi.state.StateCodec` assigns
+every declared variable a bit-field), so a dispatched wave does not need
+to travel to the workers as a pickled Python list of arbitrary-precision
+ints.  This module packs it into a flat little-endian ``uint64`` word
+array inside one ``multiprocessing.shared_memory`` segment:
 
 - the **coordinator** writes the wave once (:meth:`SharedFrontier.create`)
   and hands workers only ``(segment name, span start, span stop)`` --
@@ -21,8 +24,10 @@ wave into a flat little-endian ``uint64`` word array inside one
 - the coordinator **unlinks** the segment at the wave boundary (and on
   retire/degrade paths), so a wave can never outlive its run.
 
-Waves below :data:`DISPATCH_MIN_STATES` states, and every wave once the
-pool has degraded, are expanded in-process by the coordinator instead.
+A wave is expanded in-process, streamed one state at a time, when the
+pool cannot dispatch (``jobs=1``, no ``fork``, closed or degraded), when
+the kernel has no guard mask (the interpreted kernel, or more than 64
+guards), or when the wave is below :data:`DISPATCH_MIN_STATES` states.
 Span results are replayed in submission order, so the graph is identical
 whatever the job count, dispatch or retry history.
 
@@ -45,7 +50,6 @@ protection we want if the coordinator itself dies.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from array import array
@@ -249,6 +253,11 @@ def _expand_span_packed(
     started = time.perf_counter()
     kern = _WORKER_KERNEL
     assert kern is not None, "packed dispatch requires an inherited kernel"
+    # Every span restarts the kernel's validation schedule (first state in
+    # full, then the sampling cadence from zero): a forked kernel would
+    # otherwise carry its tick across spans, waves and runs, and which
+    # rows get checked would depend on how spans land on workers.
+    kern.start_run()
     fcodec = FrontierCodec(kern.codec.total_bits)
     frontier = SharedFrontier.attach(name, fcodec, total)
     try:
@@ -288,6 +297,14 @@ def _expand_span_packed(
     return masks, succs, registry.snapshot()
 
 
+def _tallied(row: Iterable[Transition], tally: List[int]) -> Iterator[Transition]:
+    """``row`` unchanged, adding each transition to ``tally[0]`` as the
+    consumer reaches it."""
+    for transition in row:
+        tally[0] += 1
+        yield transition
+
+
 def _span_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
     """Adaptive packed-span layout: contiguous ``(start, stop)`` pairs.
 
@@ -299,25 +316,17 @@ def _span_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
     return [(start, min(count, start + size)) for start in range(0, count, size)]
 
 
-def can_dispatch(kern: Kernel, jobs: int) -> bool:
-    """Whether a run may use the :class:`SpanExecutor`: more than one
-    job, ``fork`` (workers inherit the kernel), and a compiled kernel
-    whose guard signature fits one 64-bit mask word."""
-    return (
-        jobs > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and hasattr(kern, "expand_masked")
-        and len(kern.tables.guards) <= 64
-    )
-
-
 class SpanExecutor:
-    """Expands BFS waves on a :class:`WorkerPool` as packed spans.
+    """Expands BFS waves in-process or as packed spans on a
+    :class:`WorkerPool`.
 
-    Publishes the fork-inherited worker globals, then binds ``pool`` (or
-    a private pool it shuts down in :meth:`close`).  An unchanged
-    ``context`` tag reuses the live worker generation; a fault plan
-    forces a fresh one that inherits exactly that plan.
+    Binds ``pool`` (or a private ``WorkerPool(jobs)`` it shuts down in
+    :meth:`close`).  When waves may reach workers, it first publishes the
+    fork-inherited worker globals and declares ``context``: an unchanged
+    tag reuses the live worker generation; a fault plan forces a fresh
+    one that inherits exactly that plan.  An executor that only expands
+    in-process publishes nothing, so concurrent in-process runs share no
+    module state.
     """
 
     def __init__(
@@ -331,15 +340,14 @@ class SpanExecutor:
         faults: Optional[FaultPlan] = None,
     ):
         global _WORKER_KERNEL, _WORKER_COLLECT, _WORKER_FAULTS
-        # Publish BEFORE declaring the pool context: workers fork lazily
-        # at the first dispatch and must inherit exactly this state.
-        _WORKER_KERNEL = kern
-        _WORKER_COLLECT = obs.enabled
-        _WORKER_FAULTS = faults
         self.kern = kern
         self.jobs = jobs
         self.obs = obs
         self.faults = faults
+        # A span ships one guard-mask word per state, which only a
+        # compiled kernel with at most 64 guards produces.
+        self.dispatches = (jobs > 1 and hasattr(kern, "expand_masked")
+                           and len(kern.tables.guards) <= 64)
         self.owned = pool is None
         if pool is None:
             pool = WorkerPool(jobs, policy=retry, obs=obs)
@@ -347,9 +355,16 @@ class SpanExecutor:
             pool.obs = obs
             if retry is not None:
                 pool.policy = retry
-        pool.set_context(context)
-        if faults is not None:
-            pool.retire()
+        if self.dispatches:
+            # Publish BEFORE declaring the pool context: workers fork
+            # lazily at the first dispatch and must inherit exactly this
+            # state.
+            _WORKER_KERNEL = kern
+            _WORKER_COLLECT = obs.enabled
+            _WORKER_FAULTS = faults
+            pool.set_context(context)
+            if faults is not None:
+                pool.retire()
         self.pool = pool
         self.codec = FrontierCodec(kern.codec.total_bits)
         self._conditions: Dict[int, Tuple[Tuple, ...]] = {}
@@ -357,12 +372,13 @@ class SpanExecutor:
 
     def rows(
         self, graph: StateGraph, wave: List[int], index: int
-    ) -> Iterator[Tuple[int, Sequence[Transition]]]:
+    ) -> Iterator[Tuple[int, Iterable[Transition]]]:
         """``(state id, successor row)`` for every state of BFS wave
         number ``index``, in wave order."""
+        if not (self.dispatches and self.pool.available
+                and len(wave) >= DISPATCH_MIN_STATES):
+            return self._in_process(graph, wave)
         keys = [graph.state_key(src) for src in wave]
-        if not self.pool.available or len(keys) < DISPATCH_MIN_STATES:
-            return self._in_process(wave, keys)
         frontier = SharedFrontier.create(keys, self.codec)
         try:
             spans = _span_bounds(len(keys), self.jobs)
@@ -383,21 +399,26 @@ class SpanExecutor:
         return zip(wave, self._replay(results))
 
     def _in_process(
-        self, wave: List[int], keys: List[int]
-    ) -> Iterator[Tuple[int, Sequence[Transition]]]:
-        # A small (or degraded) wave, reported as one coordinator shard so
-        # shard totals still sum to the run's totals.
+        self, graph: StateGraph, wave: List[int]
+    ) -> Iterator[Tuple[int, Iterable[Transition]]]:
+        # Streamed: each state is expanded only when the loop asks for its
+        # row, so a generator kernel's errors surface in state order.  The
+        # wave is reported as one coordinator shard, so shard totals still
+        # sum to the run's totals.
         started = time.perf_counter()
-        transitions = 0
+        tally = [0]
         expand = self.kern.expand
-        for src, key in zip(wave, keys):
-            row = expand(key)
-            transitions += len(row)
+        for src in wave:
+            row = expand(graph.state_key(src))
+            if isinstance(row, tuple):
+                tally[0] += len(row)
+            else:
+                row = _tallied(row, tally)
             yield src, row
         if self.obs.enabled:
             worker = str(os.getpid())
-            self.obs.inc("enum.shard.states", len(keys), worker=worker)
-            self.obs.inc("enum.shard.transitions", transitions, worker=worker)
+            self.obs.inc("enum.shard.states", len(wave), worker=worker)
+            self.obs.inc("enum.shard.transitions", tally[0], worker=worker)
             self.obs.observe("enum.shard.seconds",
                              time.perf_counter() - started, worker=worker)
 
@@ -430,9 +451,10 @@ class SpanExecutor:
         global _WORKER_KERNEL, _WORKER_COLLECT, _WORKER_FAULTS
         if self.owned:
             self.pool.shutdown()
-        elif self.faults is not None:
+        elif self.faults is not None and self.dispatches:
             # Never let a fault-laden worker generation outlive its run.
             self.pool.retire()
-        _WORKER_KERNEL = None
-        _WORKER_COLLECT = False
-        _WORKER_FAULTS = None
+        if self.dispatches:
+            _WORKER_KERNEL = None
+            _WORKER_COLLECT = False
+            _WORKER_FAULTS = None

@@ -54,9 +54,12 @@ Fast rows are held to ``step()``
 --------------------------------
 Both fast paths -- the elided dict path and a generated ``expand`` --
 are checked the same way (:meth:`CompiledKernel._check_row`): a run's
-first state is compared in full with ``pack(model.step(...))`` of every
-row, every ``sample_every``-th transition after it is re-run through
-``model.step``, and a mismatch raises :class:`ModelError`.  That catches
+first state -- and, on a worker pool, each packed span's first state --
+is compared in full with ``pack(model.step(...))`` of every row, every
+``sample_every``-th transition after it is re-run through
+``model.step``, and a mismatch raises :class:`ModelError`.  The schedule
+restarts at each run and each span, so the checks a run makes depend on
+the model and the job count only.  That catches
 an extra variable deterministically when it is systematic and by sample
 otherwise, and it catches, on the rows it checks, a ``next_state``
 whose result depends on anything besides the state and the choice
@@ -106,9 +109,9 @@ class InterpretedKernel:
         pass  # every transition is validated; there is no schedule
 
     def expand(self, key: int) -> Iterator[Transition]:
-        # A generator on purpose: the in-process executor interleaves
-        # each step with the loop's bookkeeping, preserving error
-        # ordering for pathological models.
+        # A generator on purpose: the executor streams it, interleaving
+        # each step with the loop's bookkeeping, so errors surface in
+        # state order for pathological models.
         model, codec = self.model, self.codec
         state = codec.unpack(key)
         names = model.choice_names
@@ -242,9 +245,10 @@ class CompiledKernel:
         return self.codec.unpack(key)
 
     def start_run(self) -> None:
-        """Restart the validation schedule: the run's first state is
-        validated in full and sampling counts from zero, so two runs of
-        one model do the same checks and report the same
+        """Restart the validation schedule: the next state is validated
+        in full and sampling counts from zero.  Called at the start of
+        every run and of every worker span, so two runs of one model at
+        one job count do the same checks and report the same
         ``sampled_validations`` delta."""
         self._validation_tick = 0
         self._first_sight_done = False

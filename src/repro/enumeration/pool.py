@@ -1,21 +1,27 @@
 """A persistent, crash-recovering worker pool shared across pipeline phases.
 
-:class:`WorkerPool` is the shared substrate of every multi-process
-phase: one pool object per pipeline, living across BFS waves *and*
-across phases (enumeration's packed-span executor, vector generation,
-trace comparison), with one retry/respawn/degrade policy so every phase
-gets crash recovery.  Paying spawn once per pipeline, not per call or
-per wave, is what keeps small runs from inverting the speedup.
+:class:`WorkerPool` is the shared substrate of every batch phase: one
+pool object per pipeline, living across BFS waves *and* across phases
+(enumeration's span executor, vector generation, trace comparison), with
+one retry/respawn/degrade policy so every phase gets crash recovery.
+Paying spawn once per pipeline, not per call or per wave, is what keeps
+small runs from inverting the speedup.
+
+It is also each phase's only dispatch path: a pool that cannot fork
+(``WorkerPool(1)``, closed, degraded) runs :meth:`WorkerPool.imap_tasks`
+in-process, in payload order, as the caller consumes the results, so a
+phase keeps one loop whatever the job count (see :func:`batch_pool`).
 
 Process model: **fork inheritance with context generations.**  Models,
-kernels, generators and core configs hold closures that do not pickle,
-so workers inherit them through fork copy-on-write from module globals
-the coordinator publishes before dispatch.  Each phase publishes its
+kernels and vector generators hold closures that do not pickle, so
+workers inherit them through fork copy-on-write from module globals the
+coordinator publishes before dispatch (comparison needs none: its small
+core config travels in every chunk).  Each such phase publishes its
 globals and declares a *context tag* (:meth:`WorkerPool.set_context`);
 while the tag is unchanged, dispatches reuse the live workers (warm
 kernel tables and transition memos, zero spawn cost -- the common case:
-every wave of an enumeration, every chunk of a vector/compare phase,
-repeated runs against the same model).  When the tag changes, the pool
+every wave of an enumeration, every chunk of a vector phase, repeated
+runs against the same model).  When the tag changes, the pool
 retires its workers and lazily re-forks on the next dispatch, so the new
 generation inherits the new phase's globals without pickling a byte --
 re-forking from the live coordinator is strictly cheaper than
@@ -84,6 +90,14 @@ def _default_executor_factory(**kwargs: Any):
     # Looked up at call time so this module's ``ProcessPoolExecutor``
     # stays the single interception point for pool creation.
     return ProcessPoolExecutor(**kwargs)
+
+
+def batch_pool(pool: Optional["WorkerPool"], tasks: int) -> "WorkerPool":
+    """``pool`` when it can spread ``tasks`` tasks across workers, else a
+    ``WorkerPool(1)``, which runs them in-process and never forks."""
+    if pool is not None and pool.available and tasks > 1:
+        return pool
+    return WorkerPool(1)
 
 
 class WorkerPool:

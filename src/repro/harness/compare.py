@@ -1,10 +1,11 @@
 """RTL-vs-specification comparison for vector traces.
 
 One trace is compared by :func:`run_trace`/:func:`run_vector_trace`; whole
-trace sets go through :func:`run_vector_traces`, which fans them across
-the pipeline's :class:`~repro.enumeration.pool.WorkerPool` when one is
-available and keeps sequential result order (and the stop-on-divergence
-cut point) regardless of how many workers simulate concurrently.
+trace sets go through :func:`run_vector_traces`, which runs them through
+the pipeline's :class:`~repro.enumeration.pool.WorkerPool` -- across its
+workers when it can dispatch, in-process otherwise -- and keeps trace
+order (and the stop-on-divergence cut point) regardless of how many
+workers simulate concurrently.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.enumeration.pool import WorkerPool
+from repro.enumeration.pool import WorkerPool, batch_pool
 from repro.obs.observer import Observer, resolve
 from repro.pp.isa import Instruction
 from repro.pp.rtl.core import (
@@ -146,21 +147,19 @@ def run_vector_trace(
     return run_trace(trace.program, trace.stimulus(), config=config, **kwargs)
 
 
-#: Config fork-inherited by trace-simulation workers.
-_TRACE_WORKER_CONFIG: Optional[CoreConfig] = None
-
-
 def _trace_chunk_job(
-    payload: Sequence[Tuple[int, TestVectorTrace]], attempt: int = 0
+    payload: Tuple[
+        CoreConfig, Dict[int, Predecoded], Sequence[Tuple[int, TestVectorTrace]]
+    ],
+    attempt: int = 0,
 ) -> List[Tuple[int, ComparisonResult]]:
-    """Pool task: one chunk of indexed traces, config fork-inherited
-    through :data:`_TRACE_WORKER_CONFIG` (pure -- safe to retry).  The
-    chunk's traces share one decode table."""
-    decode_table: Dict[int, Predecoded] = {}
+    """Pool task: the call's config and decode table plus one chunk of
+    indexed traces (pure -- safe to retry).  In-process every chunk shares
+    the one table; a worker unpickles a fresh copy per chunk."""
+    config, decode_table, indexed = payload
     return [
-        (index, run_vector_trace(trace, config=_TRACE_WORKER_CONFIG,
-                                 decode_table=decode_table))
-        for index, trace in payload
+        (index, run_vector_trace(trace, config=config, decode_table=decode_table))
+        for index, trace in indexed
     ]
 
 
@@ -188,108 +187,73 @@ def run_vector_traces(
     """Run many traces; return ``(results, diverging_indices)`` in trace order.
 
     ``pool`` is the pipeline's persistent
-    :class:`~repro.enumeration.pool.WorkerPool`.  When it can dispatch
+    :class:`~repro.enumeration.pool.WorkerPool`.  Chunks of indexed traces
+    always go through its ``imap_tasks``.  When it can dispatch
     (:attr:`~repro.enumeration.pool.WorkerPool.available`) and there is
-    more than one trace, the simulations fan across its workers -- the
-    config is published for fork inheritance, not pickled -- with the
+    more than one trace, the simulations fan across its workers with the
     pool's dead-worker recovery (chunks are pure, so retries are safe).
-    Otherwise -- no pool, a closed or degraded one -- the traces run
-    in-process, one after another.
+    Otherwise -- no pool, a closed or degraded one -- the chunks run
+    in-process, one trace each, in trace order.  Every chunk carries the
+    call's config, so no module state is shared between calls, and
+    concurrent calls with different configs cannot mix.
 
     Either way the sequential contract holds exactly: results come back
     in trace order, and with ``stop_on_divergence`` the result list ends
-    at the first diverging trace -- exactly where the sequential loop
-    would have stopped -- even if workers raced ahead on later traces.
+    at the first diverging trace -- in-process nothing past it is
+    simulated, and workers that raced ahead on later traces are retired.
 
-    Scheduling is longest-trace-first over ``pool.imap_tasks`` (the
-    coordinator restores trace order), so one long trace dispatched last
-    cannot straggle the whole pool.  ``chunksize`` controls how many
-    traces each dispatch hands a worker; the default of
-    ``max(1, n // (workers * 4))`` gives every worker ~4 chunks, which
-    amortizes dispatch/pickling without re-creating the imbalance that
-    one giant chunk of the longest traces would.
+    On workers, scheduling is longest-trace-first (the coordinator
+    restores trace order), so one long trace dispatched last cannot
+    straggle the whole pool.  ``chunksize`` controls how many traces each
+    dispatch hands a worker; the default of ``max(1, n // (workers * 4))``
+    gives every worker ~4 chunks, which amortizes dispatch/pickling
+    without re-creating the imbalance that one giant chunk of the longest
+    traces would.
 
-    Each distinct program word is decoded once per call: the in-process
-    loop shares one ``{word: Predecoded}`` table across all its traces,
-    and each pool chunk builds its own.  The table lives only as long as
-    the call (one entry per distinct word, a few MB at most), so there is
-    no process-global memo to grow.
+    Each distinct program word is decoded once per call in-process: every
+    chunk carries the call's one ``{word: Predecoded}`` table (a worker
+    decodes once per chunk, into its own copy).  The table lives only as
+    long as the call (one entry per distinct word, a few MB at most), so
+    there is no process-global memo to grow.
 
     ``obs`` receives per-trace instruction/cycle histograms, running
-    ``compare.*`` counters, ``compare.workers``/``compare.chunksize``
-    gauges, a ``compare.seconds`` sample, and a ``compare.divergence``
-    event (with the divergence site) for every diverging trace.
+    ``compare.*`` counters, ``compare.workers`` (and, on workers,
+    ``compare.chunksize``) gauges, a ``compare.seconds`` sample, and a
+    ``compare.divergence`` event (with the divergence site) for every
+    diverging trace.
     """
     obs = resolve(obs)
     started = time.perf_counter()
     config = config or CoreConfig(mem_latency=0)
     traces = list(traces)
-    if pool is None or not pool.available or len(traces) <= 1:
-        results: List[ComparisonResult] = []
-        diverging: List[int] = []
-        obs.gauge("compare.workers", 1)
-        decode_table: Dict[int, Predecoded] = {}
-        for index, trace in enumerate(traces):
-            result = run_vector_trace(trace, config=config, decode_table=decode_table)
-            results.append(result)
-            _record_result(obs, index, result)
-            obs.heartbeat("compare", traces=index + 1, total=len(traces),
-                          divergences=len(diverging) + bool(result.diverged))
-            if result.diverged:
-                diverging.append(index)
-                if stop_on_divergence:
-                    break
-        obs.observe("compare.seconds", time.perf_counter() - started)
-        return results, diverging
-
-    workers = min(pool.jobs, len(traces))
-    if chunksize is None:
-        chunksize = max(1, len(traces) // (workers * 4))
+    pool = batch_pool(pool, len(traces))
+    workers = min(pool.jobs, max(1, len(traces)))
+    order = list(range(len(traces)))
+    if not pool.available:
+        chunksize = 1  # in trace order, so a stop simulates nothing past it
+    else:
+        chunksize = chunksize or max(1, len(traces) // (workers * 4))
+        obs.gauge("compare.chunksize", chunksize)
+        # Longest first (ties by original index, so scheduling is
+        # stable): workers start on the expensive traces while the cheap
+        # ones fill in the tail of the schedule.
+        order.sort(key=lambda i: (-traces[i].edges_traversed, i))
     obs.gauge("compare.workers", workers)
-    obs.gauge("compare.chunksize", chunksize)
-    # Longest first (ties by original index, so scheduling is stable):
-    # workers start on the expensive traces while the cheap ones fill in
-    # the tail of the schedule.
-    order = sorted(
-        range(len(traces)), key=lambda i: (-traces[i].edges_traversed, i)
-    )
-    return _run_with_pool(
-        traces, config, pool, order, chunksize,
-        stop_on_divergence, obs, started,
-    )
-
-
-def _run_with_pool(
-    traces: List[TestVectorTrace],
-    config: CoreConfig,
-    pool: WorkerPool,
-    order: List[int],
-    chunksize: int,
-    stop_on_divergence: bool,
-    obs: Observer,
-    started: float,
-) -> Tuple[List[ComparisonResult], List[int]]:
-    """The persistent-pool comparison path (same contract, shared workers)."""
-    global _TRACE_WORKER_CONFIG
-    # Publish for fork inheritance BEFORE declaring the context: a tag
-    # change re-forks workers that inherit exactly this config; an equal
-    # tag means the live generation already holds an equal config.
-    _TRACE_WORKER_CONFIG = config
-    pool.obs = obs
-    pool.set_context(("compare", repr(config)))
+    decode_table: Dict[int, Predecoded] = {}
     indexed = [(i, traces[i]) for i in order]
     chunks = [
-        indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)
+        (config, decode_table, indexed[i : i + chunksize])
+        for i in range(0, len(indexed), chunksize)
     ]
+    pool.obs = obs
     results: List[ComparisonResult] = []
     diverging: List[int] = []
-    # Completions arrive out of order; ``pending`` holds them until every
-    # earlier trace has been emitted, so results/metrics/stop decisions
-    # happen in exactly the sequential order.
+    # Completions arrive out of order on workers; ``pending`` holds them
+    # until every earlier trace has been emitted, so results/metrics/stop
+    # decisions happen in exactly the sequential order.
     pending = {}
     next_index = 0
     stopped = False
-    workers = pool.jobs
     # No timeout: simulation time is unbounded in trace length; dead
     # workers still recover via BrokenProcessPool.
     tasks = pool.imap_tasks(_trace_chunk_job, chunks)

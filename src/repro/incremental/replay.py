@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.enumeration.bfs import _approx_memory, bfs_waves, reset_graph
 from repro.enumeration.graph import StateGraph
-from repro.enumeration.kernel import resolve_kernel
+from repro.enumeration.kernel import flush_kernel_metrics, resolve_kernel
 from repro.enumeration.stats import EnumerationStats
 from repro.obs.observer import Observer, resolve
 from repro.smurphi.model import SyncModel
@@ -56,6 +56,7 @@ def incremental_enumerate(
     obs = resolve(obs)
     kern = resolve_kernel(model)
     kern.start_run()
+    kernel_before = kern.counters()
     started = time.perf_counter()
     graph = reset_graph(model, kern, check_invariants=True)
     old_id_of = old_graph.state_id_of_key
@@ -101,6 +102,7 @@ def incremental_enumerate(
     }
     obs.inc("incremental.region_states", expanded)
     obs.inc("incremental.replayed_states", replayed)
+    flush_kernel_metrics(obs, kern, kernel_before)
     obs.heartbeat(
         "incremental", wave=waves - 1, states=graph.num_states,
         replayed=replayed, expanded=expanded,

@@ -120,15 +120,15 @@ class ValidationServer:
             "retried": 0, "degraded": 0, "shed": 0, "cancelled": 0,
             "recovered": 0,
         }
-        # A restarted daemon may hold a code digest memoized by a parent
+        # A restarted daemon may hold code digests memoized by a parent
         # process from *before* the deploy that restarted it (fork-based
-        # supervisors re-exec nothing).  Refresh it before replaying the
+        # supervisors re-exec nothing).  Refresh them before replaying the
         # journal so every recovered job keys against the code actually
         # on disk -- a stale digest would silently serve pre-deploy
         # artifacts to post-deploy jobs.
-        from repro.core.cache import code_version
+        from repro.core.cache import refresh_phase_code_versions
 
-        code_version(refresh=True)
+        refresh_phase_code_versions()
         # Crash recovery: fold the journal back into the job table, then
         # requeue whatever was queued or running when the last daemon
         # died.  Running jobs come back *resumable* -- their wave

@@ -21,21 +21,23 @@ break data coherence).  Loads whose conflict choice fired true get the
 pending store's address patched in; all other memory operands draw from a
 pool of distinct cache lines.
 
-Parallel generation goes through the pipeline's one
-:class:`~repro.enumeration.pool.WorkerPool`: workers fork-inherit the
-published generator and convert chunks of indexed tours, and the traces
-are byte-identical to the in-process loop's.
+Generation goes through the pipeline's one
+:class:`~repro.enumeration.pool.WorkerPool` at every job count: workers
+fork-inherit the published generator and convert chunks of indexed
+tours, an in-process pool converts them in the coordinator, and the
+traces are byte-identical either way.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import Edge, StateGraph
-from repro.enumeration.pool import WorkerPool
+from repro.enumeration.pool import WorkerPool, batch_pool
 from repro.obs.observer import Observer, resolve
 from repro.pp.fsm_model import PPControlModel
 from repro.pp.isa import (
@@ -341,36 +343,27 @@ class TransitionEventMemo:
         return entry
 
 
-#: Fork-inherited generator for parallel workers.  The PP model holds
+#: The generator worker tasks run, published for the length of one
+#: worker-pool :meth:`VectorGenerator.generate` call.  The PP model holds
 #: guard closures that cannot be pickled, so workers must inherit the
-#: whole generator (model, graph, memo) through fork copy-on-write.
-_PARALLEL_GENERATOR: Optional["VectorGenerator"] = None
-#: Monotonic publication epoch: bumps whenever a *different* generator is
-#: published, so a shared :class:`WorkerPool`'s context tag can never
-#: collide across generators (object ids can be recycled; epochs cannot),
-#: while repeat runs of one generator keep the warm worker generation.
-_PARALLEL_EPOCH = 0
-
-
-def _publish_generator(generator: "VectorGenerator") -> int:
-    global _PARALLEL_GENERATOR, _PARALLEL_EPOCH
-    if _PARALLEL_GENERATOR is not generator:
-        _PARALLEL_EPOCH += 1
-        _PARALLEL_GENERATOR = generator
-    return _PARALLEL_EPOCH
+#: whole generator (model, graph, memo) through fork copy-on-write;
+#: clearing it after the call keeps the module from holding a finished
+#: build alive.  In-process calls never read it: their task is bound to
+#: the generator itself, so concurrent in-process calls cannot mix.
+_TASK_GENERATOR: Optional["VectorGenerator"] = None
+#: Source of each generator's pool-context epoch: a shared
+#: :class:`WorkerPool`'s tag can never collide across generators (object
+#: ids can be recycled; epochs cannot), while repeat runs of one
+#: generator keep the warm worker generation.
+_GENERATOR_EPOCHS = itertools.count(1)
 
 
 def _vector_chunk_job(
     payload: Sequence[Tuple[int, Tour]], attempt: int = 0
 ) -> List[Tuple[int, "TestVectorTrace"]]:
-    """Pool task: one chunk of indexed tours (pure -- safe to retry)."""
-    generator = _PARALLEL_GENERATOR
-    return [
-        (index, generator._trace_from_tour(
-            tour, random.Random(f"{generator.seed}:{index}")
-        ))
-        for index, tour in payload
-    ]
+    """Worker task: one chunk of indexed tours, converted by the
+    fork-inherited generator (pure -- safe to retry)."""
+    return _TASK_GENERATOR._convert_chunk(payload)
 
 
 class VectorGenerator:
@@ -407,6 +400,7 @@ class VectorGenerator:
         self.seed = seed
         self.address_pool = check_address_pool(address_pool)
         self.memo = memo if memo is not None else TransitionEventMemo(model, graph)
+        self._epoch = next(_GENERATOR_EPOCHS)
 
     # -- public API -------------------------------------------------------------
 
@@ -419,33 +413,59 @@ class VectorGenerator:
         """Convert every tour component into a test-vector trace.
 
         ``pool`` is the pipeline's persistent
-        :class:`~repro.enumeration.pool.WorkerPool`: when it can dispatch
-        (:attr:`~repro.enumeration.pool.WorkerPool.available`), chunks of
-        tours go to its fork-inherited workers through ``imap_tasks``, with
-        its dead-worker recovery (chunks are pure, so retries are safe).
-        Otherwise -- no pool, a closed or degraded one, or a single tour --
-        generation runs in-process.  Each tour owns an independent
+        :class:`~repro.enumeration.pool.WorkerPool`.  Chunks of indexed
+        tours always go through its ``imap_tasks``: on its fork-inherited
+        workers when it can dispatch
+        (:attr:`~repro.enumeration.pool.WorkerPool.available`), with its
+        dead-worker recovery (chunks are pure, so retries are safe);
+        in-process when there is no pool, a closed or degraded one, or a
+        single tour.  Each tour owns an independent
         ``random.Random(f"{seed}:{index}")`` keyed by its *original*
         index, so the produced traces are bit-identical at any worker
         count (golden-tested); only wall clock changes.
         """
+        global _TASK_GENERATOR
         obs = resolve(obs)
         started = time.perf_counter()
         tours = list(tours)
-        parallel = pool is not None and pool.available and len(tours) > 1
-        # Gauge before generating: sequential and parallel runs report the
+        pool = batch_pool(pool, len(tours))
+        on_workers = pool.available
+        workers = min(pool.jobs, max(1, len(tours)))
+        # Gauge before generating: in-process and worker runs report the
         # same value (worker-side memo fills are invisible to the parent).
         obs.gauge("vectors.memo_entries", len(self.memo))
-        obs.gauge("vectors.workers", min(pool.jobs, len(tours)) if parallel else 1)
-        if parallel:
-            traces = self._generate_with_pool(tours, pool, obs)
+        obs.gauge("vectors.workers", workers)
+        # In-process, one tour per chunk keeps one heartbeat per trace.
+        chunksize = max(1, len(tours) // (workers * 4)) if on_workers else 1
+        indexed = list(enumerate(tours))
+        chunks = [
+            indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)
+        ]
+        traces: List[Optional[TestVectorTrace]] = [None] * len(tours)
+        done = 0
+        if on_workers:
+            # Publish before declaring the context: the same generator
+            # keeps its epoch, so the tag is unchanged and warm workers
+            # are reused; another generator's tag re-forks workers that
+            # inherit this one.
+            _TASK_GENERATOR = self
+            pool.obs = obs
+            pool.set_context(("vectors", self._epoch))
+            task = _vector_chunk_job
         else:
-            traces = []
-            for i, tour in enumerate(tours):
-                traces.append(
-                    self._trace_from_tour(tour, random.Random(f"{self.seed}:{i}"))
-                )
-                obs.heartbeat("vectors", traces=len(traces), total=len(tours))
+            task = self._convert_chunk
+        try:
+            # No timeout: trace generation time is unbounded in tour
+            # length; dead workers still recover via BrokenProcessPool.
+            for _, chunk_result in pool.imap_tasks(task, chunks):
+                for index, trace in chunk_result:
+                    traces[index] = trace
+                done += len(chunk_result)
+                obs.heartbeat("vectors", traces=done, total=len(tours),
+                              workers=workers)
+        finally:
+            if on_workers:
+                _TASK_GENERATOR = None
         trace_set = TraceSet(traces=traces)
         obs.inc("vectors.traces", trace_set.num_traces)
         obs.inc("vectors.instructions", trace_set.total_instructions)
@@ -454,32 +474,17 @@ class VectorGenerator:
         obs.observe("vectors.seconds", time.perf_counter() - started)
         return trace_set
 
-    def _generate_with_pool(
-        self, tours: List[Tour], pool: WorkerPool, obs: Observer
-    ) -> List[TestVectorTrace]:
-        epoch = _publish_generator(self)
-        pool.obs = obs
-        # Same generator published again -> same tag -> warm workers; a
-        # different generator bumps the epoch and re-forks.  The global
-        # stays published (the pipeline keeps these objects alive anyway)
-        # so live workers always mirror the coordinator's state.
-        pool.set_context(("vectors", epoch))
-        chunksize = max(1, len(tours) // (pool.jobs * 4))
-        indexed = list(enumerate(tours))
-        chunks = [
-            indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)
+    def _convert_chunk(
+        self, payload: Sequence[Tuple[int, Tour]], attempt: int = 0
+    ) -> List[Tuple[int, TestVectorTrace]]:
+        """One chunk of indexed tours; each tour's fill RNG is keyed by its
+        original index."""
+        return [
+            (index, self._trace_from_tour(
+                tour, random.Random(f"{self.seed}:{index}")
+            ))
+            for index, tour in payload
         ]
-        results: List[Optional[TestVectorTrace]] = [None] * len(tours)
-        done = 0
-        # No timeout: trace generation time is unbounded in tour length;
-        # dead workers still recover via BrokenProcessPool.
-        for _, chunk_result in pool.imap_tasks(_vector_chunk_job, chunks):
-            for index, trace in chunk_result:
-                results[index] = trace
-            done += len(chunk_result)
-            obs.heartbeat("vectors", traces=done, total=len(tours),
-                          workers=pool.jobs)
-        return results
 
     def trace_from_edges(
         self, edge_indices: Sequence[int], rng: Optional[random.Random] = None

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.core import ArtifactCache, ValidationPipeline, code_version
+from repro.core import ArtifactCache, ValidationPipeline, phase_code_version
 from repro.core.cache import pipeline_phase_keys
 from repro.pp.fsm_model import PPModelConfig
 
@@ -61,10 +61,11 @@ class TestKeying:
             == set(phases)
 
     def test_code_version_is_memoized_hex(self):
-        first = code_version()
-        assert first == code_version()
-        assert len(first) == 64
-        int(first, 16)
+        for phase in ("model", "graph", "tours", "traces"):
+            first = phase_code_version(phase)
+            assert first == phase_code_version(phase)
+            assert len(first) == 64
+            int(first, 16)
 
 
 class TestArtifactCache:
@@ -575,24 +576,24 @@ class TestPhaseCodeDigests:
 
 
 class TestCodeVersionRefresh:
-    """The staleness escape hatch (ISSUE: PR 10, satellite a)."""
+    """The staleness escape hatch for long-lived processes."""
 
     def test_refresh_recomputes_after_an_edit(self, tmp_path, monkeypatch):
         import repro.core.cache as cache_mod
 
         root = tmp_path / "pkg"
-        root.mkdir()
-        (root / "mod.py").write_text("X = 1\n")
+        (root / "tour").mkdir(parents=True)
+        (root / "tour" / "mod.py").write_text("X = 1\n")
         monkeypatch.setattr(cache_mod, "_package_root", lambda: root)
-        monkeypatch.setattr(cache_mod, "_CODE_VERSION", None)
         monkeypatch.setattr(cache_mod, "_PHASE_CODE_VERSIONS", {})
+        monkeypatch.setattr(cache_mod, "_PHASE_CODE_COMPUTED_AT", {})
 
-        first = cache_mod.code_version()
-        (root / "mod.py").write_text("X = 2\n")
+        first = cache_mod.phase_code_version("tours")
+        (root / "tour" / "mod.py").write_text("X = 2\n")
         # The memo hides the edit until a refresh -- this is exactly the
         # long-lived-daemon staleness the serve startup path guards against.
-        assert cache_mod.code_version() == first
-        assert cache_mod.code_version(refresh=True) != first
+        assert cache_mod.phase_code_version("tours") == first
+        assert cache_mod.phase_code_version("tours", refresh=True) != first
 
     def test_refresh_drops_phase_memos(self, tmp_path, monkeypatch):
         import repro.core.cache as cache_mod
@@ -601,23 +602,31 @@ class TestCodeVersionRefresh:
         (root / "smurphi").mkdir(parents=True)
         (root / "smurphi" / "m.py").write_text("A = 1\n")
         monkeypatch.setattr(cache_mod, "_package_root", lambda: root)
-        monkeypatch.setattr(cache_mod, "_CODE_VERSION", None)
         monkeypatch.setattr(cache_mod, "_PHASE_CODE_VERSIONS", {})
+        monkeypatch.setattr(cache_mod, "_PHASE_CODE_COMPUTED_AT", {})
 
         first = cache_mod.phase_code_version("model")
         (root / "smurphi" / "m.py").write_text("A = 2\n")
         assert cache_mod.phase_code_version("model") == first  # memoized
-        cache_mod.code_version(refresh=True)
+        cache_mod.refresh_phase_code_versions()
         assert cache_mod.phase_code_version("model") != first
 
     def test_manifests_record_digest_provenance(self, tmp_path):
-        from repro.core.cache import code_version_info
+        import repro.core.cache as cache_mod
 
+        pipeline = ValidationPipeline(PPModelConfig(fill_words=1))
         cache = ArtifactCache(tmp_path)
-        cache.store("m" * 64, [1], manifest={})
-        manifest = json.loads(cache.manifest_path("m" * 64).read_text())
-        info = code_version_info()
-        assert manifest["code_version"] == info["code_version"]
-        assert manifest["code_computed_at"] == pytest.approx(
-            info["code_computed_at"]
-        )
+        # Each entry records its own phase's digest; the splice sidecar
+        # is keyed with the tours digest.
+        for index, (phase, code_phase) in enumerate((
+            ("model", "model"), ("graph", "graph"), ("tours", "tours"),
+            ("splice", "tours"), ("traces", "traces"),
+        )):
+            key = str(index) * 64
+            cache.store(key, [1], manifest=pipeline._phase_manifest(phase))
+            manifest = json.loads(cache.manifest_path(key).read_text())
+            assert manifest["phase"] == phase
+            assert manifest["code_version"] == phase_code_version(code_phase)
+            assert manifest["code_computed_at"] == pytest.approx(
+                cache_mod._PHASE_CODE_COMPUTED_AT[code_phase]
+            )

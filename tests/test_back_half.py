@@ -18,6 +18,8 @@ scale:
 """
 
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.pp.rtl.core import CoreConfig, PPCore, predecode
 from repro.smurphi.state import StateCodec
 from repro.tour import IndexedTourGenerator
+from repro.vectors import generator as generator_mod
 from repro.vectors import (
     TransitionEventMemo,
     VectorGenerator,
@@ -101,6 +104,19 @@ def baseline_traces(control, graph, tours):
 
 def dumps(trace_set):
     return pickle.dumps(trace_set.traces)
+
+
+def run_concurrently(*calls, rounds=3):
+    """Run each zero-argument call ``rounds`` times, every call on its own
+    thread, all threads released together; return each call's results."""
+    barrier = threading.Barrier(len(calls))
+
+    def repeat(call):
+        barrier.wait()
+        return [call() for _ in range(rounds)]
+
+    with ThreadPoolExecutor(len(calls)) as threads:
+        return [f.result() for f in [threads.submit(repeat, c) for c in calls]]
 
 
 @pytest.fixture(scope="class")
@@ -233,6 +249,43 @@ class TestVectorIdentity:
         )
         assert dumps(parallel) == dumps(baseline_traces)
         assert metrics.gauge_value("vectors.workers") == len(tours)
+
+    def test_generator_is_published_only_during_a_call(
+        self, control, graph, tours, baseline_traces
+    ):
+        """No module global keeps a finished build alive, and a repeat
+        call of one generator on a shared pool reuses its warm workers."""
+        generator = VectorGenerator(control, graph, seed=11)
+        generator.generate(tours)
+        assert generator_mod._TASK_GENERATOR is None
+        pool = WorkerPool(2)
+        try:
+            for _ in range(2):
+                traces = generator.generate(tours, pool=pool)
+                assert generator_mod._TASK_GENERATOR is None
+                assert dumps(traces) == dumps(baseline_traces)
+            assert pool.spawns == 1
+        finally:
+            pool.shutdown()
+
+    def test_concurrent_in_process_calls_do_not_mix(
+        self, model_setup, baseline_traces
+    ):
+        """Two generators over different models, generating in-process on
+        concurrent threads (as inline serve jobs do), each produce exactly
+        their own single-threaded traces."""
+        control, graph, tours = model_setup(PPControlModel)
+        b_control, b_graph, b_tours = model_setup(BranchPPControlModel)
+        branch = BranchVectorGenerator(b_control, b_graph, seed=11)
+        branch_baseline = dumps(branch.generate(b_tours))
+        base = VectorGenerator(control, graph, seed=11)
+        base_runs, branch_runs = run_concurrently(
+            lambda: dumps(base.generate(tours)),
+            lambda: dumps(branch.generate(b_tours)),
+        )
+        assert base_runs == [dumps(baseline_traces)] * 3
+        assert branch_runs == [branch_baseline] * 3
+        assert generator_mod._TASK_GENERATOR is None
 
     def test_different_seed_differs(self, control, graph, tours, baseline_traces):
         other = VectorGenerator(control, graph, seed=12).generate(tours)
@@ -377,6 +430,28 @@ class TestComparisonScheduling:
         assert diverging == seq_div
         assert len(calls) == seq_div[0] + 1
         assert self.results_dump(results) == self.results_dump(seq_results)
+
+
+    def test_concurrent_in_process_calls_do_not_mix(self, trace_list):
+        """Two in-process runs under different configs on concurrent
+        threads (as inline serve jobs do) each get their own verdicts."""
+        config = injected_config(2)
+        clean = self.results_dump(self.run(trace_list, stop_on_divergence=False)[0])
+        buggy_results, buggy_div = self.run(
+            trace_list, config=config, stop_on_divergence=False
+        )
+        assert buggy_div, "bug 2 must diverge for this test to bite"
+        buggy = (self.results_dump(buggy_results), buggy_div)
+        clean_runs, buggy_runs = run_concurrently(
+            lambda: self.results_dump(
+                self.run(trace_list, stop_on_divergence=False)[0]
+            ),
+            lambda: (lambda r: (self.results_dump(r[0]), r[1]))(
+                self.run(trace_list, config=config, stop_on_divergence=False)
+            ),
+        )
+        assert clean_runs == [clean] * 3
+        assert buggy_runs == [buggy] * 3
 
 
 class TestDecodeTable:

@@ -266,7 +266,12 @@ class TestReplayAccounting:
         metrics = observer.metrics
         assert {name: metrics.total(name) for name in metrics.counter_names()} \
             == {"incremental.region_states": 77,
-                "incremental.replayed_states": 1416}
+                "incremental.replayed_states": 1416,
+                # The replay's own kernel work: one expansion per
+                # expanded state, nothing for the replayed ones.
+                "enum.kernel.expansions": counts["expanded"],
+                "enum.kernel.next_state_calls": 1096,
+                "enum.kernel.sampled_validations": 5}
         # One heartbeat per wave boundary (completed waves, states so
         # far, replayed/expanded so far), then a final one.
         beats = [(r["phase"], r["fields"]) for r in read_heartbeats(path)]

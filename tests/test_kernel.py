@@ -753,6 +753,14 @@ class TestKernelMetrics:
         totals = _counter_totals(interpreted_obs)
         assert totals
         assert _counter_totals(compiled_obs) == totals
+        # In-process waves are coordinator shards under either kernel: the
+        # interpreted kernel's streamed rows are counted as they are read.
+        for observer in (interpreted_obs, compiled_obs):
+            metrics = observer.metrics
+            assert (metrics.total("enum.shard.transitions")
+                    == metrics.total("enum.transitions_explored") > 0)
+            assert (metrics.total("enum.shard.states")
+                    == metrics.total("enum.states"))
 
     def test_kernel_counters_emitted(self):
         obs = Observer()

@@ -52,12 +52,13 @@ class TestWorkerMetricsMerge:
         )
 
     def test_shard_counters_sum_to_coordinator_totals(self, observers):
-        _, parallel = observers
-        metrics = parallel.metrics
-        assert metrics.total("enum.shard.states") == metrics.total("enum.states")
-        assert metrics.total("enum.shard.transitions") == metrics.total(
-            "enum.transitions_explored"
-        )
+        # jobs=1 reports every wave as a coordinator shard.
+        for observer in observers:
+            metrics = observer.metrics
+            assert metrics.total("enum.shard.states") == metrics.total("enum.states")
+            assert metrics.total("enum.shard.transitions") == metrics.total(
+                "enum.transitions_explored"
+            )
 
     def test_shard_counters_carry_worker_labels(self, observers):
         _, parallel = observers
@@ -77,12 +78,13 @@ class TestWorkerMetricsMerge:
 
     def test_kernel_line_sums_worker_counters(self, pp_model):
         """The report's kernel line totals the workers' labelled kernel
-        counters: jobs=1 and jobs=4 report the same work.  (Sampled
-        checks follow each worker's own tick, so only their presence is
-        compared.)"""
+        counters: jobs=1 and jobs=4 report the same work.  Sampled checks
+        restart with every worker span, so they differ between job counts
+        but repeat exactly between two jobs=4 runs."""
         import dataclasses
 
-        for jobs in (1, 4):
+        checks_at = {}
+        for jobs in (1, 4, 4):
             observer = Observer()
             _, stats = enumerate_states(pp_model, jobs=jobs, obs=observer)
             report = RunReport.from_observer(
@@ -95,10 +97,11 @@ class TestWorkerMetricsMerge:
                             "next_state calls (75.0%")
             assert checks.endswith(" checked against step(), "
                                    "generated expand: no")
+            assert checks_at.setdefault(jobs, checks) == checks
 
     def test_jobs1_dispatch_matches_sequential(self, pp_model):
-        # enumerate_states_parallel(jobs=1) takes the sequential path but
-        # must still produce the same metrics under the same names.
+        # enumerate_states_parallel(jobs=1) runs in-process like the
+        # default and must produce the same metrics under the same names.
         direct, dispatched = Observer(), Observer()
         enumerate_states(pp_model, obs=direct)
         enumerate_states_parallel(pp_model, jobs=1, obs=dispatched)

@@ -15,6 +15,8 @@ from repro.enumeration import (
     enumerate_states,
     enumerate_states_parallel,
 )
+from repro.enumeration.pool import WorkerPool
+from repro.obs import Observer
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.smurphi import BoolType, ChoicePoint, RangeType, StateVar, SyncModel
 
@@ -118,3 +120,27 @@ class TestParallelErrorParity:
         g1, _ = enumerate_states(counter_model(3))
         g2, _ = enumerate_states_parallel(counter_model(3), jobs=1)
         assert g2.to_json() == g1.to_json()
+
+
+class TestDeterministicChecks:
+    """Every worker span restarts the kernel's validation schedule, so the
+    sampled checks a run makes are a function of the model and the job
+    count only -- not of how spans land on workers, nor of the runs a
+    shared pool's workers served before."""
+
+    @staticmethod
+    def sampled(model, **kwargs):
+        observer = Observer()
+        enumerate_states(model, obs=observer, **kwargs)
+        return observer.metrics.total("enum.kernel.sampled_validations")
+
+    def test_sampled_validations_repeat_on_private_and_shared_pools(self):
+        model = build_pp_control_model(PPModelConfig(fill_words=2))
+        private = [self.sampled(model, jobs=2) for _ in range(3)]
+        pool = WorkerPool(2)
+        try:
+            shared = [self.sampled(model, jobs=2, pool=pool) for _ in range(3)]
+        finally:
+            pool.shutdown()
+        assert private[0] > 0
+        assert private == shared == [private[0]] * 3
