@@ -17,7 +17,7 @@ from repro.harness.compare import run_vector_trace
 from repro.pp.branches import BranchPPControlModel, BranchVectorGenerator
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.pp.rtl import CoreConfig
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 from repro.vectors import pp_instruction_cost
 
 
@@ -26,7 +26,7 @@ def branch_artifacts():
     control = BranchPPControlModel(PPModelConfig(fill_words=1))
     graph, stats = enumerate_states(control.build())
     cost = pp_instruction_cost(control, graph)
-    tours = TourGenerator(
+    tours = IndexedTourGenerator(
         graph, instruction_cost=cost, max_instructions_per_trace=300
     ).generate()
     traces = BranchVectorGenerator(control, graph, seed=3).generate(list(tours))

@@ -26,7 +26,7 @@ from repro.harness.random_testing import random_program
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.pp.rtl import CoreConfig, PPCore, RandomStimulus
 from repro.pp.rtl.memory import LINE_WORDS
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 from repro.vectors import VectorGenerator, pp_instruction_cost
 
 
@@ -36,7 +36,7 @@ def aligned_pipeline():
     control = PPControlModel(PPModelConfig(fill_words=LINE_WORDS))
     graph, _ = enumerate_states(control.build())
     cost = pp_instruction_cost(control, graph)
-    tours = TourGenerator(
+    tours = IndexedTourGenerator(
         graph, instruction_cost=cost, max_instructions_per_trace=400
     ).generate()
     traces = VectorGenerator(control, graph, seed=7).generate(list(tours))

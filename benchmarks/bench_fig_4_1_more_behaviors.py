@@ -12,7 +12,7 @@ import pytest
 
 from repro.enumeration import enumerate_states
 from repro.smurphi import ChoicePoint, EnumType, StateVar, SyncModel
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 
 INPUTS = EnumType("inp", ["a", "b", "c", "d"])
 
@@ -76,7 +76,7 @@ def test_fig_4_1_impl_enumeration_catches(benchmark):
     impl, spec = impl_model(), spec_model()
     graph, stats = enumerate_states(impl)
     assert stats.num_states == 3  # C is reachable in the implementation
-    tours = TourGenerator(graph).generate()
+    tours = IndexedTourGenerator(graph).generate()
     mismatches = benchmark.pedantic(
         _replay_and_compare, args=(graph, impl, list(tours), impl, spec),
         rounds=1, iterations=1,
@@ -91,7 +91,7 @@ def test_fig_4_1_spec_enumeration_misses(benchmark):
     impl, spec = impl_model(), spec_model()
     graph, stats = enumerate_states(spec)
     assert stats.num_states == 2  # C does not exist in the specification
-    tours = TourGenerator(graph).generate()
+    tours = IndexedTourGenerator(graph).generate()
     mismatches = _replay_and_compare(graph, spec, list(tours), impl, spec)
     print(f"\nenumerating the SPECIFICATION (conformance-testing style): "
           f"{stats.num_states} states; divergences seen: {mismatches}")

@@ -17,7 +17,7 @@ import pytest
 
 from repro.enumeration import enumerate_states
 from repro.smurphi import ChoicePoint, EnumType, StateVar, SyncModel
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 
 INPUTS = EnumType("inp", ["a", "b", "c"])
 
@@ -76,7 +76,7 @@ def test_fig_4_2_first_condition_misses_the_bug(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     impl, spec = impl_model(), spec_model()
     graph, stats = enumerate_states(impl)  # default: first condition only
-    tours = TourGenerator(graph).generate()
+    tours = IndexedTourGenerator(graph).generate()
     divergences = _count_divergences(graph, impl, list(tours), impl, spec)
     conditions = {
         edge.condition for edge in graph.edges()
@@ -97,7 +97,7 @@ def test_fig_4_2_all_conditions_catches_the_bug(benchmark):
         return enumerate_states(impl, record_all_conditions=True)
 
     graph, stats = benchmark.pedantic(enumerate_fixed, rounds=1, iterations=1)
-    tours = TourGenerator(graph).generate()
+    tours = IndexedTourGenerator(graph).generate()
     divergences = _count_divergences(graph, impl, list(tours), impl, spec)
     print(f"\nall-conditions enumeration: {stats.num_edges} arcs; "
           f"divergences: {divergences}")

@@ -23,7 +23,7 @@ import pytest
 
 from repro.enumeration import enumerate_states
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
-from repro.tour import TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 from repro.vectors import VectorGenerator, pp_instruction_cost
 
 
@@ -47,8 +47,8 @@ def test_table_3_3(graph_and_cost, benchmark):
     control, graph, cost = graph_and_cost
 
     def generate_both():
-        unlimited = TourGenerator(graph, instruction_cost=cost).generate()
-        limited = TourGenerator(
+        unlimited = IndexedTourGenerator(graph, instruction_cost=cost).generate()
+        limited = IndexedTourGenerator(
             graph, instruction_cost=cost, max_instructions_per_trace=400
         ).generate()
         return unlimited, limited
@@ -89,7 +89,7 @@ def test_first_trace_dominates_without_limit(graph_and_cost, benchmark):
     # Paper: without a limit, >99% of instructions land in trace 1; the
     # remaining traces exist only to cover reset-only initial conditions.
     control, graph, cost = graph_and_cost
-    unlimited = TourGenerator(graph, instruction_cost=cost).generate()
+    unlimited = IndexedTourGenerator(graph, instruction_cost=cost).generate()
     first = unlimited.tours[0]
     fraction = first.instructions / max(1, unlimited.stats.total_instructions)
     print(f"\nfirst trace holds {fraction * 100:.1f}% of all instructions")
@@ -99,7 +99,7 @@ def test_first_trace_dominates_without_limit(graph_and_cost, benchmark):
 def test_union_of_tours_covers_every_arc(graph_and_cost, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     control, graph, cost = graph_and_cost
-    limited = TourGenerator(
+    limited = IndexedTourGenerator(
         graph, instruction_cost=cost, max_instructions_per_trace=400
     ).generate()
     report = arc_coverage(graph, (t.edge_indices for t in limited))
@@ -110,7 +110,7 @@ def test_union_of_tours_covers_every_arc(graph_and_cost, benchmark):
 
 def test_vector_generation_kernel(graph_and_cost, benchmark):
     control, graph, cost = graph_and_cost
-    limited = TourGenerator(
+    limited = IndexedTourGenerator(
         graph, instruction_cost=cost, max_instructions_per_trace=400
     ).generate()
     generator = VectorGenerator(control, graph, seed=7)

@@ -19,7 +19,7 @@ import pytest
 from repro.enumeration import StateGraph, enumerate_states
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.tour import (
-    TourGenerator,
+    IndexedTourGenerator,
     arc_coverage,
     chinese_postman_tour,
     postman_lower_bound,
@@ -43,7 +43,7 @@ def test_greedy_vs_postman_optimum(benchmark, n, extra, seed):
     graph = random_strongly_connected(n, extra, seed)
     optimum = postman_lower_bound(graph)
     tours = benchmark.pedantic(
-        TourGenerator(graph).generate, rounds=1, iterations=1
+        IndexedTourGenerator(graph).generate, rounds=1, iterations=1
     )
     assert tours.complete
     ratio = tours.stats.total_edge_traversals / optimum
@@ -68,7 +68,7 @@ def test_pp_graph_redundancy(benchmark):
     control = PPControlModel(PPModelConfig(fill_words=1))
     graph, _ = enumerate_states(control.build())
     tours = benchmark.pedantic(
-        TourGenerator(graph).generate, rounds=1, iterations=1
+        IndexedTourGenerator(graph).generate, rounds=1, iterations=1
     )
     assert tours.complete
     redundancy = tours.stats.total_edge_traversals / graph.num_edges

@@ -6,13 +6,7 @@ which transition tours are derived.
 """
 
 from repro.enumeration.graph import StateGraph, Edge
-from repro.enumeration.kernel import (
-    KERNEL_MODES,
-    CompiledKernel,
-    InterpretedKernel,
-    compile_model,
-    resolve_kernel,
-)
+from repro.enumeration.kernel import CompiledKernel, compile_model, resolve_kernel
 from repro.enumeration.bfs import (
     EnumerationError,
     InvariantViolation,
@@ -31,9 +25,7 @@ from repro.enumeration.analysis import (
 )
 
 __all__ = [
-    "KERNEL_MODES",
     "CompiledKernel",
-    "InterpretedKernel",
     "compile_model",
     "resolve_kernel",
     "GraphProfile",

@@ -24,7 +24,9 @@ dispatch, the kernel has no guard mask, or the wave is small; otherwise
 it sends packed spans to the workers.  Span results are replayed in
 submission order, so the graph, the cap point and the first
 :class:`InvariantViolation` are identical at every job count.  The
-expansion itself is a *transition kernel* (:mod:`repro.enumeration.kernel`).
+expansion itself is the one transition kernel,
+:class:`~repro.enumeration.kernel.CompiledKernel`; tests inject the fully
+validated reference through ``kernel=``.
 
 Resilience: ``checkpoint=`` snapshots the coordinator state at wave
 boundaries and ``resume=`` continues from a snapshot to a
@@ -45,8 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tupl
 from repro.enumeration.frontier import SpanExecutor
 from repro.enumeration.graph import StateGraph
 from repro.enumeration.kernel import (
-    Kernel,
-    KernelSpec,
+    CompiledKernel,
     Transition,
     flush_kernel_metrics,
     resolve_kernel,
@@ -95,7 +96,9 @@ def rebuild_seen_arcs(graph: StateGraph, record_all_conditions: bool) -> Set[Tup
     return {(e.src, e.dst) for e in graph.edges()}
 
 
-def reset_graph(model: SyncModel, kern: Kernel, check_invariants: bool) -> StateGraph:
+def reset_graph(
+    model: SyncModel, kern: CompiledKernel, check_invariants: bool
+) -> StateGraph:
     """A fresh graph holding only the (validated) reset state, id 0."""
     graph = StateGraph(model.choice_names)
     reset = model.reset_state()
@@ -183,7 +186,7 @@ def enumerate_states(
     resume=None,
     budget: Optional[Budget] = None,
     faults: Optional[FaultPlan] = None,
-    kernel: KernelSpec = "compiled",
+    kernel: Optional[CompiledKernel] = None,
     *,
     jobs: Optional[int] = 1,
     pool: Optional[WorkerPool] = None,
@@ -227,9 +230,10 @@ def enumerate_states(
         stalls at wave boundaries, worker kills and stalls at a
         ``(wave, span)`` of the packed dispatch.
     kernel:
-        ``"compiled"`` (default), ``"interpreted"`` or a kernel object
-        from :mod:`repro.enumeration.kernel` -- the seam the kernel tests
-        compare through.  All produce bit-identical graphs.
+        ``None`` (the model's cached :func:`compile_model` kernel) or a
+        kernel object -- the seam through which the kernel tests inject a
+        kernel with its own validation schedule, or the fully validated
+        reference oracle.  All produce bit-identical graphs.
     jobs / pool / retry:
         Worker processes (``None``: ``pool.jobs`` or every CPU), a shared
         :class:`~repro.enumeration.pool.WorkerPool` (without one, the run

@@ -26,8 +26,9 @@ array inside one ``multiprocessing.shared_memory`` segment:
 
 A wave is expanded in-process, streamed one state at a time, when the
 pool cannot dispatch (``jobs=1``, no ``fork``, closed or degraded), when
-the kernel has no guard mask (the interpreted kernel, or more than 64
-guards), or when the wave is below :data:`DISPATCH_MIN_STATES` states.
+the kernel has no guard mask (more than 64 guards, or an injected kernel
+without ``expand_masked`` such as the tests' reference oracle), or when
+the wave is below :data:`DISPATCH_MIN_STATES` states.
 Span results are replayed in submission order, so the graph is identical
 whatever the job count, dispatch or retry history.
 
@@ -57,7 +58,7 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import StateGraph
-from repro.enumeration.kernel import Kernel, Transition
+from repro.enumeration.kernel import CompiledKernel, Transition
 from repro.enumeration.pool import WorkerPool, in_worker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -81,7 +82,7 @@ _MIN_SPAN_STATES = 64
 #: Transition kernel published by the coordinator immediately before the
 #: pool forks; workers inherit the ready-built choice tables and codec
 #: closures without pickling.
-_WORKER_KERNEL: Optional[Kernel] = None
+_WORKER_KERNEL: Optional[CompiledKernel] = None
 #: Whether workers collect per-span metrics snapshots (False keeps the
 #: no-sink path overhead-free).
 _WORKER_COLLECT: bool = False
@@ -297,14 +298,6 @@ def _expand_span_packed(
     return masks, succs, registry.snapshot()
 
 
-def _tallied(row: Iterable[Transition], tally: List[int]) -> Iterator[Transition]:
-    """``row`` unchanged, adding each transition to ``tally[0]`` as the
-    consumer reaches it."""
-    for transition in row:
-        tally[0] += 1
-        yield transition
-
-
 def _span_bounds(count: int, jobs: int) -> List[Tuple[int, int]]:
     """Adaptive packed-span layout: contiguous ``(start, stop)`` pairs.
 
@@ -331,7 +324,7 @@ class SpanExecutor:
 
     def __init__(
         self,
-        kern: Kernel,
+        kern: CompiledKernel,
         jobs: int,
         obs: Observer,
         context: Any,
@@ -402,23 +395,20 @@ class SpanExecutor:
         self, graph: StateGraph, wave: List[int]
     ) -> Iterator[Tuple[int, Iterable[Transition]]]:
         # Streamed: each state is expanded only when the loop asks for its
-        # row, so a generator kernel's errors surface in state order.  The
-        # wave is reported as one coordinator shard, so shard totals still
-        # sum to the run's totals.
+        # row, so errors surface in state order.  The wave is reported as
+        # one coordinator shard, so shard totals still sum to the run's
+        # totals.
         started = time.perf_counter()
-        tally = [0]
+        transitions = 0
         expand = self.kern.expand
         for src in wave:
             row = expand(graph.state_key(src))
-            if isinstance(row, tuple):
-                tally[0] += len(row)
-            else:
-                row = _tallied(row, tally)
+            transitions += len(row)
             yield src, row
         if self.obs.enabled:
             worker = str(os.getpid())
             self.obs.inc("enum.shard.states", len(wave), worker=worker)
-            self.obs.inc("enum.shard.transitions", tally[0], worker=worker)
+            self.obs.inc("enum.shard.transitions", transitions, worker=worker)
             self.obs.observe("enum.shard.seconds",
                              time.perf_counter() - started, worker=worker)
 

@@ -1,27 +1,24 @@
-"""Transition kernels: the pluggable expansion hot path of enumeration.
+"""The transition kernel: the expansion hot path of enumeration.
 
 The BFS engine spends nearly all its time computing, for one packed
 state key, the ordered list of ``(condition, packed_successor)`` pairs.
-A *kernel* owns exactly that computation:
+:class:`CompiledKernel` (built and cached per model by
+:func:`compile_model`) owns exactly that computation.  It specializes
+everything that depends only on the declaration: per-guard-signature
+choice tables, the closure codec (:class:`StateCodec`), and
+validate-on-first-sight plus sampled re-validation instead of
+per-transition re-validation.  It keeps no successor memo: one
+enumeration expands each state once, and the graph holds every arc.
+When the model carries a generated ``expand`` (translated models do),
+the kernel runs it; otherwise it runs ``next_state`` once per distinct
+choice read-path (below).
 
-- :class:`InterpretedKernel` is the reference path: unpack the state
-  dict, re-enumerate choices through :meth:`SyncModel.enumerate_choices`,
-  step through :meth:`SyncModel.step` (full per-transition domain and
-  completeness validation), pack through :class:`StateCodec`.
-- :class:`CompiledKernel` (built by :func:`compile_model`) specializes
-  everything that depends only on the declaration: per-guard-signature
-  choice tables, closure-based pack/unpack with precomputed shifts and
-  masks, and validate-on-first-sight plus sampled re-validation instead
-  of per-transition re-validation.  It keeps no successor memo: one
-  enumeration expands each state once, and the graph holds every
-  arc.  When the model carries a generated ``expand`` (translated
-  models do), the compiled kernel runs it; otherwise it runs
-  ``next_state`` once per distinct choice read-path (below).
-
-The two kernels produce **bit-identical** expansions -- same successor
-keys, same condition tuples, same order -- so state graphs, checkpoints
-and obs counters are interchangeable between them; the golden and
-property tests in ``tests/test_kernel.py`` lock this down.
+Its expansions are **bit-identical** to the fully validated reference --
+unpack, :meth:`SyncModel.enumerate_choices`, :meth:`SyncModel.step` on
+every transition, pack -- which the test suite keeps as an oracle and
+injects through ``enumerate_states(kernel=...)``: same successor keys,
+same condition tuples, same order, so state graphs, checkpoints and obs
+counters do not depend on which of the two ran.
 
 Read-set elision
 ----------------
@@ -39,16 +36,16 @@ fills only itself.  ``enum.kernel.next_state_calls`` counts the calls.
 
 Soundness of reduced validation
 -------------------------------
-The interpreted path validates every ``next_state`` result: complete
-assignment, every value in-domain, no undeclared variables.  The
-compiled fast path gets the first two *for free*: packing looks each
-declared variable up in a precomputed ``value -> shifted-index`` map, so
-a missing variable or out-of-domain value raises ``KeyError``, which the
-kernel converts into the exact interpreted-path :class:`ModelError` by
-re-running the validated step.  The only check that is genuinely
-relaxed is the *undeclared extra variable* class (packing simply never
-reads such keys).  ``strict=True`` restores exhaustive per-transition
-validation for tests and debugging, and never elides.
+:meth:`SyncModel.step` validates every ``next_state`` result: complete
+assignment, every value in-domain, no undeclared variables.  The fast
+path gets the first two *for free*: packing looks each declared
+variable up in a precomputed ``value -> shifted-index`` map, so a
+missing variable raises ``KeyError`` and an out-of-domain value
+``ValueError``; the kernel converts either into the exact
+:class:`ModelError` of ``step`` by re-running the validated step.  The
+only check that is genuinely relaxed is the *undeclared extra variable*
+class (packing simply never reads such keys), which the checks below
+catch on the rows they check.
 
 Fast rows are held to ``step()``
 --------------------------------
@@ -61,7 +58,8 @@ is compared in full with ``pack(model.step(...))`` of every row, every
 restarts at each run and each span, so the checks a run makes depend on
 the model and the job count only.  That catches
 an extra variable deterministically when it is systematic and by sample
-otherwise, and it catches, on the rows it checks, a ``next_state``
+otherwise (``sample_every=1`` re-validates every transition), and it
+catches, on the rows it checks, a ``next_state``
 whose result depends on anything besides the state and the choice
 values it reads (a hidden counter, say).  If ``expand`` raises,
 the state is expanded again through the dict path, which raises the
@@ -74,53 +72,14 @@ import copy
 import time
 import weakref
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
+from repro.smurphi.compiled import ChoiceTables
 from repro.smurphi.model import ModelError, SyncModel
 from repro.smurphi.state import StateCodec
 
-#: Kernel selector values accepted by the engine's ``kernel=`` seam.
-KERNEL_MODES = ("compiled", "interpreted")
-
 #: One expanded transition: (condition tuple, packed successor key).
 Transition = Tuple[Tuple, int]
-
-
-class InterpretedKernel:
-    """The reference expansion path: full :meth:`SyncModel.step`
-    validation on every transition.  It produces no guard mask, so the
-    engine always runs it in-process."""
-
-    kind = "interpreted"
-    compile_seconds = 0.0
-
-    def __init__(self, model: SyncModel):
-        self.model = model
-        self.codec = StateCodec(model.state_vars)
-
-    def reset_key(self) -> int:
-        return self.codec.pack(self.model.reset_state())
-
-    def unpack(self, key: int) -> Dict[str, object]:
-        return self.codec.unpack(key)
-
-    def start_run(self) -> None:
-        pass  # every transition is validated; there is no schedule
-
-    def expand(self, key: int) -> Iterator[Transition]:
-        # A generator on purpose: the executor streams it, interleaving
-        # each step with the loop's bookkeeping, so errors surface in
-        # state order for pathological models.
-        model, codec = self.model, self.codec
-        state = codec.unpack(key)
-        names = model.choice_names
-        for choice in model.enumerate_choices(state):
-            nxt = model.step(state, choice)
-            yield tuple(choice[n] for n in names), codec.pack(nxt)
-
-    def counters(self) -> Dict[str, int]:
-        return {}
 
 
 class _ReadLog:
@@ -201,26 +160,21 @@ Mapping.register(_ReadLog)
 class CompiledKernel:
     """Specialized expansion: precomputed choice tables, closure codec,
     read-set elision, reduced validation, and the model's generated
-    ``expand`` when it has one.  Build via :func:`compile_model` (which
-    caches kernels per model so campaigns and ablations share one set of
-    choice tables)."""
+    ``expand`` when it has one.  :func:`compile_model` builds one per
+    model and caches it, so campaigns and ablations share one set of
+    choice tables; construct one directly for a private validation
+    schedule (``sample_every``)."""
 
     kind = "compiled"
 
-    def __init__(
-        self,
-        model: SyncModel,
-        strict: bool = False,
-        sample_every: int = 1024,
-    ):
+    def __init__(self, model: SyncModel, sample_every: int = 1024):
         started = time.perf_counter()
         self._model = model  # compile_model swaps in a weak reference
-        self.strict = bool(strict)
         self.sample_every = max(1, int(sample_every))
-        self.codec = CompiledStateCodec(model.state_vars)
+        self.codec = StateCodec(model.state_vars)
         self.tables = ChoiceTables(model)
         self._next_state = model._next_state
-        self._generated = None if self.strict else model.generated_expand
+        self._generated = model.generated_expand
         self.expansions = 0
         self.next_state_calls = 0
         self.sampled_validations = 0
@@ -265,20 +219,17 @@ class CompiledKernel:
         ``tables.table(signature)``, which is what lets pool workers
         ship one integer instead of pickled per-transition conditions.
         """
-        if self.strict:
-            result = self._exhaustive(key)
-        else:
-            result = None
-            if self._generated is not None:
-                try:
-                    result = self._generated(key, self.tables.select)
-                except Exception:
-                    pass  # the dict path below raises the model's own error
-                source = "generated expand"
-            if result is None:
-                result = self._expand_dict(key)
-                source = "elided expansion"
-            self._check_row(key, result, source)
+        result = None
+        if self._generated is not None:
+            try:
+                result = self._generated(key, self.tables.select)
+            except Exception:
+                pass  # the dict path below raises the model's own error
+            source = "generated expand"
+        if result is None:
+            result = self._expand_dict(key)
+            source = "elided expansion"
+        self._check_row(key, result, source)
         self.expansions += 1
         return result
 
@@ -307,10 +258,9 @@ class CompiledKernel:
             calls += 1
             try:
                 packed = pack(nxt)
-            except KeyError:
+            except (KeyError, ValueError):
                 # Missing or out-of-domain variable: re-run the
-                # validated step to raise the exact ModelError the
-                # interpreted path would have produced.
+                # validated step to raise its exact ModelError.
                 self.model.step(state, dict(choice))
                 raise  # step validated clean yet pack failed: mutation
             if view.whole:
@@ -328,43 +278,34 @@ class CompiledKernel:
         self.next_state_calls += calls
         return mask, tuple(out)
 
-    def _exhaustive(self, key: int) -> Tuple[int, Tuple[Transition, ...]]:
-        """Expand ``key`` with every transition through the validated
-        ``model.step``."""
-        state = self.codec.unpack(key)
-        mask, table = self.tables.select(state)
-        step, pack = self.model.step, self.codec.pack
-        row = tuple(
-            (condition, pack(step(state, dict(choice))))
-            for choice, condition in table
-        )
-        self.sampled_validations += len(table)
-        return mask, row
-
     def _check_row(
         self, key: int, result: Tuple[int, Tuple[Transition, ...]], source: str
     ) -> None:
         """Hold a fast-path expansion to ``model.step``: in full on the
         run's first state, then every ``sample_every``-th transition."""
-        if not self._first_sight_done:
-            if result != self._exhaustive(key):
-                self._disagree(key, source)
+        mask, row = result
+        if self._first_sight_done:
+            before = self._validation_tick
+            cadence = self.sample_every
+            tick = before + len(row)
+            self._validation_tick = tick % cadence
+            if tick < cadence:
+                return
+            first = cadence - before - 1
+        else:
             self._first_sight_done = True
-            return
-        row = result[1]
-        before = self._validation_tick
-        tick = before + len(row)
-        cadence = self.sample_every
-        if tick >= cadence:
-            state = self.codec.unpack(key)
-            table = self.tables.select(state)[1]
-            step, pack = self.model.step, self.codec.pack
-            for index in range(cadence - before - 1, len(row), cadence):
-                choice, condition = table[index]
-                self.sampled_validations += 1
-                if row[index] != (condition, pack(step(state, dict(choice)))):
-                    self._disagree(key, source)
-        self._validation_tick = tick % cadence
+            first, cadence = 0, 1
+        state = self.codec.unpack(key)
+        signature, table = self.tables.select(state)
+        step, pack = self.model.step, self.codec.pack
+        stepped = []
+        for index in range(first, len(table), cadence):
+            choice, condition = table[index]
+            stepped.append((index, (condition, pack(step(state, dict(choice))))))
+        self.sampled_validations += len(stepped)
+        if (signature != mask or len(row) != len(table)
+                or any(row[index] != expected for index, expected in stepped)):
+            self._disagree(key, source)
 
     def _disagree(self, key: int, source: str) -> None:
         raise ModelError(
@@ -383,31 +324,18 @@ class CompiledKernel:
         }
 
 
-#: Anything the engine accepts as its ``kernel=`` argument.
-Kernel = Union[InterpretedKernel, CompiledKernel]
-KernelSpec = Union[str, None, Kernel]
-
-
-def compile_model(
-    model: SyncModel,
-    strict: bool = False,
-    sample_every: int = 1024,
-) -> CompiledKernel:
+def compile_model(model: SyncModel) -> CompiledKernel:
     """Compile ``model``'s expansion hot path; cached per model instance.
 
-    Repeat calls with the same options return the same kernel, so the
-    choice tables and codec built for one enumeration are reused by the
-    next (campaigns, ``record_all_conditions`` ablations -- expansion
-    does not depend on the arc-recording mode -- and pool workers, which
-    inherit the coordinator's kernel by fork).
+    Repeat calls return the same kernel, so the choice tables and codec
+    built for one enumeration are reused by the next (campaigns,
+    ``record_all_conditions`` ablations -- expansion does not depend on
+    the arc-recording mode -- and pool workers, which inherit the
+    coordinator's kernel by fork).
     """
-    cache = model.__dict__.setdefault("_kernel_cache", {})
-    options = (bool(strict), int(sample_every))
-    kernel = cache.get(options)
+    kernel = model.__dict__.get("_kernel")
     if kernel is None:
-        kernel = cache[options] = CompiledKernel(
-            model, strict=strict, sample_every=sample_every
-        )
+        kernel = model.__dict__["_kernel"] = CompiledKernel(model)
         # The model owns this kernel: a strong reference back would make
         # the pair a cycle that outlives the model's last user until a
         # full garbage collection.
@@ -415,31 +343,29 @@ def compile_model(
     return kernel
 
 
-def resolve_kernel(model: SyncModel, kernel: KernelSpec = "compiled") -> Kernel:
+def resolve_kernel(
+    model: SyncModel, kernel: Optional[CompiledKernel] = None
+) -> CompiledKernel:
     """Normalize the engine's ``kernel=`` argument to a kernel object.
 
-    ``"compiled"`` (or ``None``) compiles/reuses the model's cached
-    compiled kernel; ``"interpreted"`` builds the reference kernel; a
-    kernel instance (e.g. a ``strict=True`` compiled kernel) passes
-    through so tests can inject configured kernels.
+    ``None`` compiles/reuses the model's cached kernel.  A kernel object
+    passes through: that is how tests inject a kernel with its own
+    ``sample_every``, or the fully validated reference oracle, which
+    offers the same ``reset_key``/``unpack``/``start_run``/``expand``/
+    ``counters`` interface without ``expand_masked``.
     """
-    if kernel is None or kernel == "compiled":
-        return compile_model(model)
-    if kernel == "interpreted":
-        return InterpretedKernel(model)
-    if isinstance(kernel, str):
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    return kernel
+    return compile_model(model) if kernel is None else kernel
 
 
-def flush_kernel_metrics(obs, kernel: Kernel, before: Dict[str, int]) -> None:
+def flush_kernel_metrics(
+    obs, kernel: CompiledKernel, before: Dict[str, int]
+) -> None:
     """Emit this run's ``enum.kernel.*`` deltas to an observer.
 
     ``before`` is the :meth:`counters` snapshot taken when the run
     started; kernels are cached across runs, so the cumulative counters
-    must be diffed to keep per-run reports additive.
+    must be diffed to keep per-run reports additive.  An injected kernel
+    of another ``kind`` (the reference oracle) reports nothing.
     """
     if kernel.kind != "compiled":
         return

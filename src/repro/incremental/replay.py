@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.enumeration.bfs import _approx_memory, bfs_waves, reset_graph
 from repro.enumeration.graph import StateGraph
-from repro.enumeration.kernel import flush_kernel_metrics, resolve_kernel
+from repro.enumeration.kernel import compile_model, flush_kernel_metrics
 from repro.enumeration.stats import EnumerationStats
 from repro.obs.observer import Observer, resolve
 from repro.smurphi.model import SyncModel
@@ -54,7 +54,7 @@ def incremental_enumerate(
     ``model`` (see module docstring).
     """
     obs = resolve(obs)
-    kern = resolve_kernel(model)
+    kern = compile_model(model)
     kern.start_run()
     kernel_before = kern.counters()
     started = time.perf_counter()

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import StateGraph
 from repro.smurphi.model import SyncModel
-from repro.smurphi.compiled import CompiledStateCodec
+from repro.smurphi.state import StateCodec
 from repro.tour.fig33 import Tour
 from repro.vectors.generator import (
     TestVectorTrace,
@@ -53,7 +53,7 @@ def dirty_flags(
     scopes: Sequence[Callable[[Mapping], bool]],
 ) -> List[bool]:
     """``flags[i]``: some added rule's scope covers graph state ``i``."""
-    codec = CompiledStateCodec(model.state_vars)
+    codec = StateCodec(model.state_vars)
     flags = []
     for state_id in range(graph.num_states):
         state = codec.unpack(graph.state_key(state_id))

@@ -1,9 +1,9 @@
 """Validation-as-a-service: the crash-tolerant ``repro serve`` daemon.
 
-ROADMAP item 2: the CLI is one-shot, production traffic means a daemon.
-This package exposes the validation pipeline as a long-running HTTP/JSON
-service (stdlib only: asyncio + a handwritten HTTP/1.1 layer) whose
-headline property is **robustness**:
+The CLI is one-shot; this package exposes the validation pipeline as a
+long-running HTTP/JSON service (stdlib only: asyncio + a handwritten
+HTTP/1.1 layer) whose headline property is **robustness**.  The daemon
+is maintained but not grown.  Its modules:
 
 - :mod:`repro.serve.jobs` -- the job model: kinds (enumerate / validate
   / campaign), canonical parameter normalization, content-addressed job

@@ -23,12 +23,11 @@ Public API:
 from repro.smurphi.types import BoolType, EnumType, RangeType, FiniteType
 from repro.smurphi.model import SyncModel, StateVar, ChoicePoint, ModelError
 from repro.smurphi.state import StateCodec
-from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
+from repro.smurphi.compiled import ChoiceTables
 from repro.smurphi.lang import parse_model, MurphiSyntaxError
 
 __all__ = [
     "ChoiceTables",
-    "CompiledStateCodec",
     "parse_model",
     "MurphiSyntaxError",
     "BoolType",

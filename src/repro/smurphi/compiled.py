@@ -1,91 +1,36 @@
-"""Specialized (pre-compiled) views of a :class:`SyncModel` declaration.
+"""Choice tables: a pre-compiled view of a :class:`SyncModel`'s choices.
 
 The generic model API is convenient but pays dict- and method-call tax on
 every transition: :meth:`SyncModel.enumerate_choices` re-evaluates guards
-and rebuilds choice dicts at every state, and :class:`StateCodec` packs
-one field at a time through ``FiniteType`` method calls.  The enumeration
-hot loop executes these millions of times, so this module precomputes
-everything that depends only on the *declaration* once:
-
-- :class:`CompiledStateCodec` closes ``pack``/``unpack`` over per-variable
-  ``value -> shifted-index`` maps and ``masked-index -> value`` tables, so
-  packing a state is a handful of dict lookups and OR's with no method
-  dispatch, no per-field exception handling, and no domain re-validation
-  (an out-of-domain or missing value surfaces as ``KeyError``).
-- :class:`ChoiceTables` observes that the *set* of choice combinations at
-  a state depends only on the tuple of guard outcomes (the *guard
-  signature*), of which there are at most ``2^guarded_choices`` -- twenty
-  or so for the PP model against hundreds of thousands of states.  Each
-  signature's full table of ``(choice_dict, condition_tuple)`` pairs is
-  built once, in exactly the order :meth:`SyncModel.enumerate_choices`
-  yields, then reused for every state sharing the signature.  Next to
-  each table it keeps that table's *row masks*: for every choice name
-  and value, the bitmask of the rows that assign that value, so a
-  caller can find in one AND every row that agrees with a given one on
-  the choices a transition read.
+and rebuilds choice dicts at every state.  The enumeration hot loop
+executes this millions of times, so :class:`ChoiceTables` precomputes
+what depends only on the *declaration* once.  It observes that the *set*
+of choice combinations at a state depends only on the tuple of guard
+outcomes (the *guard signature*), of which there are at most
+``2^guarded_choices`` -- twenty or so for the PP model against hundreds
+of thousands of states.  Each signature's full table of
+``(choice_dict, condition_tuple)`` pairs is built once, in exactly the
+order :meth:`SyncModel.enumerate_choices` yields, then reused for every
+state sharing the signature.  Next to each table it keeps that table's
+*row masks*: for every choice name and value, the bitmask of the rows
+that assign that value, so a caller can find in one AND every row that
+agrees with a given one on the choices a transition read.  (States are
+packed by the one :class:`~repro.smurphi.state.StateCodec`, which
+compiles its layout the same way.)
 
 The shared choice dicts lean on the documented :class:`SyncModel`
 contract that ``next_state`` must not mutate its arguments; a mutating
-model would corrupt the table silently here where the interpreted path
-would merely waste work.  ``repro.enumeration.kernel`` (strict mode)
-exists to flush out such models.
+model would corrupt the table silently.  The kernel's full check of a
+run's first state and its sampled checks against :meth:`SyncModel.step`
+(:mod:`repro.enumeration.kernel`) are where such a model shows.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from repro.smurphi.model import SyncModel, StateVar
-
-
-class CompiledStateCodec:
-    """Closure-specialized drop-in for :class:`~repro.smurphi.state.StateCodec`.
-
-    Layout is identical to :class:`StateCodec` (declaration order, one
-    bit-field per variable), so packed keys are interchangeable between
-    the two -- the compiled/interpreted bit-identity guarantee depends on
-    it.  The differences are purely mechanical:
-
-    - ``pack`` raises ``KeyError`` (not ``ValueError``) for missing or
-      out-of-domain values; callers wanting a diagnostic re-run the slow
-      validated path.
-    - ``unpack_values`` returns the canonical var-order value tuple
-      without building a dict.
-    """
-
-    def __init__(self, state_vars: Sequence[StateVar]):
-        rows: List[Tuple[str, int, int, Tuple, Dict]] = []
-        offset = 0
-        for var in state_vars:
-            width = var.type.bit_width()
-            values = tuple(var.type.values())
-            shifted = {value: index << offset for index, value in enumerate(values)}
-            rows.append((var.name, offset, (1 << width) - 1, values, shifted))
-            offset += width
-        self.total_bits = offset
-        self.var_names: Tuple[str, ...] = tuple(row[0] for row in rows)
-        pack_rows = tuple((name, shifted) for name, _, _, _, shifted in rows)
-        unpack_rows = tuple((name, off, mask, values)
-                            for name, off, mask, values, _ in rows)
-
-        def pack(state: Mapping) -> int:
-            key = 0
-            for name, shifted in pack_rows:
-                key |= shifted[state[name]]
-            return key
-
-        def unpack(key: int) -> Dict[str, object]:
-            return {name: values[(key >> off) & mask]
-                    for name, off, mask, values in unpack_rows}
-
-        def unpack_values(key: int) -> Tuple:
-            return tuple(values[(key >> off) & mask]
-                         for _, off, mask, values in unpack_rows)
-
-        self.pack = pack
-        self.unpack = unpack
-        self.unpack_values = unpack_values
+from repro.smurphi.model import SyncModel
 
 
 class ChoiceTables:
@@ -94,7 +39,7 @@ class ChoiceTables:
     A *signature* is the tuple of guard outcomes for the model's guarded
     choice points (unguarded ones are always active).  ``table(sig)``
     returns, building it on first sight, the tuple of
-    ``(choice_dict, condition_tuple)`` pairs the interpreted
+    ``(choice_dict, condition_tuple)`` pairs the generic
     :meth:`SyncModel.enumerate_choices` would yield for any state with
     that signature -- same combinations, same order -- with the condition
     tuple (choice values in declaration order) precomputed alongside.

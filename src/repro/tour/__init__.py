@@ -1,14 +1,16 @@
 """Transition-tour generation over the enumerated state graph (section 3.3).
 
-The primary algorithm is the paper's Fig. 3.3 greedy generator: depth-first
-traversal of untraversed arcs, a breadth-first *explore* phase that splices
-in shortest paths to remaining untraversed arcs (re-traversing arcs is cheap
-in simulation, backtracking is not), restarts from reset, and an optional
-per-trace instruction limit.  A classical Chinese-Postman/Euler-tour solver
-is included as the optimal-length baseline for the ablation benchmarks.
+The algorithm is the paper's Fig. 3.3 greedy generator: depth-first
+traversal of untraversed arcs, an *explore* phase that splices in shortest
+paths to remaining untraversed arcs (re-traversing arcs is cheap in
+simulation, backtracking is not), restarts from reset, and an optional
+per-trace instruction limit.  :class:`IndexedTourGenerator` runs it on a
+CSR graph with an exact distance index.  A classical
+Chinese-Postman/Euler-tour solver is included as the optimal-length
+baseline for the ablation benchmarks.
 """
 
-from repro.tour.fig33 import TourGenerator, Tour, TourSet, TourStats
+from repro.tour.fig33 import Tour, TourSet, TourStats
 from repro.tour.indexed import IndexedTourGenerator
 from repro.tour.coverage import (
     arc_coverage,
@@ -38,7 +40,6 @@ __all__ = [
     "ConformanceSuite",
     "ConformanceVerdict",
     "IndexedTourGenerator",
-    "TourGenerator",
     "Tour",
     "TourSet",
     "TourStats",

@@ -1,29 +1,28 @@
-"""The paper's tour-generation algorithm (Fig. 3.3), faithfully reproduced.
+"""Tours of the paper's tour-generation algorithm (Fig. 3.3).
 
-The generator produces a *set* of tour components, all starting from the
+Fig. 3.3 produces a *set* of tour components, all starting from the
 reset state, whose union covers every arc of the state graph.  Within a
 tour it proceeds greedily depth-first over untraversed arcs; when stuck it
-performs a breadth-first *explore* over the whole graph (traversed arcs
-included) and splices in the shortest path to the nearest state that still
-has an untraversed out-arc.  Traversing an arc multiple times is cheap in
+*explores* the whole graph (traversed arcs included) for the shortest
+path to the nearest state that still has an untraversed out-arc, and
+splices that path in.  Traversing an arc multiple times is cheap in
 simulation whereas backtracking/checkpointing is not, so re-traversal is
 always preferred.  When no untraversed arc is reachable from the current
 point -- or the per-file instruction limit is hit -- the tour is closed and
 a new one starts from reset.
+
+This module holds what a generation run produces -- :class:`Tour`,
+:class:`TourSet` and its Table 3.3 :class:`TourStats` -- and the
+instruction-cost type.  The generator is
+:class:`~repro.tour.indexed.IndexedTourGenerator`.
 """
 
 from __future__ import annotations
 
-import logging
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 from repro.enumeration.graph import Edge, StateGraph
-from repro.obs.observer import Observer, resolve
-
-logger = logging.getLogger("repro.tour")
 
 #: Cost function: instructions contributed by traversing one arc.
 InstructionCost = Callable[[Edge], int]
@@ -119,208 +118,3 @@ class TourSet:
 
     def __len__(self) -> int:
         return len(self.tours)
-
-
-class TourGenerator:
-    """Implements ``GenerateTours`` of Fig. 3.3.
-
-    Parameters
-    ----------
-    graph:
-        The enumerated state graph (every state reachable from reset).
-    instruction_cost:
-        Instructions contributed by an arc traversal; defaults to one per
-        arc.  The PP mapping charges one instruction per issued class.
-    max_instructions_per_trace:
-        The per-output-file limit of Fig. 3.3 (the paper evaluates both no
-        limit and a 10,000-instruction limit in Table 3.3).  ``None``
-        disables the limit.
-    """
-
-    def __init__(
-        self,
-        graph: StateGraph,
-        instruction_cost: InstructionCost = _unit_cost,
-        max_instructions_per_trace: Optional[int] = None,
-    ):
-        if max_instructions_per_trace is not None and max_instructions_per_trace <= 0:
-            raise ValueError("max_instructions_per_trace must be positive")
-        self.graph = graph
-        self.instruction_cost = instruction_cost
-        self.max_instructions = max_instructions_per_trace
-
-    # -- public API ------------------------------------------------------------
-
-    def generate(self, obs: Optional[Observer] = None) -> TourSet:
-        """Run the full Fig. 3.3 loop until every arc has been traversed.
-
-        ``obs`` receives one ``tour.trace`` event per closed tour with
-        cumulative arcs-covered / instructions (the raw Fig 4.1 coverage
-        curve), plus end-of-run counters: ``tour.traces``,
-        ``tour.arc_traversals``, ``tour.instructions``,
-        ``tour.limit_restarts`` (tours closed by the per-trace limit) and
-        ``tour.explore_splices`` (BFS paths spliced in when the greedy
-        DFS got stuck).
-        """
-        obs = resolve(obs)
-        started = time.perf_counter()
-        graph = self.graph
-        # One shared (edge_index, dst) adjacency view for every DFS walk
-        # and explore restart of this run (the graph is frozen by now).
-        adjacency = graph.out_adjacency()
-        traversed = [False] * graph.num_edges
-        # Per-state cursor into the out-edge list: edges before the cursor
-        # are all traversed, so the DFS scan restarts where it left off.
-        cursors = [0] * graph.num_states
-        untraversed_out = [len(out) for out in adjacency]
-        # Maintained decrementally by _take (an O(V) sum per outer
-        # iteration is measurable on large graphs with many tours).
-        self._remaining = graph.num_edges
-
-        tours: List[Tour] = []
-        limit_restarts = 0
-        explore_splices = 0
-        cumulative_instructions = 0
-        while self._remaining:
-            tour = Tour()
-            state = StateGraph.RESET
-            limit_hit = False
-            while True:
-                state = self._traverse_dfs(
-                    state, tour, traversed, cursors, untraversed_out, adjacency
-                )
-                if self.max_instructions is not None and tour.instructions >= self.max_instructions:
-                    limit_hit = True
-                    break
-                path = self._explore_bfs(state, untraversed_out, adjacency)
-                if path is None:
-                    break  # nothing else reachable: close this tour
-                if path:
-                    explore_splices += 1
-                for index in path:
-                    self._take(index, tour, traversed, untraversed_out)
-                state = graph.edge(path[-1]).dst if path else state
-            remaining = self._remaining
-            if tour.edge_indices:
-                tours.append(tour)
-                limit_restarts += limit_hit
-                cumulative_instructions += tour.instructions
-                obs.observe("tour.trace_instructions", tour.instructions)
-                obs.observe("tour.trace_edges", len(tour))
-                obs.event(
-                    "tour.trace",
-                    index=len(tours) - 1,
-                    edges=len(tour),
-                    instructions=tour.instructions,
-                    cumulative_instructions=cumulative_instructions,
-                    covered_arcs=graph.num_edges - remaining,
-                    graph_arcs=graph.num_edges,
-                    limit_hit=limit_hit,
-                )
-            elif not limit_hit and remaining:
-                # Defensive: reset has no untraversed reachable arc yet arcs
-                # remain -- impossible for graphs enumerated from reset.
-                raise RuntimeError(
-                    "unreachable untraversed arcs remain; graph is not "
-                    "reset-reachable"
-                )
-        elapsed = time.perf_counter() - started
-        obs.inc("tour.traces", len(tours))
-        obs.inc("tour.arc_traversals", sum(len(t) for t in tours))
-        obs.inc("tour.instructions", cumulative_instructions)
-        obs.inc("tour.limit_restarts", limit_restarts)
-        obs.inc("tour.explore_splices", explore_splices)
-        obs.observe("tour.seconds", elapsed)
-        logger.info(
-            "generated %d tours covering %d arcs (%d instructions, "
-            "%d limit restarts, %d explore splices) in %.3fs",
-            len(tours), graph.num_edges, cumulative_instructions,
-            limit_restarts, explore_splices, elapsed,
-        )
-        return TourSet(self.graph, tours, elapsed)
-
-    # -- phases of Fig. 3.3 -------------------------------------------------------
-
-    def _traverse_dfs(
-        self,
-        state: int,
-        tour: Tour,
-        traversed: List[bool],
-        cursors: List[int],
-        untraversed_out: List[int],
-        adjacency: Sequence[Sequence[tuple]],
-    ) -> int:
-        """Greedy depth-first phase: follow untraversed arcs until stuck.
-
-        States can be visited multiple times as long as an untraversed arc
-        leaves them; a vector is generated for every arc taken.
-        """
-        while untraversed_out[state]:
-            out = adjacency[state]
-            cursor = cursors[state]
-            while cursor < len(out) and traversed[out[cursor][0]]:
-                cursor += 1
-            cursors[state] = cursor
-            if cursor >= len(out):
-                break  # stale counter; nothing actually untraversed here
-            index, dst = out[cursor]
-            self._take(index, tour, traversed, untraversed_out)
-            state = dst
-            # Limit check comes *after* taking an arc: every DFS round makes
-            # at least one arc of progress, so a long explore path can never
-            # starve the trace into repeating itself forever.
-            if self.max_instructions is not None and tour.instructions >= self.max_instructions:
-                break
-        return state
-
-    def _explore_bfs(
-        self,
-        state: int,
-        untraversed_out: List[int],
-        adjacency: Sequence[Sequence[tuple]],
-    ) -> Optional[List[int]]:
-        """Explore phase: shortest path (over *all* arcs) from ``state`` to
-        any state with an untraversed out-arc, or ``None`` if unreachable.
-
-        The path's arcs are appended to the tour even though they are
-        already traversed -- re-traversal is cheap, backtracking is not.
-        """
-        if untraversed_out[state]:
-            return []
-        parent_edge: dict = {state: None}
-        queue = deque([state])
-        while queue:
-            current = queue.popleft()
-            for index, dst in adjacency[current]:
-                if dst in parent_edge:
-                    continue
-                parent_edge[dst] = index
-                if untraversed_out[dst]:
-                    return self._reconstruct(parent_edge, dst)
-                queue.append(dst)
-        return None
-
-    def _reconstruct(self, parent_edge: dict, target: int) -> List[int]:
-        path: List[int] = []
-        node = target
-        while parent_edge[node] is not None:
-            index = parent_edge[node]
-            path.append(index)
-            node = self.graph.edge(index).src
-        path.reverse()
-        return path
-
-    def _take(
-        self,
-        index: int,
-        tour: Tour,
-        traversed: List[bool],
-        untraversed_out: List[int],
-    ) -> None:
-        edge = self.graph.edge(index)
-        tour.edge_indices.append(index)
-        tour.instructions += self.instruction_cost(edge)
-        if not traversed[index]:
-            traversed[index] = True
-            untraversed_out[edge.src] -= 1
-            self._remaining -= 1

@@ -1,16 +1,18 @@
 """Indexed tour generation: Fig. 3.3 on a CSR graph with a distance index.
 
-:class:`IndexedTourGenerator` produces **bit-identical** output to the
-reference :class:`~repro.tour.fig33.TourGenerator` (same tours, same edge
-order, same splits -- golden- and property-tested) while replacing its
-scaling bottlenecks:
+:class:`IndexedTourGenerator` is the one tour generator.  Its output is
+**bit-identical** to a literal transcription of Fig. 3.3 -- a greedy DFS
+over per-state out-edge rows plus a fresh breadth-first explore at every
+stuck point, which the test suite keeps as its reference oracle (same
+tours, same edge order, same splits -- golden- and property-tested).  It
+replaces that transcription's scaling bottlenecks:
 
 1. **Flat CSR adjacency.**  The graph is frozen into flat integer arrays
    (``indptr``/``out_edge``/``out_dst`` plus a reverse CSR for the index)
    so the greedy DFS and the explore walk plain ``list[int]`` lookups
    instead of per-state tuple rows.
 
-2. **An exact nearest-untraversed-arc index.**  The reference generator
+2. **An exact nearest-untraversed-arc index.**  The literal algorithm
    re-runs a full O(V+E) breadth-first *explore* from scratch at every
    stuck point (~90% of generation time at paper scale).  Here one
    reverse multi-source BFS per :meth:`~IndexedTourGenerator.generate`
@@ -60,11 +62,19 @@ logger = logging.getLogger("repro.tour")
 
 
 class IndexedTourGenerator:
-    """Drop-in accelerated ``GenerateTours`` (Fig. 3.3).
+    """``GenerateTours`` of Fig. 3.3.
 
-    Accepts exactly the reference :class:`~repro.tour.fig33.TourGenerator`
-    parameters and produces bit-identical :class:`TourSet` output at any
-    scale; only the internal exploration machinery differs.
+    Parameters
+    ----------
+    graph:
+        The enumerated state graph (every state reachable from reset).
+    instruction_cost:
+        Instructions contributed by an arc traversal; defaults to one per
+        arc.  The PP mapping charges one instruction per issued class.
+    max_instructions_per_trace:
+        The per-output-file limit of Fig. 3.3 (the paper evaluates both no
+        limit and a 10,000-instruction limit in Table 3.3).  ``None``
+        disables the limit.
     """
 
     def __init__(
@@ -121,8 +131,15 @@ class IndexedTourGenerator:
     # -- public API ------------------------------------------------------------
 
     def generate(self, obs: Optional[Observer] = None) -> TourSet:
-        """Run the Fig. 3.3 loop; same events/counters as the reference,
-        plus ``tour.explore_pruned`` (out-arcs the descent scanned and
+        """Run the Fig. 3.3 loop until every arc has been traversed.
+
+        ``obs`` receives one ``tour.trace`` event per closed tour with
+        cumulative arcs-covered / instructions (the raw Fig 4.1 coverage
+        curve), plus end-of-run counters: ``tour.traces``,
+        ``tour.arc_traversals``, ``tour.instructions``,
+        ``tour.limit_restarts`` (tours closed by the per-trace limit),
+        ``tour.explore_splices`` (explore paths spliced in when the
+        greedy DFS got stuck), ``tour.explore_pruned`` (out-arcs the descent scanned and
         rejected before each downhill arc it took, counted from that
         arc's offset in its row), ``tour.explore_short_circuits``
         (explores answered straight from the distance field),
@@ -375,9 +392,9 @@ class IndexedTourGenerator:
         self._resettled += len(affected)
 
     def _explore(self, state: int) -> Optional[List[int]]:
-        """Explore phase: identical result to the reference ``_explore_bfs``.
+        """Explore phase: identical result to a fresh breadth-first explore.
 
-        With the field exact, the descent is the reference path.  A descent
+        With the field exact, the descent is the BFS's path.  A descent
         that misses would mean the field is wrong; the miss is counted and
         answered by the unpruned sweep.
         """

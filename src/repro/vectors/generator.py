@@ -51,7 +51,7 @@ from repro.pp.isa import (
 )
 from repro.pp.rtl.memory import LINE_WORDS
 from repro.pp.rtl.stimulus import QueueStimulus
-from repro.smurphi.compiled import CompiledStateCodec
+from repro.smurphi.state import StateCodec
 from repro.tour.fig33 import Tour
 
 #: Distinct cache-line base addresses used for memory operands (kept low so
@@ -287,15 +287,13 @@ class TransitionEventMemo:
     with the same ``(src, condition)`` share one entry; the additional
     per-edge-index view (:meth:`lookup_edge`) just skips re-deriving the
     key on the generator's hot path.  Source states are unpacked with
-    :class:`~repro.smurphi.compiled.CompiledStateCodec`: the same layout
-    and key order as :class:`~repro.smurphi.state.StateCodec`, at about
-    half the cost per key.
+    the model's :class:`~repro.smurphi.state.StateCodec`.
     """
 
     def __init__(self, model: PPControlModel, graph: StateGraph):
         self.model = model
         self.graph = graph
-        self.codec = CompiledStateCodec(model.state_vars)
+        self.codec = StateCodec(model.state_vars)
         self._entries: Dict[Tuple[int, Tuple], Tuple] = {}
         self._by_edge: List[Optional[Tuple]] = [None] * graph.num_edges
         self.computed = 0

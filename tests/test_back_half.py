@@ -40,6 +40,7 @@ from repro.vectors import (
     VectorGenerator,
     pp_instruction_cost,
 )
+from tests.oracles import ReferenceStateCodec
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +184,9 @@ class TestTransitionEventMemo:
             assert advanced == any(e[0] == "pipe_advance" for e in events)
 
     def test_unpack_matches_state_codec(self, control, graph):
-        """The memo's compiled codec gives the same dicts, in the same key
-        order, as the reference codec."""
-        reference = StateCodec(control.state_vars)
+        """The memo's codec gives the same dicts, in the same key order,
+        as the field-by-field reference codec."""
+        reference = ReferenceStateCodec(control.state_vars)
         codec = TransitionEventMemo(control, graph).codec
         for state_id in range(graph.num_states):
             key = graph.state_key(state_id)

@@ -12,7 +12,7 @@ from repro.pp.branches import (
 )
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.pp.rtl import CoreConfig, NaturalStimulus, PPCore
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 from repro.vectors import pp_instruction_cost
 
 SQUASH_CFG = CoreConfig(mem_latency=0, squashing_branches=True)
@@ -87,7 +87,7 @@ def branch_pipeline():
     model = control.build()
     graph, stats = enumerate_states(model)
     cost = pp_instruction_cost(control, graph)
-    tours = TourGenerator(
+    tours = IndexedTourGenerator(
         graph, instruction_cost=cost, max_instructions_per_trace=300
     ).generate()
     traces = BranchVectorGenerator(control, graph, seed=3).generate(list(tours))

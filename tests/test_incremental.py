@@ -297,21 +297,24 @@ class TestReplayAccounting:
         model = EditedPPControl(base, edits).build()
         enumerate_states(model)
         kern = compile_model(model)
-        expanded, checked_in_full = [], []
+        # Sampling off: every step() call is then part of a full check.
+        kern.sample_every = 1 << 30
+        expanded, stepped = [], []
 
         def expand_masked(key, _expand_masked=kern.expand_masked):
             expanded.append(key)
             return _expand_masked(key)
 
-        def exhaustive(key, _exhaustive=kern._exhaustive):
-            checked_in_full.append(key)
-            return _exhaustive(key)
+        def step(state, choice, _step=model.step):
+            stepped.append(kern.codec.pack(state))
+            return _step(state, choice)
 
-        kern.expand_masked, kern._exhaustive = expand_masked, exhaustive
+        kern.expand_masked, model.step = expand_masked, step
         dirty = dirty_flags(model, old_graph, [e.scope for e in edits])
         _, _, counts = incremental_enumerate(model, old_graph, dirty)
         assert len(expanded) == counts["expanded"] > 1
-        assert checked_in_full == expanded[:1]
+        first_rows = kern.tables.select(kern.unpack(expanded[0]))[1]
+        assert stepped == expanded[:1] * len(first_rows)
 
     def test_all_conditions_replay_matches_cold(self):
         base = pp_control_model(SMALL)

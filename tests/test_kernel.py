@@ -1,14 +1,15 @@
 """The compiled transition kernel: bit-identity, soundness, metrics.
 
-The golden property: ``kernel="compiled"`` and ``kernel="interpreted"``
-produce byte-identical state graphs -- same states, same ids, same edges,
-same condition tuples -- on every model, at every job count, in both
-condition-recording modes, and across checkpoint/resume (a checkpoint
-written by one kernel resumes under the other).  The property tests
-drive randomly generated models through both kernels; the soundness
-tests pin down exactly which validation the fast path is allowed to
-skip and prove the escape hatches (``strict=True``, pack-failure
-fallback) restore the interpreted diagnostics.
+The golden property: the compiled kernel and the fully validated
+reference oracle (:class:`tests.oracles.InterpretedKernel`, injected
+through ``kernel=``) produce byte-identical state graphs -- same states,
+same ids, same edges, same condition tuples -- on every model, at every
+job count, in both condition-recording modes, and across
+checkpoint/resume (a checkpoint written by one kernel resumes under the
+other).  The property tests drive randomly generated models through
+both kernels; the soundness tests pin down exactly which validation the
+fast path is allowed to skip and prove the escape hatches (sampled
+re-validation, pack-failure fallback) restore the oracle's diagnostics.
 """
 
 import copy
@@ -22,9 +23,7 @@ import zlib
 import pytest
 
 from repro.enumeration import (
-    KERNEL_MODES,
     CompiledKernel,
-    InterpretedKernel,
     WorkerPool,
     compile_model,
     enumerate_states,
@@ -45,6 +44,7 @@ from repro.smurphi import (
     SyncModel,
 )
 from repro.smurphi.state import StateCodec
+from tests.oracles import InterpretedKernel
 
 SMALL = PPModelConfig(fill_words=1)
 
@@ -61,6 +61,11 @@ def translated_model(fill_words: int = 1) -> SyncModel:
 def dict_twin(model: SyncModel) -> SyncModel:
     """``model`` without its generated expand: expansion takes the dict path."""
     return SyncModel(model.name, model.state_vars, model.choices, model._next_state)
+
+
+def oracle_enumerate(model: SyncModel, **kwargs):
+    """``enumerate_states`` through the reference oracle."""
+    return enumerate_states(model, kernel=InterpretedKernel(model), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +132,15 @@ class TestRandomModelBitIdentity:
     @pytest.mark.parametrize("seed", range(12))
     def test_graphs_identical(self, seed):
         model = random_model(seed)
-        interpreted, _ = enumerate_states(model, kernel="interpreted")
-        compiled, _ = enumerate_states(model, kernel="compiled")
+        interpreted, _ = oracle_enumerate(model)
+        compiled, _ = enumerate_states(model)
         assert compiled.to_json() == interpreted.to_json()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_guard_heavy_graphs_identical(self, seed):
         model = random_model(seed, guard_heavy=True)
-        interpreted, _ = enumerate_states(model, kernel="interpreted")
-        compiled, _ = enumerate_states(model, kernel="compiled")
+        interpreted, _ = oracle_enumerate(model)
+        compiled, _ = enumerate_states(model)
         assert compiled.to_json() == interpreted.to_json()
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -143,7 +148,7 @@ class TestRandomModelBitIdentity:
         """Not just the final graph: every expansion row matches exactly
         (successor keys, condition tuples, and their order)."""
         model = random_model(seed, guard_heavy=True)
-        graph, _ = enumerate_states(model, kernel="interpreted")
+        graph, _ = oracle_enumerate(model)
         interp = InterpretedKernel(model)
         comp = compile_model(model)
         for state_id in range(graph.num_states):
@@ -171,11 +176,11 @@ class TestRandomModelBitIdentity:
     @pytest.mark.parametrize("record_all", [False, True])
     def test_record_modes_identical(self, record_all):
         model = random_model(99)
-        interpreted, _ = enumerate_states(
-            model, record_all_conditions=record_all, kernel="interpreted"
+        interpreted, _ = oracle_enumerate(
+            model, record_all_conditions=record_all
         )
         compiled, _ = enumerate_states(
-            model, record_all_conditions=record_all, kernel="compiled"
+            model, record_all_conditions=record_all
         )
         assert compiled.to_json() == interpreted.to_json()
 
@@ -269,7 +274,7 @@ def _assert_kernels_agree(model: SyncModel, jobs=(1,)) -> int:
     """Compiled == interpreted: the graph at each of ``jobs`` and every
     expansion row.  Returns the compiled kernel's ``next_state`` calls,
     which must not depend on ``jobs``."""
-    interpreted, _ = enumerate_states(model, kernel="interpreted")
+    interpreted, _ = oracle_enumerate(model)
     calls = set()
     for count in jobs:
         obs = Observer()
@@ -289,7 +294,7 @@ class TestReadSetElision:
     def test_selective_reads_match_interpreted(self, seed):
         model = selective_model(seed)
         calls = _assert_kernels_agree(model)
-        graph, stats = enumerate_states(model, kernel="interpreted")
+        graph, stats = oracle_enumerate(model)
         assert 0 < calls <= stats.transitions_explored
 
     def test_selective_reads_elide(self):
@@ -341,15 +346,6 @@ class TestReadSetElision:
                               sample_every=sample_every)
         with pytest.raises(ModelError, match="disagrees with its next_state"):
             enumerate_states(kern.model, kernel=kern)
-
-    def test_strict_never_elides(self):
-        model = selective_model(4)
-        strict = CompiledKernel(model, strict=True)
-        graph, stats = enumerate_states(model, kernel=strict)
-        assert strict.next_state_calls == 0
-        assert strict.sampled_validations == stats.transitions_explored
-        assert graph.to_json() == enumerate_states(
-            model, kernel="interpreted")[0].to_json()
 
 
 class _PathRecorder(dict):
@@ -425,16 +421,14 @@ class TestPPElision:
 
 @pytest.fixture(scope="module")
 def pp_golden():
-    graph, _ = enumerate_states(small_model(), kernel="interpreted")
+    graph, _ = oracle_enumerate(small_model())
     return graph.to_json()
 
 
 class TestPPGolden:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_compiled_matches_interpreted(self, pp_golden, jobs):
-        graph, _ = enumerate_states_parallel(
-            small_model(), jobs=jobs, kernel="compiled"
-        )
+        graph, _ = enumerate_states_parallel(small_model(), jobs=jobs)
         assert graph.to_json() == pp_golden
 
     def test_interpreted_at_jobs2_runs_in_process(self, pp_golden, monkeypatch):
@@ -447,21 +441,18 @@ class TestPPGolden:
 
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
         obs = Observer()
-        graph, stats = enumerate_states(
-            small_model(), jobs=2, kernel="interpreted", obs=obs
-        )
+        graph, stats = oracle_enumerate(small_model(), jobs=2, obs=obs)
         assert graph.to_json() == pp_golden
         assert obs.metrics.total("enum.pool.spawns") == 0
         assert stats.pool_respawns == 0
 
     @pytest.mark.parametrize("record_all", [False, True])
     def test_record_modes(self, record_all):
-        interpreted, _ = enumerate_states(
-            small_model(), record_all_conditions=record_all,
-            kernel="interpreted",
+        interpreted, _ = oracle_enumerate(
+            small_model(), record_all_conditions=record_all
         )
         compiled, _ = enumerate_states(
-            small_model(), record_all_conditions=record_all, kernel="compiled"
+            small_model(), record_all_conditions=record_all
         )
         assert compiled.to_json() == interpreted.to_json()
 
@@ -472,13 +463,12 @@ class TestPPGolden:
         run, resume compiled (and the reverse), byte-compare."""
         checkpoint = CheckpointConfig(tmp_path, every_waves=1)
         with pytest.raises(KeyboardInterrupt):
-            enumerate_states(
+            oracle_enumerate(
                 small_model(), checkpoint=checkpoint,
-                faults=FaultPlan(sigint_after_wave=3), kernel="interpreted",
+                faults=FaultPlan(sigint_after_wave=3),
             )
         graph, stats = enumerate_states(
-            small_model(), checkpoint=checkpoint, resume=True,
-            kernel="compiled",
+            small_model(), checkpoint=checkpoint, resume=True
         )
         assert graph.to_json() == pp_golden
         assert stats.resumed
@@ -490,11 +480,10 @@ class TestPPGolden:
         with pytest.raises(KeyboardInterrupt):
             enumerate_states(
                 small_model(), checkpoint=checkpoint,
-                faults=FaultPlan(sigint_after_wave=3), kernel="compiled",
+                faults=FaultPlan(sigint_after_wave=3),
             )
-        graph, _ = enumerate_states(
-            small_model(), checkpoint=checkpoint, resume=True,
-            kernel="interpreted",
+        graph, _ = oracle_enumerate(
+            small_model(), checkpoint=checkpoint, resume=True
         )
         assert graph.to_json() == pp_golden
 
@@ -505,28 +494,21 @@ class TestPPGolden:
 
 
 class TestKernelResolution:
-    def test_unknown_kernel_string_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel(small_model(), "vectorized")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            enumerate_states(small_model(), kernel="bogus")
-
     def test_default_and_none_compile(self):
         model = small_model()
-        assert resolve_kernel(model).kind == "compiled"
-        assert resolve_kernel(model, None).kind == "compiled"
-        assert resolve_kernel(model, "interpreted").kind == "interpreted"
-        assert tuple(KERNEL_MODES) == ("compiled", "interpreted")
+        assert resolve_kernel(model) is compile_model(model)
+        assert resolve_kernel(model, None) is compile_model(model)
 
     def test_kernel_instances_pass_through(self):
         model = small_model()
-        kern = CompiledKernel(model, strict=True)
+        kern = CompiledKernel(model, sample_every=1)
         assert resolve_kernel(model, kern) is kern
+        oracle = InterpretedKernel(model)
+        assert resolve_kernel(model, oracle) is oracle
 
-    def test_compile_model_caches_per_options(self):
+    def test_compile_model_caches_per_model(self):
         model = small_model()
         assert compile_model(model) is compile_model(model)
-        assert compile_model(model) is not compile_model(model, strict=True)
         # A different model instance gets its own kernel.
         assert compile_model(model) is not compile_model(small_model())
 
@@ -534,7 +516,7 @@ class TestKernelResolution:
         # The whole point: table count is bounded by guard signatures
         # (<= 2^guarded), not by state count.
         model = small_model()
-        enumerate_states(model, kernel="compiled")
+        enumerate_states(model)
         kern = compile_model(model)
         guarded = sum(1 for c in model.choices if c.guard is not None)
         assert 0 < kern.tables.num_tables <= 2 ** guarded
@@ -559,12 +541,12 @@ class TestReducedValidationSoundness:
     def test_out_of_domain_raises_model_error(self):
         model = _model_with_bug(lambda s, c: {"q": s["q"], "n": 99})
         with pytest.raises(ModelError, match="out-of-domain"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_missing_variable_raises_model_error(self):
         model = _model_with_bug(lambda s, c: {"q": s["q"]})
         with pytest.raises(ModelError, match="did not assign"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_first_sight_catches_systematic_extra_variable(self):
         # An undeclared extra var on *every* transition is caught by the
@@ -573,13 +555,13 @@ class TestReducedValidationSoundness:
             lambda s, c: {"q": s["q"], "n": s["n"], "oops": 1}
         )
         with pytest.raises(ModelError, match="undeclared"):
-            enumerate_states(model, kernel="compiled")
+            enumerate_states(model)
 
     def test_strict_mode_catches_conditional_extra_variable(self):
         # The one genuinely relaxed class: an extra var emitted only from
-        # later states.  The fast path may miss it between samples; a
-        # strict kernel must always raise, the interpreted path already
-        # does.
+        # later states.  The fast path may miss it between samples; the
+        # fully validated oracle always raises, and so does a compiled
+        # kernel that checks every transition (next test).
         def next_state(s, c):
             nxt = {"q": not s["q"], "n": (s["n"] + 1) % 4}
             if s["n"] == 2:
@@ -587,10 +569,10 @@ class TestReducedValidationSoundness:
             return nxt
 
         with pytest.raises(ModelError, match="undeclared"):
-            enumerate_states(_model_with_bug(next_state), kernel="interpreted")
-        strict = CompiledKernel(_model_with_bug(next_state), strict=True)
+            oracle_enumerate(_model_with_bug(next_state))
+        kern = CompiledKernel(_model_with_bug(next_state), sample_every=1)
         with pytest.raises(ModelError, match="undeclared"):
-            enumerate_states(strict.model, kernel=strict)
+            enumerate_states(kern.model, kernel=kern)
 
     def test_sampled_validation_catches_conditional_extra_variable(self):
         def next_state(s, c):
@@ -599,17 +581,16 @@ class TestReducedValidationSoundness:
                 nxt["oops"] = 1
             return nxt
 
-        # sample_every=1 re-validates every transition: equivalent to
-        # strict for detection, exercising the sampling branch itself.
+        # sample_every=1 re-validates every transition: as thorough as
+        # the oracle for detection, exercising the sampling branch itself.
         kern = CompiledKernel(_model_with_bug(next_state), sample_every=1)
         with pytest.raises(ModelError, match="undeclared"):
             enumerate_states(kern.model, kernel=kern)
 
     def test_strict_graphs_still_identical(self):
         model = random_model(42)
-        strict = CompiledKernel(model, strict=True)
-        graph, _ = enumerate_states(model, kernel=strict)
-        reference, _ = enumerate_states(model, kernel="interpreted")
+        graph, _ = enumerate_states(model)
+        reference, _ = oracle_enumerate(model)
         assert graph.to_json() == reference.to_json()
 
 
@@ -669,9 +650,9 @@ class TestGeneratedExpand:
             return _generated(key, select)
 
         model.generated_expand = counting
-        strict = CompiledKernel(model, strict=True)
-        assert not strict.generated
-        graph, _ = enumerate_states(model, kernel=strict)
+        twin = dict_twin(model)
+        assert not compile_model(twin).generated
+        graph, _ = enumerate_states(twin)
         assert calls == []
         fast = CompiledKernel(model)
         assert graph.to_json() == enumerate_states(model, kernel=fast)[0].to_json()
@@ -747,14 +728,12 @@ def _counter_totals(observer, prefix="enum."):
 class TestKernelMetrics:
     def test_enum_totals_identical_across_kernels(self):
         interpreted_obs, compiled_obs = Observer(), Observer()
-        enumerate_states(small_model(), obs=interpreted_obs,
-                         kernel="interpreted")
-        enumerate_states(small_model(), obs=compiled_obs, kernel="compiled")
+        oracle_enumerate(small_model(), obs=interpreted_obs)
+        enumerate_states(small_model(), obs=compiled_obs)
         totals = _counter_totals(interpreted_obs)
         assert totals
         assert _counter_totals(compiled_obs) == totals
-        # In-process waves are coordinator shards under either kernel: the
-        # interpreted kernel's streamed rows are counted as they are read.
+        # In-process waves are coordinator shards under either kernel.
         for observer in (interpreted_obs, compiled_obs):
             metrics = observer.metrics
             assert (metrics.total("enum.shard.transitions")
@@ -765,7 +744,7 @@ class TestKernelMetrics:
     def test_kernel_counters_emitted(self):
         obs = Observer()
         model = small_model()
-        graph, _ = enumerate_states(model, obs=obs, kernel="compiled")
+        graph, _ = enumerate_states(model, obs=obs)
         metrics = obs.metrics
         assert metrics.total("enum.kernel.expansions") == graph.num_states
         stats = metrics.histogram_stats("enum.kernel.compile_seconds")
@@ -776,8 +755,8 @@ class TestKernelMetrics:
         # own delta, or aggregated reports double-count.
         model = small_model()
         first, second = Observer(), Observer()
-        enumerate_states(model, obs=first, kernel="compiled")
-        graph, _ = enumerate_states(model, obs=second, kernel="compiled")
+        enumerate_states(model, obs=first)
+        graph, _ = enumerate_states(model, obs=second)
         assert compile_model(model).expansions == 2 * graph.num_states
         assert second.metrics.total("enum.kernel.expansions") == graph.num_states
         # Each run restarts the validation schedule, so both do the same
@@ -788,27 +767,25 @@ class TestKernelMetrics:
 
     def test_interpreted_emits_no_kernel_counters(self):
         obs = Observer()
-        enumerate_states(small_model(), obs=obs, kernel="interpreted")
+        oracle_enumerate(small_model(), obs=obs)
         kernel_counters = [
             name for name in obs.metrics.counter_names()
             if name.startswith("enum.kernel.")
         ]
         assert kernel_counters == []
 
-    @pytest.mark.parametrize("build, strict, generated", [
+    @pytest.mark.parametrize("build, twin, generated", [
         (small_model, False, 0),
         (translated_model, False, 1),
         (translated_model, True, 0),
     ])
-    def test_generated_gauge_names_the_expansion_path(self, build, strict, generated):
+    def test_generated_gauge_names_the_expansion_path(self, build, twin, generated):
         obs = Observer()
-        model = build()
-        enumerate_states(model, obs=obs, kernel=compile_model(model, strict=strict))
+        model = dict_twin(build()) if twin else build()
+        enumerate_states(model, obs=obs)
         assert obs.metrics.gauge_value("enum.kernel.generated") == generated
 
     def test_parallel_workers_report_kernel_counters(self):
         obs = Observer()
-        graph, _ = enumerate_states_parallel(
-            small_model(), jobs=4, obs=obs, kernel="compiled"
-        )
+        graph, _ = enumerate_states_parallel(small_model(), jobs=4, obs=obs)
         assert obs.metrics.total("enum.kernel.expansions") == graph.num_states

@@ -4,7 +4,7 @@ import pytest
 
 from repro.enumeration import enumerate_states
 from repro.smurphi.lang import MurphiSyntaxError, parse_model
-from repro.tour import TourGenerator
+from repro.tour import IndexedTourGenerator
 
 QUEUE = """
 -- a two-entry queue with a flaky consumer
@@ -91,7 +91,7 @@ class TestSemantics:
         model = parse_model(QUEUE)
         graph, stats = enumerate_states(model)
         assert stats.num_states == 3  # depth 0, 1, 2
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
 
     def test_arithmetic_and_comparisons(self):

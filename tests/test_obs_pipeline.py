@@ -15,7 +15,7 @@ from repro.obs import Observer, RunReport
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.pp.rtl.core import CoreConfig
 from repro.tour.coverage import arc_coverage, coverage_curve
-from repro.tour.fig33 import TourGenerator, TourStats
+from repro.tour import IndexedTourGenerator, TourStats
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ class TestCoverageCurve:
     @pytest.fixture(scope="class")
     def graph_and_tours(self, pp_model):
         graph, _ = enumerate_states(pp_model)
-        tours = TourGenerator(graph, max_instructions_per_trace=300).generate()
+        tours = IndexedTourGenerator(graph, max_instructions_per_trace=300).generate()
         return graph, tours
 
     def test_curve_is_monotonic_and_complete(self, graph_and_tours):

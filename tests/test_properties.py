@@ -10,7 +10,7 @@ from repro.pp.rtl import CoreConfig, PPCore, RandomStimulus
 from repro.pp.spec import SpecSimulator
 from repro.smurphi import BoolType, ChoicePoint, RangeType, StateVar, SyncModel
 from repro.smurphi.lang import parse_model
-from repro.tour import TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 
 
 # ---------------------------------------------------------------- state graph
@@ -47,7 +47,7 @@ def test_graph_json_roundtrip(graph):
 @given(reachable_graphs(), st.integers(1, 20))
 @settings(max_examples=25, deadline=None)
 def test_tour_limit_never_breaks_coverage(graph, limit):
-    tours = TourGenerator(graph, max_instructions_per_trace=limit).generate()
+    tours = IndexedTourGenerator(graph, max_instructions_per_trace=limit).generate()
     assert tours.complete
     report = arc_coverage(graph, (t.edge_indices for t in tours))
     assert report.complete

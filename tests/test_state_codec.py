@@ -158,11 +158,13 @@ class TestPackRejectsOutOfRange:
             def bit_width(self):
                 return 1
 
-        codec = StateCodec(
-            [StateVar("s", SparseType("sparse", ["A", "B", "C"]), "A")]
-        )
+        # Refused when the layout is built, so packing pays nothing: a
+        # packed "C" would set the neighbouring field's bit.
         with pytest.raises(ValueError, match="fit"):
-            codec.pack({"s": "C"})
+            StateCodec([
+                StateVar("s", SparseType("sparse", ["A", "B", "C"]), "A"),
+                StateVar("b", BoolType(), False),
+            ])
 
     @given(count=st.integers())
     def test_any_out_of_domain_int_rejected(self, count):

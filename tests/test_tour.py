@@ -11,8 +11,8 @@ from repro.enumeration import StateGraph, enumerate_states
 from repro.smurphi import BoolType, ChoicePoint, RangeType, StateVar, SyncModel
 import repro
 from repro.tour import (
+    IndexedTourGenerator,
     PostmanError,
-    TourGenerator,
     arc_coverage,
     chinese_postman_tour,
     euler_tour,
@@ -78,28 +78,28 @@ class TestOutAdjacency:
 class TestTourGenerator:
     def test_ring_single_tour(self):
         graph = ring(5)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
         assert len(tours) == 1
         assert tours.stats.total_edge_traversals == 5
 
     def test_counter_covers_all_arcs(self):
         graph = counter_graph()
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
         report = arc_coverage(graph, (t.edge_indices for t in tours))
         assert report.complete
 
     def test_tours_start_at_reset(self):
         graph = counter_graph()
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         for tour in tours:
             first = graph.edge(tour.edge_indices[0])
             assert first.src == StateGraph.RESET
 
     def test_tours_are_paths(self):
         graph = counter_graph()
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         for tour in tours:
             for a, b in zip(tour.edge_indices, tour.edge_indices[1:]):
                 assert graph.edge(a).dst == graph.edge(b).src
@@ -108,14 +108,14 @@ class TestTourGenerator:
         # Two arcs out of reset into absorbing states with self-loops:
         # reset->1, reset->2; the second arc is only reachable from reset.
         graph = build_graph([(0, 1), (0, 2), (1, 1), (2, 2)], 3)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
         assert len(tours) == 2  # lower bound: reset-only initial conditions
 
     def test_instruction_limit_splits_traces(self):
         graph = counter_graph(limit=6)
-        unlimited = TourGenerator(graph).generate()
-        limited = TourGenerator(graph, max_instructions_per_trace=3).generate()
+        unlimited = IndexedTourGenerator(graph).generate()
+        limited = IndexedTourGenerator(graph, max_instructions_per_trace=3).generate()
         assert limited.complete
         assert limited.stats.longest_trace_edges <= unlimited.stats.longest_trace_edges
         assert limited.stats.num_traces >= unlimited.stats.num_traces
@@ -124,7 +124,7 @@ class TestTourGenerator:
 
     def test_limit_bounds_trace_length(self):
         graph = counter_graph(limit=6)
-        limited = TourGenerator(graph, max_instructions_per_trace=3).generate()
+        limited = IndexedTourGenerator(graph, max_instructions_per_trace=3).generate()
         for tour in limited:
             # A trace may overshoot the limit by one explore path (bounded
             # by the state count) plus the single DFS arc that guarantees
@@ -133,21 +133,21 @@ class TestTourGenerator:
 
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
-            TourGenerator(counter_graph(), max_instructions_per_trace=0)
+            IndexedTourGenerator(counter_graph(), max_instructions_per_trace=0)
 
     def test_custom_instruction_cost(self):
         graph = ring(4)
-        tours = TourGenerator(graph, instruction_cost=lambda e: 5).generate()
+        tours = IndexedTourGenerator(graph, instruction_cost=lambda e: 5).generate()
         assert tours.stats.total_instructions == 20
 
     def test_stats_instructions_per_arc(self):
         graph = ring(4)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.stats.instructions_per_arc == 1.0
 
     def test_empty_graph(self):
         graph = build_graph([], 1)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
         assert len(tours) == 0
 
@@ -168,7 +168,7 @@ class TestTourGenerator:
         )
         edges.extend(extra)
         graph = build_graph(edges, n)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.complete
         report = arc_coverage(graph, (t.edge_indices for t in tours))
         assert report.complete
@@ -226,7 +226,7 @@ class TestPostman:
             [(0, 1), (1, 2), (2, 0), (1, 0), (0, 2), (2, 1)], 3
         )
         optimum = postman_lower_bound(graph)
-        tours = TourGenerator(graph).generate()
+        tours = IndexedTourGenerator(graph).generate()
         assert tours.stats.total_edge_traversals >= optimum
 
     def test_networkx_loaded_lazily(self):

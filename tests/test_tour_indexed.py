@@ -1,9 +1,10 @@
 """Tests for the indexed tour generator.
 
 The load-bearing property is *bit-identity*: `IndexedTourGenerator` must
-produce exactly the tours the reference Fig. 3.3 `TourGenerator` does --
-same components, same edge order, same instruction counts -- on any
-reset-reachable graph, with and without instruction limits.  Everything
+produce exactly the tours the reference Fig. 3.3 `TourGenerator` (the
+oracle in `tests/oracles.py`) does -- same components, same edge order,
+same instruction counts -- on any reset-reachable graph, with and without
+instruction limits.  Everything
 else (CSR layout, the distance index and its upkeep) is internal machinery
 that only exists to get there faster -- but the index must also stay
 *exact*: equal to a from-scratch reverse BFS after every retired target,
@@ -19,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.enumeration import StateGraph, enumerate_states
 from repro.obs import MetricsRegistry, Observer
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
-from repro.tour import IndexedTourGenerator, TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 from repro.vectors import pp_instruction_cost
 
+from tests.oracles import TourGenerator
 from tests.test_tour import build_graph, counter_graph, ring
 
 

@@ -18,8 +18,9 @@ from repro.pp.verilog_src import (
     pp_control_verilog,
 )
 from repro.smurphi import ChoicePoint, RangeType, SyncModel
-from repro.smurphi.compiled import ChoiceTables, CompiledStateCodec
+from repro.smurphi.compiled import ChoiceTables
 from repro.smurphi.fingerprint import fingerprint_model
+from repro.smurphi.state import StateCodec
 from repro.translate import TranslationError, translate, translate_verilog, input_vectors_for_walk
 from repro.translate.translator import _Codegen, _Translator
 
@@ -479,7 +480,7 @@ def _kernel_outcome(kernel, key):
 
 def _dict_row(model, key):
     """``expand``'s contract, computed one ``next_state`` call at a time."""
-    codec = CompiledStateCodec(model.state_vars)
+    codec = StateCodec(model.state_vars)
     state = codec.unpack(key)
     mask, table = ChoiceTables(model).select(state)
     return mask, tuple(

@@ -5,7 +5,7 @@ import pytest
 from repro.enumeration import enumerate_states
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.pp.isa import InstructionClass, Opcode
-from repro.tour import TourGenerator, arc_coverage
+from repro.tour import IndexedTourGenerator, arc_coverage
 from repro.vectors import VectorGenerator, force_script, pp_instruction_cost
 
 
@@ -15,7 +15,7 @@ def pipeline():
     model = control.build()
     graph, _ = enumerate_states(model)
     cost = pp_instruction_cost(control, graph)
-    tours = TourGenerator(graph, instruction_cost=cost,
+    tours = IndexedTourGenerator(graph, instruction_cost=cost,
                           max_instructions_per_trace=200).generate()
     generator = VectorGenerator(control, graph, seed=11)
     traces = generator.generate(list(tours))
