@@ -69,7 +69,7 @@ def profile(graph: StateGraph) -> GraphProfile:
     depths = depths_from_reset(graph)
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(graph.num_states))
-    digraph.add_edges_from((e.src, e.dst) for e in graph.edges())
+    digraph.add_edges_from(zip(graph.edge_src, graph.edge_dst))
     sccs = list(nx.strongly_connected_components(digraph))
     largest = max(sccs, key=len) if sccs else set()
     # States that cannot get back to reset need a fresh trace per visit.

@@ -85,17 +85,6 @@ class InvariantViolation(EnumerationError):
         )
 
 
-def rebuild_seen_arcs(graph: StateGraph, record_all_conditions: bool) -> Set[Tuple]:
-    """Reconstruct the arc-dedup set a checkpointed graph implies.
-
-    The recorded edges *are* the dedup set (one edge per key, inserted in
-    first-seen order), so resuming needs no separate serialization of it.
-    """
-    if record_all_conditions:
-        return {(e.src, e.dst, e.condition) for e in graph.edges()}
-    return {(e.src, e.dst) for e in graph.edges()}
-
-
 def reset_graph(
     model: SyncModel, kern: CompiledKernel, check_invariants: bool
 ) -> StateGraph:
@@ -124,7 +113,6 @@ def bfs_waves(
     wave: List[int],
     rows: RowSource,
     unpack: Callable[[int], Dict],
-    seen_arcs: Set[Tuple],
     record_all_conditions: bool = False,
     max_states: Optional[int] = None,
     needs_check: Optional[Callable[[int], bool]] = None,
@@ -136,14 +124,18 @@ def bfs_waves(
     Every successor is interned (new ids in discovery order), new states
     are checked against the ``max_states`` cap and -- when
     ``needs_check(packed key)`` says so -- the model's invariants, and an
-    arc is recorded the first time its dedup key (``(src, dst)``, plus
-    the condition under ``record_all_conditions``) is seen.  After each
+    arc is recorded the first time its row sees its dedup key (the
+    destination, paired with the condition under
+    ``record_all_conditions``).  A per-row set is the whole dedup: every
+    state is expanded exactly once, in one row, and a run stops or
+    checkpoints only between waves, so no row is ever split.  After each
     wave yields ``(waves completed, wave, next wave, transitions)``; the
     caller runs its wave-boundary work there and stops by breaking out.
     """
     while wave:
         next_wave: List[int] = []
         for src_id, row in rows(wave, waves):
+            seen: Set = set()
             for condition, packed_dst in row:
                 transitions += 1
                 dst_id, is_new = graph.intern_state(packed_dst)
@@ -159,13 +151,9 @@ def bfs_waves(
                         if violated:
                             raise InvariantViolation(dst_id, nxt, tuple(violated))
                     next_wave.append(dst_id)
-                arc_key: Tuple
-                if record_all_conditions:
-                    arc_key = (src_id, dst_id, condition)
-                else:
-                    arc_key = (src_id, dst_id)
-                if arc_key not in seen_arcs:
-                    seen_arcs.add(arc_key)
+                arc_key = (dst_id, condition) if record_all_conditions else dst_id
+                if arc_key not in seen:
+                    seen.add(arc_key)
                     graph.add_edge(src_id, dst_id, condition)
         waves += 1
         yield waves, wave, next_wave, transitions
@@ -256,7 +244,6 @@ def enumerate_states(
 
     if resume_payload is not None:
         graph = StateGraph.from_json(resume_payload["graph_json"])
-        seen_arcs = rebuild_seen_arcs(graph, record_all_conditions)
         transitions = int(resume_payload["transitions_explored"])
         frontier: List[int] = list(resume_payload["frontier"])
         waves = int(resume_payload["waves_completed"])
@@ -268,7 +255,6 @@ def enumerate_states(
         )
     else:
         graph = reset_graph(model, kern, check_invariants)
-        seen_arcs = set()
         transitions = 0
         frontier = [StateGraph.RESET]
         waves = 0
@@ -279,7 +265,7 @@ def enumerate_states(
     try:
         for waves, done, frontier, transitions in bfs_waves(
             model, graph, frontier, functools.partial(spans.rows, graph),
-            kern.unpack, seen_arcs,
+            kern.unpack,
             record_all_conditions=record_all_conditions,
             max_states=max_states,
             needs_check=_always if check_invariants else None,

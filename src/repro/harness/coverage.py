@@ -80,8 +80,9 @@ class ControlStateObserver:
         self._known_states = {
             graph.state_key(i) for i in range(graph.num_states)
         }
+        key = graph.state_key
         self._known_arcs = {
-            (graph.state_key(e.src), graph.state_key(e.dst)) for e in graph.edges()
+            (key(src), key(dst)) for src, dst in zip(graph.edge_src, graph.edge_dst)
         }
         self._previous_key: Optional[int] = None
 

@@ -61,7 +61,9 @@ def incremental_enumerate(
     graph = reset_graph(model, kern, check_invariants=True)
     old_id_of = old_graph.state_id_of_key
     old_key = old_graph.state_key
-    old_edges = old_graph.edges()
+    old_dst = old_graph.edge_dst
+    old_cond = old_graph.edge_cond
+    old_conditions = old_graph.conditions
     replayed = expanded = replayed_arcs = 0
 
     def rows(wave: List[int], index: int):
@@ -75,7 +77,7 @@ def incremental_enumerate(
                 out = old_graph.out_edge_indices(old_id)
                 replayed_arcs += len(out)
                 yield src_id, [
-                    (old_edges[i].condition, old_key(old_edges[i].dst))
+                    (old_conditions[old_cond[i]], old_key(old_dst[i]))
                     for i in out
                 ]
             else:
@@ -84,7 +86,7 @@ def incremental_enumerate(
                 yield src_id, kern.expand(key)
 
     for waves, _, frontier, transitions in bfs_waves(
-        model, graph, [StateGraph.RESET], rows, kern.unpack, set(),
+        model, graph, [StateGraph.RESET], rows, kern.unpack,
         record_all_conditions=record_all_conditions,
         needs_check=lambda key: old_id_of(key) is None,
     ):

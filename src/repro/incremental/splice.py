@@ -39,11 +39,19 @@ from repro.vectors.generator import (
 
 
 def graphs_equal(a: StateGraph, b: StateGraph) -> bool:
-    """Content equality: same choices, same interned keys, same edges."""
+    """Content equality: same choices, same interned keys, same edges.
+
+    Equal edge sequences have equal condition tables (both list the
+    distinct conditions in first-seen order), so comparing the columns
+    and the tables compares the edges.
+    """
     return (
         a.choice_names == b.choice_names
         and a._state_keys == b._state_keys
-        and a._edges == b._edges
+        and a.edge_src == b.edge_src
+        and a.edge_dst == b.edge_dst
+        and a.edge_cond == b.edge_cond
+        and a.conditions == b.conditions
     )
 
 
@@ -130,12 +138,10 @@ def tour_clean_flags(
     graph: StateGraph, tours: Sequence[Tour], state_clean: Sequence[bool]
 ) -> List[bool]:
     """``flags[i]``: tour ``i`` never leaves a dirty state."""
-    flags = []
-    for tour in tours:
-        flags.append(
-            all(state_clean[graph.edge(ei).src] for ei in tour.edge_indices)
-        )
-    return flags
+    src = graph.edge_src
+    return [
+        all(state_clean[src[ei]] for ei in tour.edge_indices) for tour in tours
+    ]
 
 
 def splice_traces(

@@ -54,6 +54,11 @@ class ChoiceTables:
             (i, c.guard) for i, c in enumerate(model.choices) if c.guard is not None
         )
         self._tables: Dict[Tuple[bool, ...], Tuple[Tuple[Dict, Tuple], ...]] = {}
+        #: One tuple object per distinct condition across every table
+        #: (keyed with its element types: ``(True,) == (1,)``), so a
+        #: consumer that interns conditions -- the state graph's condition
+        #: table -- meets the same object again and skips comparing.
+        self._conditions: Dict[Tuple, Tuple] = {}
         self._selected: Dict[Tuple[bool, ...], Tuple[int, Tuple]] = {}
         self._row_masks: Dict[int, Dict[str, Dict[object, int]]] = {}
 
@@ -106,15 +111,21 @@ class ChoiceTables:
         inactive = {c.name: c.inactive_value
                     for c, flag in zip(self._choices, active_flags) if not flag}
         names = self.choice_names
+        conditions = self._conditions
         combos: List[Tuple[Dict, Tuple]] = []
+
+        def add(choice: Dict) -> None:
+            condition = tuple(choice[n] for n in names)
+            typed = (tuple(map(type, condition)), condition)
+            combos.append((choice, conditions.setdefault(typed, condition)))
+
         if not active:
-            choice = dict(inactive)
-            combos.append((choice, tuple(choice[n] for n in names)))
+            add(dict(inactive))
             return tuple(combos)
         domains = [c.type.values() for c in active]
         active_names = [c.name for c in active]
         for values in itertools.product(*domains):
             choice = dict(inactive)
             choice.update(zip(active_names, values))
-            combos.append((choice, tuple(choice[n] for n in names)))
+            add(choice)
         return tuple(combos)

@@ -53,16 +53,17 @@ def arc_coverage(graph: StateGraph, walks: Iterable[Sequence[int]]) -> CoverageR
     """
     counts = [0] * graph.num_edges
     total = 0
+    edge_src, edge_dst = graph.edge_src, graph.edge_dst
     for walk in walks:
         previous_dst = None
         for index in walk:
-            edge = graph.edge(index)
-            if previous_dst is not None and edge.src != previous_dst:
+            src = edge_src[index]
+            if previous_dst is not None and src != previous_dst:
                 raise ValueError(
-                    f"walk is not a path: arc {index} starts at {edge.src}, "
+                    f"walk is not a path: arc {index} starts at {src}, "
                     f"previous arc ended at {previous_dst}"
                 )
-            previous_dst = edge.dst
+            previous_dst = edge_dst[index]
             counts[index] += 1
             total += 1
     uncovered = tuple(i for i, c in enumerate(counts) if c == 0)

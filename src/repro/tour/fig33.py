@@ -24,12 +24,23 @@ from typing import Callable, List
 
 from repro.enumeration.graph import Edge, StateGraph
 
-#: Cost function: instructions contributed by traversing one arc.
+#: Cost function: instructions contributed by traversing one arc.  A cost
+#: object may also define ``edge_costs(graph)``, every arc's cost by edge
+#: index read off the graph's columns (see :func:`arc_costs`).
 InstructionCost = Callable[[Edge], int]
 
 
 def _unit_cost(edge: Edge) -> int:
     return 1
+
+
+def arc_costs(graph: StateGraph, instruction_cost: InstructionCost) -> List[int]:
+    """Every arc's cost, by edge index: through the cost's own
+    ``edge_costs(graph)`` when it has one, else one :class:`Edge` per arc."""
+    columnar = getattr(instruction_cost, "edge_costs", None)
+    if columnar is not None:
+        return columnar(graph)
+    return [instruction_cost(edge) for edge in graph.edges()]
 
 
 @dataclass

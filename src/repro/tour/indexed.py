@@ -56,7 +56,7 @@ from typing import Dict, List, Optional
 
 from repro.enumeration.graph import StateGraph
 from repro.obs.observer import Observer, resolve
-from repro.tour.fig33 import InstructionCost, Tour, TourSet, _unit_cost
+from repro.tour.fig33 import InstructionCost, Tour, TourSet, _unit_cost, arc_costs
 
 logger = logging.getLogger("repro.tour")
 
@@ -96,21 +96,19 @@ class IndexedTourGenerator:
         """Freeze the graph into flat integer arrays (forward + reverse)."""
         graph = self.graph
         num_states = graph.num_states
-        edges = graph.edges()
-        self._edge_src = [e.src for e in edges]
-        self._edge_dst = [e.dst for e in edges]
+        # Lists over the graph's columns, each id one shared int object.
+        as_id = list(range(num_states)).__getitem__
+        self._edge_src = list(map(as_id, graph.edge_src))
+        self._edge_dst = list(map(as_id, graph.edge_dst))
 
-        indptr = [0] * (num_states + 1)
-        out_edge: List[int] = []
-        out_dst: List[int] = []
-        for state in range(num_states):
-            for index in graph.out_edge_indices(state):
-                out_edge.append(index)
-                out_dst.append(self._edge_dst[index])
-            indptr[state + 1] = len(out_edge)
-        self._indptr = indptr
-        self._out_edge = out_edge
-        self._out_dst = out_dst
+        indptr, order = graph.out_csr()
+        self._indptr = indptr.tolist()
+        self._out_edge = list(order)
+        if isinstance(order, range):
+            # Edges grouped by source: CSR slot i holds edge i.
+            self._out_dst = self._edge_dst
+        else:
+            self._out_dst = [self._edge_dst[index] for index in order]
 
         # Reverse CSR (in-edges by destination) for the distance index;
         # only source ids are needed -- the index never reconstructs paths.
@@ -120,7 +118,7 @@ class IndexedTourGenerator:
         rindptr = [0] * (num_states + 1)
         for state in range(num_states):
             rindptr[state + 1] = rindptr[state] + rcounts[state]
-        rin_src = [0] * len(edges)
+        rin_src = [0] * graph.num_edges
         cursor = list(rindptr[:num_states])
         for index, dst in enumerate(self._edge_dst):
             rin_src[cursor[dst]] = self._edge_src[index]
@@ -153,7 +151,7 @@ class IndexedTourGenerator:
         num_states = graph.num_states
         num_edges = graph.num_edges
 
-        self._cost = [self.instruction_cost(e) for e in graph.edges()]
+        self._cost = arc_costs(graph, self.instruction_cost)
         self._traversed = bytearray(num_edges)
         self._cursors = list(self._indptr[:num_states])
         self._untraversed_out = [

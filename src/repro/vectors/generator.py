@@ -34,7 +34,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import Edge, StateGraph
 from repro.enumeration.pool import WorkerPool, batch_pool
@@ -335,8 +335,11 @@ class TransitionEventMemo:
         if entry is not None:
             self.hits += 1
             return entry
-        edge = self.graph.edge(edge_index)
-        entry = self.lookup(edge.src, edge.condition)
+        graph = self.graph
+        entry = self.lookup(
+            graph.edge_src[edge_index],
+            graph.conditions[graph.edge_cond[edge_index]],
+        )
         self._by_edge[edge_index] = entry
         return entry
 
@@ -615,19 +618,40 @@ class VectorGenerator:
                 )
 
 
-def pp_instruction_cost(
-    model: PPControlModel,
-    graph: StateGraph,
-    memo: Optional[TransitionEventMemo] = None,
-) -> Callable[[Edge], int]:
+class PPInstructionCost:
     """Instruction cost of traversing one arc: how many instructions the
     fetch on that transition contributes to the trace file (0 when the
     cycle fetches nothing -- stalls, refills, bubbles).
 
-    Used as the tour generators' cost function so tour statistics count
-    instructions the way Table 3.3 does.  The indexed generator calls it
-    once per arc, at the start of a run, and reads the cost by edge index
-    on every traversal; the Fig. 3.3 reference calls it per traversal.
+    Called with an :class:`Edge` (the Fig. 3.3 reference oracle calls it
+    per traversal); :meth:`edge_costs` is the indexed generator's path,
+    every arc at once from the graph's columns, read by edge index on
+    every traversal after that.
+    """
+
+    def __init__(self, memo: TransitionEventMemo):
+        self.memo = memo
+
+    def __call__(self, edge: Edge) -> int:
+        return self.memo.lookup(edge.src, edge.condition)[3]
+
+    def edge_costs(self, graph: StateGraph) -> List[int]:
+        lookup = self.memo.lookup
+        conditions = graph.conditions
+        return [
+            lookup(src, conditions[cond])[3]
+            for src, cond in zip(graph.edge_src, graph.edge_cond)
+        ]
+
+
+def pp_instruction_cost(
+    model: PPControlModel,
+    graph: StateGraph,
+    memo: Optional[TransitionEventMemo] = None,
+) -> PPInstructionCost:
+    """The tour generators' cost function: instructions counted the way
+    Table 3.3 does (see :class:`PPInstructionCost`).
+
     Pass the pipeline's shared :class:`TransitionEventMemo` so the
     transitions this replays are never recomputed by vector generation
     (the cost pass touches every arc, so afterwards the memo is fully
@@ -635,8 +659,4 @@ def pp_instruction_cost(
     """
     if memo is None:
         memo = TransitionEventMemo(model, graph)
-
-    def cost(edge: Edge) -> int:
-        return memo.lookup(edge.src, edge.condition)[3]
-
-    return cost
+    return PPInstructionCost(memo)

@@ -11,12 +11,15 @@ golden and property tests can compare the fast path with them:
 - :class:`TourGenerator`: Fig. 3.3 transcribed literally, with a fresh
   breadth-first explore at every stuck point;
 - :class:`ReferenceStateCodec`: the field-by-field state codec, one
-  ``FiniteType`` method call per variable.
+  ``FiniteType`` method call per variable;
+- :func:`out_adjacency`: the per-state ``((edge index, dst), ...)`` rows
+  the reference tour generator walks.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +27,30 @@ from repro.enumeration.graph import StateGraph
 from repro.obs.observer import Observer, resolve
 from repro.smurphi.model import StateVar, SyncModel
 from repro.tour.fig33 import InstructionCost, Tour, TourSet, _unit_cost
+
+
+#: ``graph -> ((num_states, num_edges), rows)``: see :func:`out_adjacency`.
+_ADJACENCY: "weakref.WeakKeyDictionary[StateGraph, Tuple]" = weakref.WeakKeyDictionary()
+
+
+def out_adjacency(graph: StateGraph) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per-state ``((edge_index, dst), ...)`` view of the out-edges.
+
+    Built once per graph and cached; the reference tour generator's DFS
+    and explore phases walk the out-edges of the same (now frozen) graph
+    many times over.  The cache is stamped with ``(num_states,
+    num_edges)``, so mutating the graph after a call rebuilds it.
+    """
+    stamp = (graph.num_states, graph.num_edges)
+    cached = _ADJACENCY.get(graph)
+    if cached is None or cached[0] != stamp:
+        dst = graph.edge_dst
+        rows = tuple(
+            tuple((i, dst[i]) for i in graph.out_edge_indices(state))
+            for state in range(graph.num_states)
+        )
+        cached = _ADJACENCY[graph] = (stamp, rows)
+    return cached[1]
 
 
 class ReferenceStateCodec:
@@ -153,7 +180,7 @@ class TourGenerator:
         graph = self.graph
         # One shared (edge_index, dst) adjacency view for every DFS walk
         # and explore restart of this run (the graph is frozen by now).
-        adjacency = graph.out_adjacency()
+        adjacency = out_adjacency(graph)
         traversed = [False] * graph.num_edges
         # Per-state cursor into the out-edge list: edges before the cursor
         # are all traversed, so the DFS scan restarts where it left off.

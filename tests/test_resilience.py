@@ -18,7 +18,6 @@ import pytest
 from repro.core.cache import ArtifactCache
 from repro.core.pipeline import ValidationPipeline
 from repro.enumeration import enumerate_states, enumerate_states_parallel
-from repro.enumeration.bfs import rebuild_seen_arcs
 from repro.obs import Observer, RunReport
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.resilience import (
@@ -202,12 +201,24 @@ class TestGoldenResume:
         graph, _ = enumerate_states(small_model(), resume=payload)
         assert graph.to_json() == golden_json
 
-    def test_seen_arcs_rebuild_matches_graph(self, golden_json):
-        from repro.enumeration import StateGraph
-
-        graph = StateGraph.from_json(golden_json)
-        arcs = rebuild_seen_arcs(graph, record_all_conditions=False)
-        assert len(arcs) == graph.num_edges
+    def test_resume_all_conditions_matches_cold(self, tmp_path, golden_json):
+        # Arc dedup under record_all_conditions keys each row's arcs by
+        # (dst, condition); a resumed run must rebuild nothing to agree.
+        cold, _ = enumerate_states(small_model(), record_all_conditions=True)
+        assert cold.num_edges > len(json.loads(golden_json)["edges"])
+        checkpoint = CheckpointConfig(tmp_path, every_waves=2)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_states(
+                small_model(), record_all_conditions=True,
+                checkpoint=checkpoint, faults=FaultPlan(sigint_after_wave=6),
+            )
+        payload = checkpoint.store.load("wave000006")
+        assert 0 < len(payload["frontier"])
+        resumed, stats = enumerate_states(
+            small_model(), record_all_conditions=True, resume=payload,
+        )
+        assert stats.resumed
+        assert resumed.to_json() == cold.to_json()
 
 
 # ---------------------------------------------------------------------------
