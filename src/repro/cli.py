@@ -566,6 +566,9 @@ def cmd_validate(args) -> int:
                 print(f"injected bug #{bug_id}: {BUGS[bug_id].title}")
         report = pipeline.validate(config=config, stop_on_divergence=not args.all)
     print(report.summary())
+    if pipeline.cache_dir is not None:
+        print(f"verdicts: reused {report.reused_traces}/{report.traces_run} "
+              f"from the cache's verdict table")
     run_report = None
     if observer is not None:
         run_report = RunReport.from_validation(

@@ -19,7 +19,9 @@ each phase's key is the SHA-256 of a canonical JSON payload of
   hashes only the source subtrees feeding that phase
   (:data:`PHASE_MODULES`) -- so an edit to ``obs/`` or ``serve/``
   invalidates nothing, and an edit to ``tour/`` keeps the enumerated
-  graph;
+  graph.  The RTL simulator's own units (:data:`PHASE_EXCLUDED`) only
+  run vectors: they key the verdict tables (below) and no artifact
+  phase;
 - ``parent``: the upstream phase's key, which chains every upstream
   input in;
 - ``payload``: the phase's own inputs -- the model config (any dataclass
@@ -71,6 +73,22 @@ share this one mutex rather than owning their own.
 :meth:`store` also bumps a per-key ``<key>.builds`` counter file, so a
 test (or an operator) can assert "N concurrent identical submissions
 triggered exactly one build" from the filesystem alone.
+
+Verdict tables
+--------------
+Besides the artifact phases the cache keeps one **verdict table** per
+comparison key (:func:`verdict_key`): the :class:`ComparisonResult` rows
+of traces already simulated under one RTL configuration, addressed by a
+digest of each trace's content (see :mod:`repro.harness.compare`).  The
+key hashes the ``verdicts`` code digest -- ``harness/``, ``pp/`` and
+``vectors/`` *including* the simulator units of :data:`PHASE_EXCLUDED`,
+so an RTL edit re-keys the verdicts but no artifact phase -- plus the
+core configuration, the inbox tasks, ``strict_writes`` and
+``max_cycles``.  A table keeps at most :data:`VERDICT_TABLE_ROWS` most
+recently used rows.  Every validate rewrites its table; those stores
+build nothing and leave ``<key>.builds`` alone.  A corrupt table is
+quarantined like any entry and loads as empty, so every trace is
+simulated again.
 """
 
 from __future__ import annotations
@@ -78,6 +96,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -85,7 +104,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 try:  # POSIX; the lock degrades to a no-op elsewhere
     import fcntl
@@ -142,28 +161,48 @@ PHASE_MODULES: Dict[str, tuple] = {
     "traces": ("vectors", "pp", "incremental"),
 }
 
-#: Files inside the phase subtrees that no phase digest hashes: the RTL
-#: comparison simulator's own units.  They run generated vectors (step 4)
-#: and feed no artifact bytes -- the vector generator reads only the line
-#: size (``pp/rtl/memory.py``) and the stimulus queue layout
+#: Files inside the phase subtrees that no artifact phase digest hashes:
+#: the RTL comparison simulator's own units.  They run generated vectors
+#: (step 4) and feed no artifact bytes -- the vector generator reads only
+#: the line size (``pp/rtl/memory.py``) and the stimulus queue layout
 #: (``pp/rtl/stimulus.py``), which stay hashed, as does every other or new
-#: file under ``pp/``.  ``tests/test_artifact_cache.py`` checks that no
-#: hashed module of a phase subtree imports one of these.
+#: file under ``pp/``.  They do key the verdict tables: the ``verdicts``
+#: digest (:data:`VERDICT_MODULES`) hashes them with everything else.
+#: ``tests/test_artifact_cache.py`` checks that no hashed module of a
+#: phase subtree imports one of these.
 PHASE_EXCLUDED = frozenset(
     f"pp/rtl/{unit}.py"
     for unit in ("core", "icache", "dcache", "memctrl", "inbox", "outbox", "regfile")
 )
 
 
-def _digest_tree(package_root: Path, subdirs: tuple) -> str:
+#: Name of the code digest that keys the verdict tables.  It is not an
+#: artifact phase (not in :data:`PHASES`): nothing downstream chains on it.
+VERDICTS = "verdicts"
+
+#: Source subtrees hashed into the ``verdicts`` code digest: the
+#: comparison harness, the RTL simulator and the specification (``pp/``,
+#: simulator units included) and the trace layout (``vectors/``).
+VERDICT_MODULES = ("harness", "pp", "vectors")
+
+#: Most recently used rows one verdict table keeps.  A table is loaded and
+#: stored whole on every validate with a cache, so the cap bounds that cost
+#: (about 130 KB of pickle when full); rows past it are the least recently
+#: used.
+VERDICT_TABLE_ROWS = 4096
+
+
+def _digest_tree(
+    package_root: Path, subdirs: tuple, excluded: frozenset = PHASE_EXCLUDED
+) -> str:
     """SHA-256 over relative path + contents of the ``.py`` files under
-    the named subtrees of ``package_root``, minus :data:`PHASE_EXCLUDED`."""
+    the named subtrees of ``package_root``, minus ``excluded``."""
     digest = hashlib.sha256()
     sources = []
     for sub in subdirs:
         sources.extend(
             source for source in (package_root / sub).rglob("*.py")
-            if source.relative_to(package_root).as_posix() not in PHASE_EXCLUDED
+            if source.relative_to(package_root).as_posix() not in excluded
         )
     sources.sort()
     for source in sources:
@@ -178,36 +217,48 @@ def _package_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
+def _code_sources(phase: str) -> tuple:
+    """``(subtrees, excluded files)`` hashed into ``phase``'s code digest."""
+    if phase == VERDICTS:
+        return VERDICT_MODULES, frozenset()
+    if phase not in PHASE_MODULES:
+        raise ValueError(
+            f"unknown phase {phase!r}; expected one of {PHASES + (VERDICTS,)}"
+        )
+    return PHASE_MODULES[phase], PHASE_EXCLUDED
+
+
 def phase_code_version(
     phase: str, package_root: Optional[Path] = None, refresh: bool = False
 ) -> str:
-    """Digest of only the source subtrees feeding ``phase``.
+    """Digest of only the source subtrees feeding ``phase`` (an artifact
+    phase, or :data:`VERDICTS` for the verdict tables).
 
     Memoized per process (for the real package root); ``refresh=True``
     recomputes, and ``package_root`` overrides the tree being hashed
     (tests point it at synthetic trees to assert the invalidation matrix).
     """
-    if phase not in PHASE_MODULES:
-        raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+    subdirs, excluded = _code_sources(phase)
     if package_root is not None:
-        return _digest_tree(Path(package_root), PHASE_MODULES[phase])
+        return _digest_tree(Path(package_root), subdirs, excluded)
     if refresh or phase not in _PHASE_CODE_VERSIONS:
         _PHASE_CODE_VERSIONS[phase] = _digest_tree(
-            _package_root(), PHASE_MODULES[phase]
+            _package_root(), subdirs, excluded
         )
         _PHASE_CODE_COMPUTED_AT[phase] = time.time()
     return _PHASE_CODE_VERSIONS[phase]
 
 
 def refresh_phase_code_versions() -> None:
-    """Recompute every phase digest from the sources on disk now.
+    """Recompute every phase digest, and the verdict digest, from the
+    sources on disk now.
 
     The memo is a staleness hazard for long-lived processes: a
     ``repro serve`` daemon upgraded in place would keep serving keys
     computed from its startup-time sources.  The daemon calls this
     before replaying its journal.
     """
-    for phase in PHASES:
+    for phase in PHASES + (VERDICTS,):
         phase_code_version(phase, refresh=True)
 
 
@@ -314,6 +365,66 @@ def pipeline_phase_keys(
     )
     keys["splice"] = phase_key("tours", code("tours"), keys["tours"], "splice")
     return keys
+
+
+def verdict_key(
+    config: Any,
+    *,
+    inbox_tasks: Sequence[int],
+    strict_writes: bool,
+    max_cycles: int,
+) -> str:
+    """Content address of the verdict table for one comparison setup.
+
+    ``config`` is the RTL :class:`~repro.pp.rtl.core.CoreConfig` (its
+    ``bugs`` set keys sorted); the other inputs are the run parameters of
+    :func:`~repro.harness.compare.run_trace`.  Scheduling (``jobs``,
+    ``chunksize``) and ``stop_on_divergence`` change no verdict and stay
+    out of the key.
+    """
+    fields = dataclasses.asdict(config)
+    fields["bugs"] = sorted(fields["bugs"])
+    return phase_key(
+        VERDICTS,
+        phase_code_version(VERDICTS),
+        None,
+        {
+            "core_config": fields,
+            "inbox_tasks": list(inbox_tasks),
+            "strict_writes": bool(strict_writes),
+            "max_cycles": max_cycles,
+        },
+    )
+
+
+def load_verdicts(cache: "ArtifactCache", key: str) -> Dict[bytes, tuple]:
+    """The verdict table stored under ``key``: trace digest -> result row,
+    least recently used first.  A miss, a quarantined entry or a payload
+    of the wrong shape is an empty table."""
+    table = cache.load(key)
+    return table if isinstance(table, dict) else {}
+
+
+def store_verdicts(
+    cache: "ArtifactCache",
+    key: str,
+    table: Dict[bytes, tuple],
+    used: Iterable[Tuple[bytes, tuple]] = (),
+) -> None:
+    """Persist ``table`` with every ``(digest, row)`` of ``used``, in
+    order, as its most recently used rows, keeping only the last
+    :data:`VERDICT_TABLE_ROWS` rows.  Concurrent stores race last writer
+    wins; a lost row only costs its trace one more simulation."""
+    for digest, row in used:
+        table.pop(digest, None)
+        table[digest] = row
+    if len(table) > VERDICT_TABLE_ROWS:
+        table = dict(
+            itertools.islice(table.items(), len(table) - VERDICT_TABLE_ROWS, None)
+        )
+    manifest = {"phase": VERDICTS, "rows": len(table)}
+    manifest.update(phase_code_info(VERDICTS))
+    cache.store(key, table, manifest=manifest, build=False)
 
 
 class ArtifactCache:
@@ -443,7 +554,7 @@ class ArtifactCache:
             handle.close()
 
     def build_count(self, key: str) -> int:
-        """How many times ``store`` ran for ``key`` (0 if never)."""
+        """How many times ``store`` built ``key`` (0 if never)."""
         try:
             return int(self.builds_path(key).read_text().strip() or 0)
         except (OSError, ValueError):
@@ -515,14 +626,20 @@ class ArtifactCache:
         return artifacts
 
     def store(
-        self, key: str, artifacts: Any, manifest: Optional[Dict[str, Any]] = None
+        self,
+        key: str,
+        artifacts: Any,
+        manifest: Optional[Dict[str, Any]] = None,
+        build: bool = True,
     ) -> Path:
         """Atomically persist ``artifacts`` under ``key``; returns the path.
 
         The pickle bytes are hashed once here and the digest recorded in
         the manifest (written last, also atomically), giving :meth:`load`
         an end-to-end integrity check on every future hit.  Caller-supplied
-        manifest fields are merged in for debugging.
+        manifest fields are merged in for debugging.  ``build=False``
+        leaves the ``<key>.builds`` counter alone: a verdict table is
+        rewritten by every validate, which builds nothing.
         """
         started = time.perf_counter()
         path = self.pickle_path(key)
@@ -534,7 +651,7 @@ class ArtifactCache:
         attempts = 5
         for attempt in range(attempts):
             try:
-                self._persist(key, path, blob, manifest)
+                self._persist(key, path, blob, manifest, build)
                 break
             except FileNotFoundError:
                 if attempt == attempts - 1:
@@ -547,9 +664,9 @@ class ArtifactCache:
 
     def _persist(
         self, key: str, path: Path, blob: bytes,
-        manifest: Optional[Dict[str, Any]],
+        manifest: Optional[Dict[str, Any]], build: bool = True,
     ) -> None:
-        """One attempt at writing pickle + manifest + build counter."""
+        """One attempt at writing pickle + manifest (+ build counter)."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
@@ -578,7 +695,10 @@ class ArtifactCache:
         # Build-count bookkeeping for the single-flight protocol: under
         # the per-key lock this is an exact "how many times was this
         # entry actually built" counter that chaos tests assert on.
-        atomic_write_text(self.builds_path(key), f"{self.build_count(key) + 1}\n")
+        if build:
+            atomic_write_text(
+                self.builds_path(key), f"{self.build_count(key) + 1}\n"
+            )
 
     def copy_entry(self, src_key: str, dst_key: str) -> bool:
         """Adopt ``src_key``'s entry under ``dst_key`` without re-pickling.

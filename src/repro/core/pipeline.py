@@ -17,9 +17,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.cache import (
     ArtifactCache,
+    load_verdicts,
     phase_code_info,
     phase_code_version,
     pipeline_phase_keys,
+    store_verdicts,
+    verdict_key,
 )
 from repro.enumeration import (
     EnumerationStats,
@@ -27,7 +30,13 @@ from repro.enumeration import (
     WorkerPool,
     enumerate_states,
 )
-from repro.harness.compare import ComparisonResult, run_vector_traces
+from repro.harness.compare import (
+    DEFAULT_INBOX,
+    DEFAULT_MAX_CYCLES,
+    ComparisonResult,
+    run_vector_traces,
+    trace_digests,
+)
 from repro.incremental.diff import LOCALIZED, NO_OP, diff_models
 from repro.incremental.edits import EditedPPControl, ModelEdit
 from repro.incremental.recent import RecentBuilds
@@ -479,13 +488,17 @@ class ValidationPipeline:
                 self._record_phase("tours", False, obs)
             with obs.span("phase.tours"):
                 cost = pp_instruction_cost(self.control, graph, memo=memo)
-                tours = IndexedTourGenerator(
+                generator = IndexedTourGenerator(
                     graph,
                     instruction_cost=cost,
                     max_instructions_per_trace=self.max_instructions_per_trace,
-                ).generate(obs=obs)
+                )
+                tours = generator.generate(obs=obs)
             if cache is not None and not stats.truncated:
-                self._store_tours(cache, keys, tours, memo, graph, obs)
+                self._store_tours(
+                    cache, keys, tours, generator.costs, memo, graph, obs
+                )
+            del generator  # free its index before vector generation
 
         # -- traces ---------------------------------------------------------
         traces = prepared.get("traces")
@@ -527,14 +540,16 @@ class ValidationPipeline:
                 )
         return self._artifacts
 
-    def _store_tours(self, cache, keys, tours, memo, graph, obs) -> None:
+    def _store_tours(self, cache, keys, tours, costs, memo, graph, obs) -> None:
         """Persist the tours entry plus its splice sidecar.
 
         The sidecar (per-edge instruction costs + the memo's transition
         outcomes, keyed by packed state) is what lets a *later* build
-        splice against this one without replaying transitions.  Tour
-        generation just touched every arc, so the memo is fully warm and
-        exporting it costs only the pickle.
+        splice against this one without replaying transitions.  ``costs``
+        is the per-edge cost list the caller already has (the tour
+        generator's, or the splice check's); tour generation just touched
+        every arc, so the memo is fully warm and exporting it costs only
+        the pickle.
         """
         cache.store(
             keys["tours"],
@@ -547,7 +562,7 @@ class ValidationPipeline:
         cache.store(
             keys["splice"],
             {
-                "edge_costs": edge_costs(memo, graph),
+                "edge_costs": costs,
                 "memo": export_memo(memo, graph),
             },
             manifest=self._phase_manifest("splice"),
@@ -784,7 +799,7 @@ class ValidationPipeline:
         tours = self._tours_from_entry(tours_entry, graph)
         # Store under *our* keys -- but export our own memo, not the
         # candidate's sidecar: its dirty-state rows reflect the old model.
-        self._store_tours(cache, keys, tours, memo, graph, obs)
+        self._store_tours(cache, keys, tours, costs, memo, graph, obs)
         adopted.append("tours")
         prepared["tours"] = tours
         self._record_phase("tours", True, obs)
@@ -849,25 +864,55 @@ class ValidationPipeline:
         With ``jobs > 1`` the independent trace simulations fan across
         the pipeline's :meth:`worker_pool`; results and the
         stop-on-divergence cut point match the sequential run exactly.
+
+        With a cache directory, traces whose verdict under ``config`` the
+        cache's verdict table already holds are not simulated again (see
+        :mod:`repro.core.cache`); ``ValidationReport.reused_traces``
+        counts them.  ``use_cache=False`` simulates every trace and still
+        stores the table.
         """
         from repro.core.report import ValidationReport
 
         config = config or CoreConfig(mem_latency=0)
+        traces = self.artifacts.traces
         with self.obs.span("pipeline.validate", jobs=self.jobs or 0):
+            known: Dict[int, ComparisonResult] = {}
+            if self.cache_dir is not None:
+                cache = ArtifactCache(self.cache_dir)
+                key = verdict_key(
+                    config,
+                    inbox_tasks=DEFAULT_INBOX,
+                    strict_writes=True,
+                    max_cycles=DEFAULT_MAX_CYCLES,
+                )
+                table = load_verdicts(cache, key) if self.use_cache else {}
+                digests = trace_digests(traces.traces)
+                known = {
+                    index: ComparisonResult.from_row(table[digest])
+                    for index, digest in enumerate(digests)
+                    if digest in table
+                }
             results, diverging = run_vector_traces(
-                self.artifacts.traces,
+                traces,
                 config=config,
                 stop_on_divergence=stop_on_divergence,
                 obs=self.obs,
                 pool=self.worker_pool(),
+                known=known,
             )
+            if self.cache_dir is not None:
+                store_verdicts(cache, key, table, (
+                    (digest, result.to_row())
+                    for digest, result in zip(digests, results)
+                ))
         return ValidationReport(
             config=config,
             traces_run=len(results),
-            total_traces=self.artifacts.traces.num_traces,
+            total_traces=traces.num_traces,
             diverging_traces=diverging,
             results=results,
             enumeration=self.artifacts.enumeration,
             tour_stats=self.artifacts.tours.stats,
             from_cache=self.artifacts_from_cache,
+            reused_traces=sum(1 for index in known if index < len(results)),
         )

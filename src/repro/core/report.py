@@ -26,6 +26,9 @@ class ValidationReport:
     #: True when the pipeline artifacts were loaded from the on-disk cache
     #: rather than rebuilt (enumeration + tours + vectors skipped).
     from_cache: bool = False
+    #: Traces among the ``traces_run`` whose result came from the cache's
+    #: verdict table instead of a simulation.
+    reused_traces: int = 0
 
     @property
     def clean(self) -> bool:

@@ -6,14 +6,23 @@ the pipeline's :class:`~repro.enumeration.pool.WorkerPool` -- across its
 workers when it can dispatch, in-process otherwise -- and keeps trace
 order (and the stop-on-divergence cut point) regardless of how many
 workers simulate concurrently.
+
+A trace's verdict depends only on its content and the comparison setup,
+so :func:`trace_digests` names each trace by content and
+:func:`run_vector_traces` accepts results already known for some traces
+(the pipeline's verdict table, :mod:`repro.core.cache`): only the rest
+are simulated, and the known ones are emitted in their places.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from hashlib import blake2b
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.enumeration.pool import WorkerPool, batch_pool
 from repro.obs.observer import Observer, resolve
@@ -33,6 +42,9 @@ logger = logging.getLogger("repro.harness")
 
 #: Inbox task words shared by both models in comparison runs.
 DEFAULT_INBOX = tuple(range(0x1000, 0x1000 + 256))
+
+#: Simulated cycles after which a run is reported as deadlocked.
+DEFAULT_MAX_CYCLES = 500_000
 
 
 @dataclass
@@ -60,6 +72,18 @@ class ComparisonResult:
             parts.append(self.write_mismatch)
         return "DIVERGED: " + "; ".join(parts)
 
+    def to_row(self) -> tuple:
+        """Plain-tuple form for the verdict table (pickles far faster than
+        the dataclass); :meth:`from_row` inverts it."""
+        return (self.diverged, tuple(self.differences), self.write_mismatch,
+                self.cycles, self.instructions, self.deadlocked)
+
+    @classmethod
+    def from_row(cls, row: tuple) -> "ComparisonResult":
+        diverged, differences, write_mismatch, cycles, instructions, deadlocked = row
+        return cls(diverged, list(differences), write_mismatch, cycles,
+                   instructions, deadlocked)
+
 
 def compare_states(spec_state: ArchState, rtl_state: ArchState) -> List[str]:
     """Architectural differences between specification and implementation."""
@@ -86,7 +110,7 @@ def run_trace(
     config: Optional[CoreConfig] = None,
     inbox_tasks: Sequence[int] = DEFAULT_INBOX,
     strict_writes: bool = True,
-    max_cycles: int = 500_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     decode_table: Optional[Dict[int, Predecoded]] = None,
 ) -> ComparisonResult:
     """Run ``program`` on the RTL under ``stimulus`` and on the spec; compare.
@@ -147,6 +171,42 @@ def run_vector_trace(
     return run_trace(trace.program, trace.stimulus(), config=config, **kwargs)
 
 
+_INSTRUCTION_FIELDS = struct.Struct("<BBBBi")
+_QUEUE_LENGTHS = struct.Struct("<7I")
+
+
+def trace_digests(traces: Sequence[TestVectorTrace]) -> List[bytes]:
+    """A 16-byte content digest per trace, over everything
+    :func:`run_vector_trace` reads: the program and the six stimulus
+    queues.  Each instruction contributes all five fields -- a superset
+    of the encoded word the RTL runs, since the specification reads the
+    fields.  ``edges_traversed`` only orders scheduling and is left out.
+    """
+    packed: Dict[int, bytes] = {}  # by id(): the traces keep them alive
+    pack = _INSTRUCTION_FIELDS.pack
+    digests = []
+    for trace in traces:
+        program = trace.program
+        words = []
+        for ins in program:
+            word = packed.get(id(ins))
+            if word is None:
+                word = packed[id(ins)] = pack(
+                    ins.opcode, ins.rd, ins.rs, ins.rt, ins.imm
+                )
+            words.append(word)
+        queues = (trace.fetch_hits, trace.dcache_hits, trace.inbox_ready,
+                  trace.outbox_ready, trace.victim_dirty, trace.mem_pace)
+        digest = blake2b(
+            _QUEUE_LENGTHS.pack(len(program), *map(len, queues)), digest_size=16
+        )
+        digest.update(b"".join(words))
+        for queue in queues:
+            digest.update(bytes(queue))
+        digests.append(digest.digest())
+    return digests
+
+
 def _trace_chunk_job(
     payload: Tuple[
         CoreConfig, Dict[int, Predecoded], Sequence[Tuple[int, TestVectorTrace]]
@@ -183,8 +243,15 @@ def run_vector_traces(
     obs: Optional[Observer] = None,
     chunksize: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
+    known: Optional[Mapping[int, ComparisonResult]] = None,
 ) -> Tuple[List[ComparisonResult], List[int]]:
     """Run many traces; return ``(results, diverging_indices)`` in trace order.
+
+    ``known`` maps trace indices to results already known for them (a
+    verdict table's rows); those traces are not simulated, and their
+    results are emitted -- recorded, counted and checked for a stop --
+    in their places exactly as if they had just run.  So the returned
+    lists equal a run without ``known`` whenever its results are right.
 
     ``pool`` is the pipeline's persistent
     :class:`~repro.enumeration.pool.WorkerPool`.  Chunks of indexed traces
@@ -220,15 +287,18 @@ def run_vector_traces(
     ``compare.*`` counters, ``compare.workers`` (and, on workers,
     ``compare.chunksize``) gauges, a ``compare.seconds`` sample, and a
     ``compare.divergence`` event (with the divergence site) for every
-    diverging trace.
+    diverging trace.  Known results feed all of these the same way; the
+    ``compare.verdicts_reused`` counter says how many of the emitted
+    results were known.
     """
     obs = resolve(obs)
     started = time.perf_counter()
     config = config or CoreConfig(mem_latency=0)
     traces = list(traces)
+    known = known or {}
     pool = batch_pool(pool, len(traces))
     workers = min(pool.jobs, max(1, len(traces)))
-    order = list(range(len(traces)))
+    order = [i for i in range(len(traces)) if i not in known]
     if not pool.available:
         chunksize = 1  # in trace order, so a stop simulates nothing past it
     else:
@@ -249,20 +319,24 @@ def run_vector_traces(
     results: List[ComparisonResult] = []
     diverging: List[int] = []
     # Completions arrive out of order on workers; ``pending`` holds them
-    # until every earlier trace has been emitted, so results/metrics/stop
-    # decisions happen in exactly the sequential order.
-    pending = {}
-    next_index = 0
+    # (and the known results) until every earlier trace has been emitted,
+    # so results/metrics/stop decisions happen in exactly the sequential
+    # order.
+    pending = dict(known)
+    next_index = reused = 0
     stopped = False
     # No timeout: simulation time is unbounded in trace length; dead
     # workers still recover via BrokenProcessPool.
     tasks = pool.imap_tasks(_trace_chunk_job, chunks)
     try:
-        for _, chunk_result in tasks:
+        # The leading empty completion emits the known prefix before the
+        # first dispatch, so a stop there simulates nothing at all.
+        for chunk_result in itertools.chain([()], (c for _, c in tasks)):
             for index, result in chunk_result:
                 pending[index] = result
             while not stopped and next_index in pending:
                 emitted = pending.pop(next_index)
+                reused += next_index in known
                 results.append(emitted)
                 _record_result(obs, next_index, emitted)
                 obs.heartbeat("compare", traces=next_index + 1,
@@ -277,9 +351,12 @@ def run_vector_traces(
                 break
     finally:
         tasks.close()
-        if stopped:
+        if stopped and reused < len(results):
             # Drop the in-flight later traces by killing the worker
-            # generation; the next dispatch re-forks lazily.
+            # generation; the next dispatch re-forks lazily.  A stop in
+            # the known prefix (no simulated result emitted) came before
+            # the first dispatch: nothing is in flight then.
             pool.retire()
+    obs.inc("compare.verdicts_reused", reused)
     obs.observe("compare.seconds", time.perf_counter() - started)
     return results, diverging

@@ -82,6 +82,7 @@ class RunReport:
         comparison = {
             "traces_run": validation.traces_run,
             "total_traces": validation.total_traces,
+            "reused_traces": validation.reused_traces,
             "diverging_traces": list(validation.diverging_traces),
             "clean": validation.clean,
             "per_trace": [
@@ -447,6 +448,9 @@ def _render_comparison(comparison: Mapping[str, Any]) -> str:
     lines = ["Comparison simulation"]
     lines.append(f"  traces run:        {comparison['traces_run']}/"
                  f"{comparison['total_traces']}")
+    if "reused_traces" in comparison:
+        lines.append(f"  reused verdicts:   {comparison['reused_traces']}/"
+                     f"{comparison['traces_run']}")
     per_trace = comparison.get("per_trace", [])
     lines.append(f"  instructions:      "
                  f"{sum(t['instructions'] for t in per_trace):,}")
@@ -514,4 +518,11 @@ def validate_run_report(payload: Mapping[str, Any]) -> List[str]:
         problems.extend(validate_metrics_snapshot(payload["metrics"]))
     if "perf" in payload and not isinstance(payload["perf"], dict):
         problems.append("perf is not a dict")
+    comparison = payload.get("comparison") or {}
+    if "reused_traces" in comparison:  # absent from reports of older runs
+        reused = comparison["reused_traces"]
+        if not isinstance(reused, int) or not 0 <= reused <= comparison.get(
+            "traces_run", -1
+        ):
+            problems.append(f"comparison.reused_traces is {reused!r}")
     return problems

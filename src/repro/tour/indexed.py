@@ -75,6 +75,9 @@ class IndexedTourGenerator:
         The per-output-file limit of Fig. 3.3 (the paper evaluates both no
         limit and a 10,000-instruction limit in Table 3.3).  ``None``
         disables the limit.
+
+    After :meth:`generate`, ``costs`` holds every arc's instruction cost
+    by edge index (the pipeline stores it in the splice sidecar).
     """
 
     def __init__(
@@ -151,7 +154,7 @@ class IndexedTourGenerator:
         num_states = graph.num_states
         num_edges = graph.num_edges
 
-        self._cost = arc_costs(graph, self.instruction_cost)
+        self.costs = arc_costs(graph, self.instruction_cost)
         self._traversed = bytearray(num_edges)
         self._cursors = list(self._indptr[:num_states])
         self._untraversed_out = [
@@ -273,7 +276,7 @@ class IndexedTourGenerator:
 
     def _take(self, index: int, tour: Tour) -> None:
         tour.edge_indices.append(index)
-        tour.instructions += self._cost[index]
+        tour.instructions += self.costs[index]
         if not self._traversed[index]:
             self._traversed[index] = 1
             src = self._edge_src[index]

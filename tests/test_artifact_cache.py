@@ -3,12 +3,28 @@
 import hashlib
 import json
 import pickle
+import shutil
 
 import pytest
 
+import repro.core.cache as cache_mod
+import repro.core.pipeline as pipeline_mod
+from repro.bugs import BUGS
+from repro.cli import main
 from repro.core import ArtifactCache, ValidationPipeline, phase_code_version
-from repro.core.cache import pipeline_phase_keys
+from repro.core.cache import (
+    load_verdicts,
+    pipeline_phase_keys,
+    store_verdicts,
+    verdict_key,
+)
+from repro.harness.compare import DEFAULT_INBOX, DEFAULT_MAX_CYCLES, trace_digests
+from repro.incremental.edits import resolve_edits
+from repro.incremental.splice import edge_costs
+from repro.obs import MetricsRegistry, Observer, validate_run_report
 from repro.pp.fsm_model import PPModelConfig
+from repro.pp.rtl.core import CoreConfig
+from repro.vectors import TransitionEventMemo
 
 SMALL = dict(model_config=PPModelConfig(fill_words=1), max_instructions_per_trace=300)
 
@@ -19,6 +35,13 @@ def warm_cache_dir(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("artifact-cache")
     ValidationPipeline(cache_dir=str(cache_dir), **SMALL).build()
     return cache_dir
+
+
+def _verdict_key(config):
+    return verdict_key(
+        config, inbox_tasks=DEFAULT_INBOX, strict_writes=True,
+        max_cycles=DEFAULT_MAX_CYCLES,
+    )
 
 
 def build_key(model_config, **flags):
@@ -499,6 +522,25 @@ class TestPhaseCodeDigests:
         assert self._digests(root) == before
 
     @pytest.mark.parametrize("edited", [
+        "pp/rtl/core.py", "pp/rtl/icache.py", "pp/rtl/dcache.py", "pp/rtl/memctrl.py",
+        "pp/rtl/inbox.py", "pp/rtl/outbox.py", "pp/rtl/regfile.py",
+        "harness/compare.py",
+    ])
+    def test_simulator_edit_rekeys_verdicts_and_no_phase(self, tmp_path, edited):
+        # The verdict digest hashes the simulator units the phases skip:
+        # an RTL edit invalidates verdicts, never artifacts.
+        from repro.core.cache import VERDICTS, phase_code_version
+
+        root = self._tree(
+            tmp_path, **self.PP_TREE, **{"harness/compare.py": "H = 1\n"}
+        )
+        before = self._digests(root)
+        verdicts = phase_code_version(VERDICTS, package_root=root)
+        (root / edited).write_text("EDITED = 2\n")
+        assert self._digests(root) == before
+        assert phase_code_version(VERDICTS, package_root=root) != verdicts
+
+    @pytest.mark.parametrize("edited", [
         "pp/rtl/memory.py", "pp/rtl/stimulus.py", "pp/rtl/__init__.py", "pp/isa.py",
     ])
     def test_artifact_feeding_pp_edit_still_changes_traces(self, tmp_path, edited):
@@ -611,6 +653,20 @@ class TestCodeVersionRefresh:
         cache_mod.refresh_phase_code_versions()
         assert cache_mod.phase_code_version("model") != first
 
+    def test_refresh_rekeys_the_verdicts(self, tmp_path, monkeypatch):
+        root = tmp_path / "pkg"
+        (root / "pp" / "rtl").mkdir(parents=True)
+        (root / "pp" / "rtl" / "core.py").write_text("CYCLE = 1\n")
+        monkeypatch.setattr(cache_mod, "_package_root", lambda: root)
+        monkeypatch.setattr(cache_mod, "_PHASE_CODE_VERSIONS", {})
+        monkeypatch.setattr(cache_mod, "_PHASE_CODE_COMPUTED_AT", {})
+
+        first = _verdict_key(CoreConfig(mem_latency=0))
+        (root / "pp" / "rtl" / "core.py").write_text("CYCLE = 2\n")
+        assert _verdict_key(CoreConfig(mem_latency=0)) == first  # memoized
+        cache_mod.refresh_phase_code_versions()
+        assert _verdict_key(CoreConfig(mem_latency=0)) != first
+
     def test_manifests_record_digest_provenance(self, tmp_path):
         import repro.core.cache as cache_mod
 
@@ -630,3 +686,246 @@ class TestCodeVersionRefresh:
             assert manifest["code_computed_at"] == pytest.approx(
                 cache_mod._PHASE_CODE_COMPUTED_AT[code_phase]
             )
+
+
+class TestSpliceSidecar:
+    """The sidecar stores the cost list the tours were generated with; it
+    must equal a fresh per-arc cost pass over the memo."""
+
+    @staticmethod
+    def _sidecar_matches_a_fresh_cost_pass(cache_dir, pipeline):
+        sidecar = ArtifactCache(cache_dir).load(pipeline.phase_keys["splice"])
+        graph = pipeline.artifacts.graph
+        memo = TransitionEventMemo(pipeline.control, graph)
+        assert sidecar["edge_costs"] == edge_costs(memo, graph)
+
+    def test_cold_build(self, warm_cache_dir):
+        pipeline = ValidationPipeline(cache_dir=str(warm_cache_dir), **SMALL)
+        pipeline.build()
+        self._sidecar_matches_a_fresh_cost_pass(warm_cache_dir, pipeline)
+
+    def test_localized_splice(self, tmp_path):
+        ValidationPipeline(cache_dir=str(tmp_path), **SMALL).build()
+        pipeline = ValidationPipeline(
+            cache_dir=str(tmp_path), edits=resolve_edits(["inbox-flip-refill"]),
+            **SMALL,
+        )
+        pipeline.build()
+        assert "tours" in pipeline.incremental_report.adopted_phases
+        self._sidecar_matches_a_fresh_cost_pass(tmp_path, pipeline)
+
+
+# -- verdict reuse ----------------------------------------------------------
+
+DESIGNS = [None] + sorted(BUGS)
+
+
+def _core_config(bug):
+    config = CoreConfig(mem_latency=0)
+    return config if bug is None else config.with_bugs(bug)
+
+
+@pytest.fixture(scope="module")
+def verdict_base(tmp_path_factory):
+    """A cache directory holding the small build and no verdict table."""
+    base = tmp_path_factory.mktemp("verdict-base")
+    ValidationPipeline(cache_dir=str(base), **SMALL).build()
+    return base
+
+
+@pytest.fixture(scope="module")
+def cold_reports():
+    """``cold_reports(bug, stop)``: the cache-free validation of a design."""
+    pipeline = ValidationPipeline(**SMALL)
+    reports = {}
+
+    def get(bug, stop):
+        if (bug, stop) not in reports:
+            reports[bug, stop] = pipeline.validate(
+                _core_config(bug), stop_on_divergence=stop
+            )
+        return reports[bug, stop]
+
+    return get
+
+
+def _assert_same_verdict(report, cold):
+    assert report.results == cold.results
+    assert report.diverging_traces == cold.diverging_traces
+    assert report.traces_run == cold.traces_run
+    assert report.total_traces == cold.total_traces
+
+
+class TestVerdictReuse:
+    """A validate served from the verdict table returns what simulating
+    every trace returns, and reuses exactly the traces the table holds."""
+
+    @staticmethod
+    def _cache(verdict_base, tmp_path):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(verdict_base, cache_dir)
+        return str(cache_dir)
+
+    @staticmethod
+    def _validate(cache_dir, bug, stop, jobs=1, **kwargs):
+        pipeline = ValidationPipeline(cache_dir=cache_dir, jobs=jobs, **SMALL, **kwargs)
+        try:
+            return pipeline.validate(_core_config(bug), stop_on_divergence=stop)
+        finally:
+            pipeline.shutdown()
+
+    @staticmethod
+    def _digests(cache_dir):
+        traces = ValidationPipeline(cache_dir=cache_dir, **SMALL).build().traces
+        return trace_digests(traces.traces)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("stop", [True, False], ids=["stop", "all"])
+    @pytest.mark.parametrize("bug", DESIGNS)
+    def test_warm_table_equals_cold_run(
+        self, verdict_base, cold_reports, tmp_path, bug, stop, jobs
+    ):
+        cold = cold_reports(bug, stop)
+        cache_dir = self._cache(verdict_base, tmp_path)
+        first = self._validate(cache_dir, bug, stop, jobs)
+        assert first.reused_traces == 0
+        _assert_same_verdict(first, cold)
+        warm = self._validate(cache_dir, bug, stop, jobs)
+        assert warm.reused_traces == warm.traces_run
+        _assert_same_verdict(warm, cold)
+
+    def test_some_cut_lands_after_a_reused_trace(self, cold_reports):
+        # The seeded test below knows the even traces: a first divergence
+        # at an odd index is a cut on a simulated trace after reused ones.
+        assert any(
+            cold_reports(bug, True).diverging_traces[0] % 2 == 1 for bug in BUGS
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bug", DESIGNS)
+    def test_reused_and_fresh_traces_mix(
+        self, verdict_base, cold_reports, tmp_path, bug, jobs
+    ):
+        cache_dir = self._cache(verdict_base, tmp_path)
+        digests = self._digests(cache_dir)
+        every = cold_reports(bug, False)
+        seeded = range(0, len(digests), 2)
+        store_verdicts(
+            ArtifactCache(cache_dir), _verdict_key(_core_config(bug)),
+            {digests[i]: every.results[i].to_row() for i in seeded},
+        )
+        known = set(seeded)
+        for stop in (True, False):
+            report = self._validate(cache_dir, bug, stop, jobs)
+            _assert_same_verdict(report, cold_reports(bug, stop))
+            assert report.reused_traces == len(known & set(range(report.traces_run)))
+            known |= set(range(report.traces_run))
+
+    def test_corrupt_table_is_a_miss(self, verdict_base, cold_reports, tmp_path):
+        cache_dir = self._cache(verdict_base, tmp_path)
+        cache = ArtifactCache(cache_dir)
+        key = _verdict_key(_core_config(None))
+        self._validate(cache_dir, None, True)
+        cache.pickle_path(key).write_bytes(b"garbage")
+        report = self._validate(cache_dir, None, True)
+        assert report.reused_traces == 0
+        _assert_same_verdict(report, cold_reports(None, True))
+        assert cache.quarantine_path(key).exists()
+        # A payload of the wrong shape is no table either.
+        cache.store(key, ["not", "a", "table"])
+        assert self._validate(cache_dir, None, True).reused_traces == 0
+        assert self._validate(cache_dir, None, True).reused_traces \
+            == report.traces_run
+
+    def test_row_cap_evicts_least_recently_used_row(
+        self, verdict_base, cold_reports, tmp_path, monkeypatch
+    ):
+        cache_dir = self._cache(verdict_base, tmp_path)
+        cache = ArtifactCache(cache_dir)
+        key = _verdict_key(_core_config(None))
+        digests = self._digests(cache_dir)
+        row = cold_reports(None, False).results[0].to_row()
+        stale = b"\0" * 16
+        # Trace 0's row is older than the stale one, but the run uses it.
+        store_verdicts(cache, key, {digests[0]: row, stale: row})
+        unique = list(dict.fromkeys(digests))
+        monkeypatch.setattr(cache_mod, "VERDICT_TABLE_ROWS", len(unique))
+        report = self._validate(cache_dir, None, False)
+        assert report.reused_traces == digests.count(digests[0])
+        assert list(load_verdicts(cache, key)) == unique
+
+    def test_store_keeps_the_most_recent_rows(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setattr(cache_mod, "VERDICT_TABLE_ROWS", 3)
+        table = {bytes([i]) * 16: (False, (), None, i, i, False) for i in range(5)}
+        store_verdicts(cache, "k" * 64, table)
+        assert list(load_verdicts(cache, "k" * 64)) == list(table)[2:]
+        manifest = json.loads(cache.manifest_path("k" * 64).read_text())
+        assert manifest["phase"] == "verdicts"
+        assert manifest["rows"] == 3
+
+    def test_no_cache_simulates_every_trace_and_still_stores(
+        self, verdict_base, cold_reports, tmp_path
+    ):
+        cache_dir = self._cache(verdict_base, tmp_path)
+        self._validate(cache_dir, None, False)
+        report = self._validate(cache_dir, None, False, use_cache=False)
+        assert report.reused_traces == 0
+        _assert_same_verdict(report, cold_reports(None, False))
+        assert self._validate(cache_dir, None, False).reused_traces \
+            == report.traces_run
+
+    def test_key_ignores_scheduling_and_sorts_bugs(self):
+        config = _core_config(None)
+        assert _verdict_key(config.with_bugs(3, 1)) \
+            == _verdict_key(config.with_bugs(1).with_bugs(3))
+        assert _verdict_key(config) != _verdict_key(config.with_bugs(1))
+        assert verdict_key(
+            config, inbox_tasks=DEFAULT_INBOX, strict_writes=False,
+            max_cycles=DEFAULT_MAX_CYCLES,
+        ) != _verdict_key(config)
+
+    def test_without_a_cache_no_digest_is_taken(self, monkeypatch):
+        def forbidden(traces):
+            raise AssertionError("trace_digests ran without a cache")
+
+        monkeypatch.setattr(pipeline_mod, "trace_digests", forbidden)
+        metrics = MetricsRegistry()
+        report = ValidationPipeline(
+            observer=Observer(metrics=metrics), **SMALL
+        ).validate()
+        assert report.reused_traces == 0
+        assert metrics.counter_value("compare.verdicts_reused") == 0
+
+    def test_cli_reports_reuse(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        base = ["validate", "--fill-words", "1", "--limit", "300",
+                "--cache-dir", cache_dir]
+
+        def verdict_lines(*extra):
+            assert main(base + list(extra)) == 0
+            out = capsys.readouterr().out.splitlines()
+            return ([line for line in out if line.startswith("Validation of")],
+                    [line for line in out if line.startswith("verdicts:")])
+
+        cold_summary, cold_reuse = verdict_lines()
+        assert cold_reuse == ["verdicts: reused 0/47 from the cache's verdict table"]
+        metrics_out = str(tmp_path / "run.json")
+        warm_summary, warm_reuse = verdict_lines("--metrics-out", metrics_out)
+        assert warm_summary == cold_summary
+        assert warm_reuse == ["verdicts: reused 47/47 from the cache's verdict table"]
+        assert verdict_lines("--no-cache")[1] == cold_reuse
+
+        payload = json.loads(open(metrics_out).read())
+        assert validate_run_report(payload) == []
+        assert payload["comparison"]["reused_traces"] == 47
+        payload["comparison"]["reused_traces"] = 48
+        assert validate_run_report(payload) == [
+            "comparison.reused_traces is 48"
+        ]
+        payload["comparison"]["reused_traces"] = 47
+        counters = {row["name"]: row["value"] for row in payload["metrics"]["counters"]}
+        assert counters["compare.verdicts_reused"] == 47
+        assert counters["compare.traces_run"] == 47
+        assert main(["report", metrics_out]) == 0
+        assert "reused verdicts:   47/47" in capsys.readouterr().out

@@ -11,7 +11,8 @@ scale:
   equal to a memo-free replay of every arc);
 - load-balanced comparison scheduling (results, divergence cut point and
   metrics identical to the sequential contract at any pool size or
-  chunksize; a degraded or closed pool runs exactly the sequential loop);
+  chunksize; a degraded or closed pool runs exactly the sequential loop;
+  results already known for some traces fill their places unsimulated);
 - the comparison run's shared decode table (results identical to
   per-trace runs with private tables, under the clean and every bug
   config, in process and on a pool).
@@ -432,6 +433,63 @@ class TestComparisonScheduling:
         assert len(calls) == seq_div[0] + 1
         assert self.results_dump(results) == self.results_dump(seq_results)
 
+
+    @pytest.mark.parametrize("stop", [True, False], ids=["stop", "all"])
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_known_results_fill_their_places(
+        self, trace_list, worker_pool, stop, jobs
+    ):
+        """Known results (a verdict table's) are emitted in trace order
+        among the simulated ones: same lists, same counters."""
+        config = injected_config(2)
+        every, _ = self.run(trace_list, config=config, stop_on_divergence=False)
+        expected, expected_div = self.run(
+            trace_list, config=config, stop_on_divergence=stop
+        )
+        known = {i: every[i] for i in range(0, len(trace_list), 3)}
+        metrics = MetricsRegistry()
+        results, diverging = self.run(
+            trace_list, config=config, stop_on_divergence=stop,
+            pool=worker_pool(jobs) if jobs > 1 else None, known=known,
+            obs=Observer(metrics=metrics),
+        )
+        assert self.results_dump(results) == self.results_dump(expected)
+        assert diverging == expected_div
+        assert metrics.counter_value("compare.traces_run") == len(results)
+        assert metrics.counter_value("compare.verdicts_reused") == sum(
+            1 for i in known if i < len(results)
+        )
+
+    def test_known_traces_are_not_simulated(self, trace_list, monkeypatch):
+        config = injected_config(2)
+        every, every_div = self.run(
+            trace_list, config=config, stop_on_divergence=False
+        )
+        calls = []
+        real = compare_mod.run_vector_trace
+
+        def spy(trace, **kwargs):
+            calls.append(trace)
+            return real(trace, **kwargs)
+
+        monkeypatch.setattr(compare_mod, "run_vector_trace", spy)
+        # Every trace up to the first divergence is known: the stop is
+        # decided before anything is simulated.
+        first = every_div[0]
+        results, diverging = self.run(
+            trace_list, config=config,
+            known={i: every[i] for i in range(first + 1)},
+        )
+        assert calls == []
+        assert diverging == [first] and len(results) == first + 1
+        # Odd traces known: exactly the even ones simulate, in order.
+        results, diverging = self.run(
+            trace_list, config=config, stop_on_divergence=False,
+            known={i: every[i] for i in range(1, len(trace_list), 2)},
+        )
+        assert [id(t) for t in calls] == [id(t) for t in trace_list[::2]]
+        assert self.results_dump(results) == self.results_dump(every)
+        assert diverging == every_div
 
     def test_concurrent_in_process_calls_do_not_mix(self, trace_list):
         """Two in-process runs under different configs on concurrent
