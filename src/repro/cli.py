@@ -3,8 +3,8 @@
 A production release of this system is driven from build scripts, so the
 pipeline is exposed as subcommands::
 
-    python -m repro enumerate --fill-words 2 --jobs 4 --graph-out pp.graph.json
-    python -m repro tours     --graph pp.graph.json --limit 400
+    python -m repro enumerate --fill-words 2 --jobs 4 --cache-dir .repro-cache
+    python -m repro tours     --fill-words 2 --cache-dir .repro-cache --limit 400
     python -m repro validate  --fill-words 2 --cache-dir .repro-cache [--bug 5]
     python -m repro campaign  --fill-words 2 --jobs 4
     python -m repro translate design.v --top arbiter
@@ -13,11 +13,13 @@ pipeline is exposed as subcommands::
     python -m repro report    run.json [--curve curve.csv]
 
 Every command prints a compact human-readable report; ``--graph-out``
-persists the enumerated state graph as JSON for reuse.  ``--jobs`` shards
+writes the enumerated state graph as JSON.  ``--jobs`` shards
 enumeration and trace simulation across worker processes; ``--cache-dir``
 persists the expensive pipeline artifacts (state graph, tours, traces) so
 repeat runs skip straight to simulation, and ``--no-cache`` forces a
-rebuild that refreshes the stored entry.
+rebuild that refreshes the stored entry.  ``enumerate`` and ``tours`` run
+the pipeline's first phases, so a graph that ``enumerate --cache-dir D``
+stores is the one ``tours --cache-dir D`` reuses.
 
 Observability: ``--trace-out`` writes a Chrome ``trace_event`` file (open
 in chrome://tracing or Perfetto; use a ``.jsonl`` suffix to stream the raw
@@ -93,11 +95,7 @@ from repro.obs import (
     resolve,
     stderr_if_tty,
 )
-from repro.pp.fsm_model import (
-    PPModelConfig,
-    build_pp_control_model,
-    pp_control_model,
-)
+from repro.pp.fsm_model import PPModelConfig
 from repro.resilience import (
     Budget,
     CheckpointConfig,
@@ -107,7 +105,7 @@ from repro.resilience import (
     install_term_to_interrupt,
     restore_term_handler,
 )
-from repro.tour import IndexedTourGenerator, arc_coverage
+from repro.tour import arc_coverage
 
 #: Documented exit codes (see module docstring).  When several apply the
 #: most diagnostic wins: invariant violation > budget truncation > missed
@@ -181,10 +179,14 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
                              "simulation (0 = all CPUs)")
 
 
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir",
                         help="persist/reuse pipeline artifacts "
                              "(state graph, tours, traces) in this directory")
+
+
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    _add_cache_dir_flag(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore cached artifacts and rebuild "
                              "(the fresh build is still stored)")
@@ -422,19 +424,23 @@ def _print_cache_status(pipeline) -> None:
 def cmd_enumerate(args) -> int:
     import dataclasses
 
+    from repro.core import ValidationPipeline
+
     observer = _make_observer(args)
     obs = resolve(observer)
-    jobs = _jobs(args)
-    checkpoint = _checkpoint_config(args)
-    budget = _budget(args)
+    _checkpoint_config(args)  # validates --resume/--checkpoint-dir pairing
+    pipeline = ValidationPipeline(
+        model_config=_model_config(args),
+        jobs=_jobs(args),
+        cache_dir=args.cache_dir,
+        observer=observer,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        budget=_budget(args),
+    )
     with obs.span("cli.enumerate"):
-        with obs.span("phase.model_build"):
-            model = build_pp_control_model(_model_config(args))
-        with obs.span("phase.enumerate", jobs=jobs or 0):
-            graph, stats = enumerate_states(
-                model, obs=obs, jobs=jobs,
-                checkpoint=checkpoint, resume=args.resume, budget=budget,
-            )
+        graph, stats = pipeline.build_graph(resume=args.resume)
+    _print_cache_status(pipeline)
     print(stats.format_table())
     _print_resilience_status(stats)
     if args.graph_out:
@@ -443,8 +449,8 @@ def cmd_enumerate(args) -> int:
         print(f"state graph written to {args.graph_out}")
     run_report = None
     if observer is not None:
-        run_report = RunReport.from_observer(
-            "enumerate", observer,
+        run_report = RunReport._from_pipeline(
+            "enumerate", pipeline,
             config={**_model_config_dict(args), "jobs": args.jobs},
             enumeration=dataclasses.asdict(stats),
         )
@@ -452,58 +458,18 @@ def cmd_enumerate(args) -> int:
     return EXIT_BUDGET_TRUNCATED if stats.truncated else EXIT_OK
 
 
-def _graph_model_mismatch(graph: StateGraph, model) -> str:
-    """Why a saved ``graph`` cannot be costed with ``model``, or ``""``.
-
-    The choice points must match exactly.  The state layout is spot-checked
-    by replaying the out-arcs of the first 64 states: a graph
-    enumerated under other model flags packs its keys differently, and
-    costing it with this model would count the wrong instructions.
-    """
-    if list(graph.choice_names) != list(model.choice_names):
-        return (f"its choice points are {list(graph.choice_names)}, the "
-                f"model's are {list(model.choice_names)}")
-    from repro.smurphi import ModelError
-    from repro.smurphi.state import StateCodec
-
-    codec = StateCodec(model.state_vars)
-    for state in range(min(64, graph.num_states)):
-        for edge in graph.out_edges(state):
-            try:
-                succ = codec.pack(model.step(
-                    codec.unpack(graph.state_key(edge.src)),
-                    graph.condition_as_dict(edge),
-                ))
-            except (IndexError, KeyError, ValueError, ModelError):
-                succ = None  # an undecodable key is a mismatch too
-            if succ != graph.state_key(edge.dst):
-                return f"arc {edge.src}->{edge.dst} does not replay"
-    return ""
-
-
 def cmd_tours(args) -> int:
-    from repro.vectors import pp_instruction_cost
+    from repro.core import ValidationPipeline
 
-    control = pp_control_model(_model_config(args))
-    model = control.build()
-    if args.graph:
-        with open(args.graph) as handle:
-            graph = StateGraph.from_json(handle.read())
-        mismatch = _graph_model_mismatch(graph, model)
-        if mismatch:
-            print(f"graph {args.graph} does not match the control model "
-                  f"({mismatch}); pass the model flags the graph was "
-                  "enumerated with", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        graph, _ = enumerate_states(model)
-    tours = IndexedTourGenerator(
-        graph,
-        instruction_cost=pp_instruction_cost(control, graph),
-        max_instructions_per_trace=args.limit or None,
-    ).generate()
+    pipeline = ValidationPipeline(
+        model_config=_model_config(args),
+        max_instructions_per_trace=args.limit,
+        cache_dir=args.cache_dir,
+    )
+    tours = pipeline.build_tours()
+    _print_cache_status(pipeline)
     stats = tours.stats
-    report = arc_coverage(graph, (t.edge_indices for t in tours))
+    report = arc_coverage(tours.graph, (t.edge_indices for t in tours))
     print(f"traces: {stats.num_traces}")
     print(f"arc traversals: {stats.total_edge_traversals:,} over "
           f"{stats.graph_edges:,} arcs (coverage complete: {report.complete})")
@@ -629,8 +595,7 @@ def cmd_translate(args) -> int:
                 )
             print(stats.format_table())
             if args.graph_out:
-                with open(args.graph_out, "w") as handle:
-                    handle.write(graph.to_json())
+                atomic_write_text(args.graph_out, graph.to_json())
                 print(f"state graph written to {args.graph_out}")
     run_report = None
     if observer is not None:
@@ -812,14 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
+    _add_cache_dir_flag(p)
     p.add_argument("--graph-out", help="write the state graph as JSON")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("tours", help="generate transition tours")
     _add_model_flags(p)
-    p.add_argument("--graph",
-                   help="reuse a JSON state graph (enumerated with the same "
-                        "model flags)")
+    _add_cache_dir_flag(p)
     p.add_argument("--limit", type=int, default=400,
                    help="instructions per trace (0 = unlimited)")
     p.set_defaults(func=cmd_tours)

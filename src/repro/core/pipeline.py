@@ -13,7 +13,7 @@ import os
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import (
     ArtifactCache,
@@ -69,6 +69,9 @@ from repro.vectors import (
 )
 
 logger = logging.getLogger("repro.pipeline")
+
+#: The artifact phases in dataflow order; a run builds a prefix of them.
+PHASES = ("graph", "tours", "traces")
 
 
 @dataclass
@@ -189,8 +192,9 @@ class ValidationPipeline:
         self._artifacts: Optional[PipelineArtifacts] = None
         #: True when the last :meth:`build` was served entirely from cache.
         self.artifacts_from_cache = False
-        #: Content address of the last build (the traces phase key -- the
-        #: end of the chain, so it covers every input; set when caching on).
+        #: Content address of the last build (the key of the last phase it
+        #: ran -- the end of its chain, so it covers every input that phase
+        #: reads; set when caching on).
         self.cache_key: Optional[str] = None
         #: Per-phase cache keys of the last build (see ``pipeline_phase_keys``).
         self.phase_keys: Optional[Dict[str, str]] = None
@@ -274,27 +278,6 @@ class ValidationPipeline:
         else:
             obs.inc("cache.phase_misses", phase=phase)
 
-    def _load_artifacts_from_phases(
-        self, cache: ArtifactCache, keys: Dict[str, str]
-    ) -> Optional[PipelineArtifacts]:
-        """Assemble a full build from the per-phase entries, or ``None``."""
-        graph_entry = cache.load(keys["graph"])
-        if graph_entry is None:
-            return None
-        tours_entry = cache.load(keys["tours"])
-        if tours_entry is None:
-            return None
-        traces_entry = cache.load(keys["traces"])
-        if traces_entry is None:
-            return None
-        graph = graph_entry["graph"]
-        return PipelineArtifacts(
-            graph=graph,
-            enumeration=graph_entry["stats"],
-            tours=self._tours_from_entry(tours_entry, graph),
-            traces=unpack_trace_set(traces_entry["traces"]),
-        )
-
     def build(self, resume: bool = False, faults=None) -> PipelineArtifacts:
         """Run steps 1-3 (model, enumerate, tour, vectors) or load them.
 
@@ -309,6 +292,24 @@ class ValidationPipeline:
         never cached.  ``faults`` is the chaos-test hook
         (:class:`~repro.resilience.FaultPlan`).
         """
+        self._artifacts = PipelineArtifacts(**self._run("traces", resume, faults))
+        return self._artifacts
+
+    def build_graph(
+        self, resume: bool = False, faults=None
+    ) -> Tuple[StateGraph, EnumerationStats]:
+        """:meth:`build` stopped after the graph phase: no tours, no vectors."""
+        built = self._run("graph", resume, faults)
+        return built["graph"], built["enumeration"]
+
+    def build_tours(self) -> TourSet:
+        """:meth:`build` stopped after the tours phase: no vectors."""
+        return self._run("tours", False, None)["tours"]
+
+    def _run(self, through: str, resume: bool, faults) -> Dict[str, Any]:
+        """Load or build every phase up to ``through``; returns their
+        outputs by :class:`PipelineArtifacts` field name.  A whole hit
+        builds no model and takes no fingerprint."""
         obs = self.obs
         checkpoint = (
             CheckpointConfig(self.checkpoint_dir, every_waves=self.checkpoint_every)
@@ -324,9 +325,9 @@ class ValidationPipeline:
             lock = nullcontext(False)
             if cache is not None:
                 self.phase_keys = self._compute_phase_keys()
-                self.cache_key = self.phase_keys["traces"]
+                self.cache_key = self.phase_keys[through]
                 if read_cache:
-                    cached = self._load_cached_build(cache, obs)
+                    cached = self._load_cached_build(cache, obs, through)
                     if cached is not None:
                         return cached
                     obs.inc("cache.misses")
@@ -339,24 +340,39 @@ class ValidationPipeline:
             with lock as waited:
                 if waited and read_cache:
                     obs.inc("cache.single_flight_waits")
-                    cached = self._load_cached_build(cache, obs, single_flight=True)
+                    cached = self._load_cached_build(
+                        cache, obs, through, single_flight=True
+                    )
                     if cached is not None:
                         return cached
-                return self._build_locked(cache, resume, faults, checkpoint, obs)
+                return self._build_locked(
+                    cache, resume, faults, checkpoint, obs, through
+                )
 
     def _load_cached_build(
-        self, cache: ArtifactCache, obs: Observer, single_flight: bool = False
-    ) -> Optional[PipelineArtifacts]:
-        """Serve the whole build from its per-phase entries, or ``None``.
+        self, cache: ArtifactCache, obs: Observer, through: str,
+        single_flight: bool = False,
+    ) -> Optional[Dict[str, Any]]:
+        """Serve every phase up to ``through`` from its entry, or ``None``.
 
-        On a hit, records it (counters, event, log line, per-phase hits)
-        and makes it the pipeline's artifacts.  ``single_flight`` marks a
-        hit found after waiting on another process's build.
+        On a hit, records it (counters, event, log line, per-phase hits).
+        ``single_flight`` marks a hit found after waiting on another
+        process's build.
         """
+        phases = PHASES[: PHASES.index(through) + 1]
+        cached: Dict[str, Any] = {}
         with obs.span("phase.cache_load"):
-            cached = self._load_artifacts_from_phases(cache, self.phase_keys)
-        if cached is None:
-            return None
+            for phase in phases:
+                entry = cache.load(self.phase_keys[phase])
+                if entry is None:
+                    return None
+                if phase == "graph":
+                    cached["graph"] = entry["graph"]
+                    cached["enumeration"] = entry["stats"]
+                elif phase == "tours":
+                    cached["tours"] = self._tours_from_entry(entry, cached["graph"])
+                else:
+                    cached["traces"] = unpack_trace_set(entry["traces"])
         obs.inc("cache.hits")
         if single_flight:
             obs.event("cache.hit", key=self.cache_key, single_flight=True)
@@ -367,17 +383,17 @@ class ValidationPipeline:
             " after single-flight wait" if single_flight else "",
             self.cache_key[:12],
         )
-        for phase in ("model", "graph", "tours", "traces"):
+        for phase in ("model",) + phases:
             self._record_phase(phase, True, obs)
         obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-        self._artifacts = cached
         self.artifacts_from_cache = True
         return cached
 
     def _build_locked(
-        self, cache, resume, faults, checkpoint, obs
-    ) -> PipelineArtifacts:
-        """Steps 1-3 as per-phase load-or-build, under the single-flight lock.
+        self, cache, resume, faults, checkpoint, obs, through
+    ) -> Dict[str, Any]:
+        """The phases up to ``through`` as per-phase load-or-build steps,
+        under the single-flight lock.
 
         Each phase first tries its own cache entry (so a seed change reuses
         the graph and tours, a tour-code edit reuses the graph, ...); a
@@ -387,7 +403,6 @@ class ValidationPipeline:
         :meth:`_incremental_prepare`).
         """
         keys = self.phase_keys
-        report = self.incremental_report
         read_ok = cache is not None and self.use_cache and not resume
         # Incremental reuse needs a plain build: resume/budget/faults runs
         # have their own semantics (partial graphs, injected failures)
@@ -415,10 +430,46 @@ class ValidationPipeline:
         prepared: Dict[str, Any] = {}
         if plain and self.incremental and not cache.has(keys["graph"]):
             prepared = self._incremental_prepare(
-                cache, keys, model, fingerprint, obs, report
+                cache, keys, model, fingerprint, obs, self.incremental_report
             )
 
-        # -- graph ----------------------------------------------------------
+        graph, stats = self._graph_step(
+            cache, read_ok, prepared, model, checkpoint, resume, faults, obs
+        )
+        built: Dict[str, Any] = {"graph": graph, "enumeration": stats}
+        if through != "graph":
+            # One transition-event memo spans both back-half phases: the
+            # tour cost function touches every arc, so vector generation
+            # finds it fully warm and replays no transition twice.  The
+            # incremental preparer may hand over a memo already warmed by
+            # transplanting clean entries from the prior build's sidecar.
+            memo = prepared.get("memo") or TransitionEventMemo(self.control, graph)
+            built["tours"] = self._tours_step(
+                cache, read_ok, prepared, graph, stats, memo, obs
+            )
+            if through == "traces":
+                built["traces"] = self._traces_step(
+                    cache, read_ok, prepared, graph, stats, memo,
+                    built["tours"], obs,
+                )
+
+        self.artifacts_from_cache = False
+        if cache is not None:
+            obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
+            if not stats.truncated:
+                RecentBuilds(cache.cache_dir).record(
+                    flags=self._build_flags(),
+                    keys=keys,
+                    digests=self._phase_digests(),
+                    config=repr(self.model_config),
+                )
+        return built
+
+    def _graph_step(
+        self, cache, read_ok, prepared, model, checkpoint, resume, faults, obs
+    ) -> Tuple[StateGraph, EnumerationStats]:
+        """Step 2: the state graph -- prepared, loaded or enumerated."""
+        keys = self.phase_keys
         graph = prepared.get("graph")
         stats = prepared.get("stats")
         if graph is None and read_ok:
@@ -455,34 +506,23 @@ class ValidationPipeline:
                 obs.inc("cache.stores")
         if stats.truncated:
             logger.warning(
-                "enumeration truncated by budget (%s): building tours/"
-                "vectors over the partial graph; result will not be cached",
+                "enumeration truncated by budget (%s): the partial graph "
+                "and whatever is built over it will not be cached",
                 stats.budget_outcome,
             )
+        return graph, stats
 
-        # One transition-event memo spans both back-half phases: the
-        # tour cost function touches every arc, so vector generation
-        # finds it fully warm and replays no transition twice.  The
-        # incremental preparer may hand over a memo already warmed by
-        # transplanting clean entries from the prior build's sidecar.
-        memo = prepared.get("memo") or TransitionEventMemo(self.control, graph)
-
-        # -- tours ----------------------------------------------------------
+    def _tours_step(
+        self, cache, read_ok, prepared, graph, stats, memo, obs
+    ) -> TourSet:
+        """Step 3's tours over ``graph`` -- prepared, loaded or generated."""
+        keys = self.phase_keys
         tours = prepared.get("tours")
         if tours is None and read_ok:
             entry = cache.load(keys["tours"])
             if entry is not None:
                 tours = self._tours_from_entry(entry, graph)
                 self._record_phase("tours", True, obs)
-                # Warm the memo from the tours sidecar: the key chain
-                # guarantees the entries were computed for exactly this
-                # model and graph, so every row imports.  Pointless when
-                # the traces entry is also present -- nothing downstream
-                # will touch the memo -- so only pay for it on a miss.
-                if not cache.has(keys["traces"]):
-                    sidecar = cache.load(keys["splice"])
-                    if sidecar is not None:
-                        import_memo(memo, graph, sidecar["memo"])
         if tours is None:
             if cache is not None and "tours" not in self.phase_hits:
                 self._record_phase("tours", False, obs)
@@ -499,8 +539,13 @@ class ValidationPipeline:
                     cache, keys, tours, generator.costs, memo, graph, obs
                 )
             del generator  # free its index before vector generation
+        return tours
 
-        # -- traces ---------------------------------------------------------
+    def _traces_step(
+        self, cache, read_ok, prepared, graph, stats, memo, tours, obs
+    ) -> TraceSet:
+        """Step 3's vectors from ``tours`` -- prepared, loaded or generated."""
+        keys = self.phase_keys
         traces = prepared.get("traces")
         if traces is None and read_ok:
             entry = cache.load(keys["traces"])
@@ -510,6 +555,14 @@ class ValidationPipeline:
         if traces is None:
             if cache is not None and "traces" not in self.phase_hits:
                 self._record_phase("traces", False, obs)
+            if self.phase_hits.get("tours") and "tours" not in prepared:
+                # The tours came from their entry, so no cost function
+                # warmed the memo: import the tours sidecar.  The key
+                # chain guarantees its rows were computed for exactly
+                # this model and graph, so every row imports.
+                sidecar = cache.load(keys["splice"])
+                if sidecar is not None:
+                    import_memo(memo, graph, sidecar["memo"])
             with obs.span("phase.vectors", jobs=self.jobs or 0):
                 traces = VectorGenerator(
                     self.control, graph, seed=self.seed, memo=memo
@@ -524,21 +577,7 @@ class ValidationPipeline:
                         ),
                     )
                 obs.inc("cache.stores")
-
-        self._artifacts = PipelineArtifacts(
-            graph=graph, enumeration=stats, tours=tours, traces=traces
-        )
-        self.artifacts_from_cache = False
-        if cache is not None:
-            obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-            if not stats.truncated:
-                RecentBuilds(cache.cache_dir).record(
-                    flags=self._build_flags(),
-                    keys=keys,
-                    digests=self._phase_digests(),
-                    config=repr(self.model_config),
-                )
-        return self._artifacts
+        return traces
 
     def _store_tours(self, cache, keys, tours, costs, memo, graph, obs) -> None:
         """Persist the tours entry plus its splice sidecar.

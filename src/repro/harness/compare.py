@@ -296,13 +296,15 @@ def run_vector_traces(
     config = config or CoreConfig(mem_latency=0)
     traces = list(traces)
     known = known or {}
-    pool = batch_pool(pool, len(traces))
-    workers = min(pool.jobs, max(1, len(traces)))
+    # Pool, workers and chunks are sized by the traces to simulate: the
+    # known ones are emitted in place and never dispatched.
     order = [i for i in range(len(traces)) if i not in known]
+    pool = batch_pool(pool, len(order))
+    workers = min(pool.jobs, max(1, len(order)))
     if not pool.available:
         chunksize = 1  # in trace order, so a stop simulates nothing past it
     else:
-        chunksize = chunksize or max(1, len(traces) // (workers * 4))
+        chunksize = chunksize or max(1, len(order) // (workers * 4))
         obs.gauge("compare.chunksize", chunksize)
         # Longest first (ties by original index, so scheduling is
         # stable): workers start on the expensive traces while the cheap

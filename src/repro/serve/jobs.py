@@ -383,27 +383,18 @@ def execute_job(
     return result
 
 
-def _checkpoint_config(paths: JobPaths):
-    from repro.resilience import CheckpointConfig
-
-    return CheckpointConfig(paths.checkpoints, every_waves=1)
-
-
 def _run_enumerate(model_config, params, paths, budget, faults, resume,
                    observer) -> Dict[str, Any]:
-    from repro.enumeration import enumerate_states
-    from repro.pp.fsm_model import build_pp_control_model
+    from repro.core.pipeline import ValidationPipeline
 
-    model = build_pp_control_model(model_config)
-    graph, stats = enumerate_states(
-        model,
+    graph, stats = ValidationPipeline(
+        model_config=model_config,
         record_all_conditions=params["record_all_conditions"],
-        obs=observer,
-        checkpoint=_checkpoint_config(paths),
-        resume=resume,
+        jobs=1,
+        observer=observer,
+        checkpoint_dir=str(paths.checkpoints),
         budget=budget,
-        faults=faults,
-    )
+    ).build_graph(resume=resume, faults=faults)
     # The graph JSON is the job's byte-comparable artifact: the chaos
     # suite diffs it against an uninterrupted run after kill/resume.
     atomic_write_text(paths.graph, graph.to_json())

@@ -186,6 +186,47 @@ class TestPipelineCaching:
         assert not pipeline.artifacts_from_cache
         assert ArtifactCache(warm_cache_dir).has(pipeline.cache_key)
 
+    def test_partial_builds_stop_after_their_phase(self, tmp_path, warm_cache_dir):
+        cache_dir = str(tmp_path / "cache")
+        cache = ArtifactCache(cache_dir)
+        keys = _small_phase_keys()
+        graph_only = ValidationPipeline(cache_dir=cache_dir, **SMALL)
+        graph, _ = graph_only.build_graph()
+        assert graph_only.cache_key == keys["graph"]
+        assert [p for p in keys if cache.has(keys[p])] == ["model", "graph"]
+
+        # A whole hit on the graph phase builds no model.
+        warm = ValidationPipeline(cache_dir=cache_dir, **SMALL)
+
+        def no_model_build():
+            raise AssertionError("a whole hit built the model")
+
+        warm.control.build = no_model_build
+        assert warm.build_graph()[0].to_json() == graph.to_json()
+        assert warm.artifacts_from_cache
+
+        tours_only = ValidationPipeline(cache_dir=cache_dir, **SMALL)
+        tours = tours_only.build_tours()
+        assert tours_only.phase_hits == {
+            "model": True, "graph": True, "tours": False,
+        }
+        assert not cache.has(keys["traces"])
+
+        # The full build reuses both and makes the same traces as a build
+        # that never stopped early.
+        full = ValidationPipeline(cache_dir=cache_dir, **SMALL)
+        artifacts = full.build()
+        assert full.phase_hits == {
+            "model": True, "graph": True, "tours": True, "traces": False,
+        }
+        assert [t.edge_indices for t in artifacts.tours] == [
+            t.edge_indices for t in tours
+        ]
+        reference = ValidationPipeline(cache_dir=str(warm_cache_dir), **SMALL)
+        assert [t.program for t in artifacts.traces] == [
+            t.program for t in reference.build().traces
+        ]
+
     def test_seed_change_misses(self, warm_cache_dir):
         pipeline = ValidationPipeline(cache_dir=str(warm_cache_dir), seed=99, **SMALL)
         pipeline.build()

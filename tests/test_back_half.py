@@ -491,6 +491,25 @@ class TestComparisonScheduling:
         assert self.results_dump(results) == self.results_dump(every)
         assert diverging == every_div
 
+    def test_all_known_dispatches_nothing(self, trace_list, worker_pool):
+        """With every verdict known, the pool and its gauges are sized by
+        the traces simulated -- none -- not by the traces emitted."""
+        config = injected_config(2)
+        every, every_div = self.run(
+            trace_list, config=config, stop_on_divergence=False
+        )
+        metrics = MetricsRegistry()
+        results, diverging = self.run(
+            trace_list, config=config, stop_on_divergence=False,
+            pool=worker_pool(2), known=dict(enumerate(every)),
+            obs=Observer(metrics=metrics),
+        )
+        assert self.results_dump(results) == self.results_dump(every)
+        assert diverging == every_div
+        assert metrics.counter_value("compare.verdicts_reused") == len(every)
+        assert metrics.gauge_value("compare.workers") == 1
+        assert metrics.gauge_value("compare.chunksize") is None
+
     def test_concurrent_in_process_calls_do_not_mix(self, trace_list):
         """Two in-process runs under different configs on concurrent
         threads (as inline serve jobs do) each get their own verdicts."""

@@ -20,6 +20,19 @@ class TestEnumerate:
         payload = json.loads(path.read_text())
         assert len(payload["state_keys"]) == 1509
 
+    def test_warm_cache_hit_writes_same_graph(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main(["enumerate", "--fill-words", "1", "--cache-dir", cache,
+                     "--graph-out", str(cold)]) == 0
+        assert "artifacts: built and cached (" in capsys.readouterr().out
+        assert main(["enumerate", "--fill-words", "1", "--cache-dir", cache,
+                     "--graph-out", str(warm)]) == 0
+        out = capsys.readouterr().out
+        assert "artifacts: cache hit (" in out
+        assert "1,509" in out
+        assert warm.read_bytes() == cold.read_bytes()
+
 
 class TestTours:
     def test_from_fresh_enumeration(self, capsys):
@@ -27,26 +40,38 @@ class TestTours:
         out = capsys.readouterr().out
         assert "coverage complete: True" in out
 
-    def test_from_saved_graph(self, tmp_path, capsys):
-        path = tmp_path / "g.json"
-        main(["enumerate", "--fill-words", "1", "--graph-out", str(path)])
+    def test_graph_reused_from_cache(self, tmp_path, capsys):
+        # enumerate --cache-dir stores the graph phase; tours with the
+        # same model flags finds it through the phase-key chain and prints
+        # exactly what a cache-free run prints.
+        cache = str(tmp_path / "cache")
+        assert main(["tours", "--fill-words", "1", "--limit", "0"]) == 0
+        fresh = capsys.readouterr().out
+        assert main(["enumerate", "--fill-words", "1",
+                     "--cache-dir", cache]) == 0
         capsys.readouterr()
-        assert main(["tours", "--graph", str(path), "--fill-words", "1",
-                     "--limit", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "traces: " in out
+        assert main(["tours", "--fill-words", "1", "--limit", "0",
+                     "--cache-dir", cache]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        status = [line for line in lines if line.startswith("artifacts:")]
+        assert len(status) == 1
+        assert status[0].endswith("phase hits: model, graph")
+        assert [line for line in lines if line not in status] == \
+            fresh.splitlines()
 
-    def test_saved_graph_from_other_model_rejected(self, tmp_path, capsys):
-        # The graph is costed with the model the flags name, so a graph
-        # enumerated under other flags is refused, not silently miscounted.
-        path = tmp_path / "g.json"
-        main(["enumerate", "--fill-words", "1", "--graph-out", str(path)])
+    def test_cached_graph_of_other_model_not_reused(self, tmp_path, capsys):
+        # Other model flags key another graph: the cached one is not
+        # costed with the wrong model, it is simply not found.
+        cache = str(tmp_path / "cache")
+        assert main(["enumerate", "--fill-words", "1",
+                     "--cache-dir", cache]) == 0
         capsys.readouterr()
-        assert main(["tours", "--graph", str(path), "--limit", "0"]) == 2
-        assert "does not match the control model" in capsys.readouterr().err
-        assert main(["tours", "--graph", str(path), "--fill-words", "1",
-                     "--branches", "--limit", "0"]) == 2
-        assert "choice points" in capsys.readouterr().err
+        assert main(["tours", "--fill-words", "1", "--branches",
+                     "--limit", "0", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "artifacts: built and cached (" in out
+        assert "phase hits" not in out
+        assert "coverage complete: True" in out
 
     def test_limit_counts_pipeline_instructions(self, capsys):
         # --limit is instructions per trace, costed as the pipeline costs

@@ -583,6 +583,7 @@ class TestCliResilience:
 
     def test_invariant_violation_exits_3(self, monkeypatch, capsys):
         from repro import cli
+        from repro.pp.fsm_model import PPControlModel
 
         bad_model = SyncModel(
             "bad",
@@ -594,9 +595,9 @@ class TestCliResilience:
             invariants={"n_small": lambda s: s["n"] < 2},
         )
 
-        monkeypatch.setattr(
-            cli, "build_pp_control_model", lambda config: bad_model
-        )
+        # The pipeline's model build (``control.build()``) is the one
+        # place `repro enumerate` turns its flags into a model.
+        monkeypatch.setattr(PPControlModel, "build", lambda self: bad_model)
         assert cli.main(["enumerate", "--fill-words", "1"]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
@@ -717,17 +718,19 @@ class TestCliSigterm:
         import subprocess
         import sys
 
+        # `repro enumerate` runs the pipeline's graph step, so the fault
+        # plan goes in through that step's own ``faults`` hook.
         script = (
             "import sys\n"
             "import repro.cli as cli\n"
+            "from repro.core import ValidationPipeline\n"
             "from repro.resilience import FaultPlan\n"
-            "real = cli.enumerate_states\n"
-            "def patched(model, **kw):\n"
-            "    kw.setdefault('faults', FaultPlan(sigterm_after_wave=3))\n"
-            "    return real(model, **kw)\n"
+            "real = ValidationPipeline.build_graph\n"
+            "def patched(self, resume=False, faults=None):\n"
+            "    return real(self, resume, FaultPlan(sigterm_after_wave=3))\n"
         )
         if inject_sigterm:
-            script += "cli.enumerate_states = patched\n"
+            script += "ValidationPipeline.build_graph = patched\n"
         script += "sys.exit(cli.main(sys.argv[1:]))\n"
         env = dict(os.environ)
         root = os.path.join(os.path.dirname(__file__), os.pardir, "src")
