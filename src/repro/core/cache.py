@@ -134,6 +134,15 @@ _PHASE_CODE_COMPUTED_AT: Dict[str, float] = {}
 #: enumerated graph.
 PHASES = ("model", "graph", "tours", "traces")
 
+#: The build flag each artifact phase keys on, in dataflow order: the
+#: enumeration mode, the Fig. 3.3 per-trace split limit and the vector
+#: seed.  The model phase keys on the config and edits instead.
+PHASE_FLAGS: Dict[str, str] = {
+    "graph": "record_all_conditions",
+    "tours": "max_instructions_per_trace",
+    "traces": "seed",
+}
+
 #: Source subtrees (relative to the ``repro`` package root) hashed into
 #: each phase's code digest.  Upstream code reaches downstream phases
 #: through the *key chain* (a model-phase change alters ``key_model``,
@@ -326,8 +335,9 @@ def pipeline_phase_keys(
     The chain mirrors the pipeline's dataflow: the model key covers config
     plus the semantic digests of any model edits; the graph key adds the
     enumeration mode; the tours key the per-trace split limit; the traces
-    key the vector seed.  ``code_digests`` overrides individual phase code
-    digests (tests use it to key a synthetic source tree).
+    key the vector seed (:data:`PHASE_FLAGS`).  ``code_digests`` overrides
+    individual phase code digests (tests use it to key a synthetic source
+    tree).
 
     A derived ``"splice"`` key addresses the incremental-support sidecar
     (per-edge instruction costs + the transition-event memo) stored next
@@ -348,21 +358,16 @@ def pipeline_phase_keys(
             "edits": [edit.digest() for edit in edits],
         },
     )
-    keys["graph"] = phase_key(
-        "graph",
-        code("graph"),
-        keys["model"],
-        {"record_all_conditions": bool(record_all_conditions)},
-    )
-    keys["tours"] = phase_key(
-        "tours",
-        code("tours"),
-        keys["graph"],
-        {"max_instructions_per_trace": max_instructions_per_trace},
-    )
-    keys["traces"] = phase_key(
-        "traces", code("traces"), keys["tours"], {"seed": seed}
-    )
+    flags = {
+        "record_all_conditions": bool(record_all_conditions),
+        "max_instructions_per_trace": max_instructions_per_trace,
+        "seed": seed,
+    }
+    parent = keys["model"]
+    for phase, flag in PHASE_FLAGS.items():
+        keys[phase] = parent = phase_key(
+            phase, code(phase), parent, {flag: flags[flag]}
+        )
     keys["splice"] = phase_key("tours", code("tours"), keys["tours"], "splice")
     return keys
 

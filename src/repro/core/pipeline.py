@@ -11,11 +11,13 @@ from __future__ import annotations
 import logging
 import os
 import weakref
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import (
+    PHASE_FLAGS,
+    PHASES,
     ArtifactCache,
     load_verdicts,
     phase_code_info,
@@ -70,9 +72,6 @@ from repro.vectors import (
 
 logger = logging.getLogger("repro.pipeline")
 
-#: The artifact phases in dataflow order; a run builds a prefix of them.
-PHASES = ("graph", "tours", "traces")
-
 
 @dataclass
 class PipelineArtifacts:
@@ -117,7 +116,9 @@ class ValidationPipeline:
         Directory for the persistent artifact cache; ``None`` disables
         caching.  Entries are keyed by config + flags + seed + code version
         (see :mod:`repro.core.cache`), so a warm hit is exactly the build
-        this pipeline would have produced.
+        this pipeline would have produced.  Each phase loads its own entry
+        (a seed change reuses the graph and tours); the model is built
+        only when the graph phase misses.
     use_cache:
         When false, ``cache_dir`` is still *written* after a build but
         never read -- i.e. ``--no-cache`` forces a rebuild that refreshes
@@ -243,10 +244,7 @@ class ValidationPipeline:
 
     def _phase_digests(self) -> Dict[str, str]:
         """The per-phase code digests this pipeline keys with."""
-        return {
-            phase: phase_code_version(phase)
-            for phase in ("model", "graph", "tours", "traces")
-        }
+        return {phase: phase_code_version(phase) for phase in PHASES}
 
     def _compute_phase_keys(self) -> Dict[str, str]:
         return pipeline_phase_keys(
@@ -258,11 +256,7 @@ class ValidationPipeline:
         )
 
     def _build_flags(self) -> Dict[str, Any]:
-        return {
-            "record_all_conditions": self.record_all_conditions,
-            "max_instructions_per_trace": self.max_instructions_per_trace,
-            "seed": self.seed,
-        }
+        return {flag: getattr(self, flag) for flag in PHASE_FLAGS.values()}
 
     def _phase_manifest(self, phase: str, **extra: Any) -> Dict[str, Any]:
         manifest = {"phase": phase, "model_config": self.model_config}
@@ -282,8 +276,8 @@ class ValidationPipeline:
         """Run steps 1-3 (model, enumerate, tour, vectors) or load them.
 
         With a cache directory configured, a warm hit skips enumeration,
-        tour generation and vector generation entirely; a miss builds and
-        persists the artifacts for the next run.
+        tour generation and vector generation entirely; a phase that
+        misses is built and persisted for the next run (see :meth:`_run`).
 
         ``resume=True`` continues enumeration from the newest checkpoint
         in ``checkpoint_dir`` (and skips the cache read -- the caller
@@ -308,180 +302,177 @@ class ValidationPipeline:
 
     def _run(self, through: str, resume: bool, faults) -> Dict[str, Any]:
         """Load or build every phase up to ``through``; returns their
-        outputs by :class:`PipelineArtifacts` field name.  A whole hit
-        builds no model and takes no fingerprint."""
-        obs = self.obs
-        checkpoint = (
-            CheckpointConfig(self.checkpoint_dir, every_waves=self.checkpoint_every)
-            if self.checkpoint_dir
-            else None
-        )
-        read_cache = self.use_cache and not resume
+        outputs by :class:`PipelineArtifacts` field name.
 
-        with obs.span("pipeline.build", jobs=self.jobs or 0):
-            cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
+        One loop over the artifact phases.  Each phase takes the first of:
+        the incremental preparer's artifact, its own cache entry (loaded
+        once), a fresh build (stored once, unless the enumeration was
+        budget-truncated).  The first miss takes the single-flight lock on
+        :attr:`cache_key`; a run that waited on another process's build
+        loads the entry again.  The model is built and fingerprinted only
+        when the graph phase misses, which is also the only time the
+        incremental preparer runs, so neither a whole nor a partial hit
+        builds a model.
+        """
+        obs = self.obs
+        cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
+        read = cache is not None and self.use_cache and not resume
+        # Incremental reuse needs a plain build: resume/budget/faults runs
+        # have their own semantics (partial graphs, injected failures)
+        # that the replay engine deliberately does not reproduce.
+        plain = read and self.incremental and self.budget is None and faults is None
+        built: Dict[str, Any] = {}
+        prepared: Dict[str, Any] = {}
+        sources: Dict[str, str] = {}
+        model = memo = waited = None
+        storable = False
+
+        def obtain(phase: str) -> Tuple[Any, str]:
+            if phase in prepared:
+                return prepared[phase], "prepared"
+            return (self._load_phase(cache, phase, built) if read else None), "entry"
+
+        with obs.span("pipeline.build", jobs=self.jobs or 0), ExitStack() as held:
             self.phase_hits = {}
             self.incremental_report = IncrementalReport(enabled=self.incremental)
-            lock = nullcontext(False)
             if cache is not None:
                 self.phase_keys = self._compute_phase_keys()
                 self.cache_key = self.phase_keys[through]
-                if read_cache:
-                    cached = self._load_cached_build(cache, obs, through)
-                    if cached is not None:
-                        return cached
-                    obs.inc("cache.misses")
-                    obs.event("cache.miss", key=self.cache_key)
-                    logger.info("artifact cache miss (%s)", self.cache_key[:12])
-                # Single-flight: only one process builds a given key at a
-                # time; concurrent missers block on the per-key flock and
-                # (usually) find the entry stored when they get it.
-                lock = cache.single_flight(self.cache_key)
-            with lock as waited:
-                if waited and read_cache:
-                    obs.inc("cache.single_flight_waits")
-                    cached = self._load_cached_build(
-                        cache, obs, through, single_flight=True
+            for phase in PHASES[1 : PHASES.index(through) + 1]:
+                value, source = obtain(phase)
+                if value is None and cache is not None and waited is None:
+                    waited = self._first_miss(cache, read, held)
+                    if waited and read:
+                        value, source = obtain(phase)
+                if value is None and phase == "graph":
+                    model, fingerprint = self._build_model(cache, read)
+                    if plain:
+                        prepared = self._incremental_prepare(cache, model, fingerprint)
+                        memo = prepared.get("memo")
+                        if self.incremental_report.adopted_phases:
+                            # The splice's graph, or the no-op adoption's copy.
+                            value, source = obtain(phase)
+                costs = prepared.get("costs") if phase == "tours" else None
+                if value is None:
+                    if phase != "graph" and memo is None:
+                        # One transition-event memo spans both back-half
+                        # phases: the tour cost function touches every arc,
+                        # so vector generation finds it fully warm.  (The
+                        # preparer's memo is already warmed from the prior
+                        # build's sidecar.)
+                        memo = TransitionEventMemo(self.control, built["graph"])
+                    if phase == "traces" and sources["tours"] == "entry":
+                        # No cost function warmed the memo: import the
+                        # tours sidecar.  The key chain guarantees its rows
+                        # were computed for exactly this model and graph,
+                        # so every row imports.
+                        rows = self._load_phase(cache, "splice", built)
+                        if rows is not None:
+                            import_memo(memo, built["graph"], rows)
+                    value, costs = self._build_phase(
+                        phase, built, model, memo, resume, faults
                     )
-                    if cached is not None:
-                        return cached
-                return self._build_locked(
-                    cache, resume, faults, checkpoint, obs, through
-                )
-
-    def _load_cached_build(
-        self, cache: ArtifactCache, obs: Observer, through: str,
-        single_flight: bool = False,
-    ) -> Optional[Dict[str, Any]]:
-        """Serve every phase up to ``through`` from its entry, or ``None``.
-
-        On a hit, records it (counters, event, log line, per-phase hits).
-        ``single_flight`` marks a hit found after waiting on another
-        process's build.
-        """
-        phases = PHASES[: PHASES.index(through) + 1]
-        cached: Dict[str, Any] = {}
-        with obs.span("phase.cache_load"):
-            for phase in phases:
-                entry = cache.load(self.phase_keys[phase])
-                if entry is None:
-                    return None
+                    source = "built"
+                sources[phase] = source
                 if phase == "graph":
-                    cached["graph"] = entry["graph"]
-                    cached["enumeration"] = entry["stats"]
-                elif phase == "tours":
-                    cached["tours"] = self._tours_from_entry(entry, cached["graph"])
+                    built["graph"], built["enumeration"] = value
+                    storable = cache is not None and not built["enumeration"].truncated
                 else:
-                    cached["traces"] = unpack_trace_set(entry["traces"])
+                    built[phase] = value
+                if source == "entry":
+                    if model is None and phase == "graph":
+                        self._record_phase("model", True, obs)
+                    self._record_phase(phase, True, obs)
+                elif cache is not None:
+                    spliced = source == "prepared"
+                    self._record_phase(
+                        phase, spliced and prepared["hits"][phase], obs
+                    )
+                    if storable:
+                        self._store_phase(
+                            cache, phase, built, memo, costs,
+                            **({"incremental_base": prepared["base"]}
+                               if spliced else {}),
+                        )
+
+            whole = read and model is None and set(sources.values()) == {"entry"}
+            self.artifacts_from_cache = whole
+            if cache is not None:
+                if whole:
+                    self._record_hit(obs, waited)
+                obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
+                if storable and not whole:
+                    RecentBuilds(cache.cache_dir).record(
+                        flags=self._build_flags(),
+                        keys=self.phase_keys,
+                        digests=self._phase_digests(),
+                        config=repr(self.model_config),
+                    )
+        return built
+
+    def _first_miss(self, cache: ArtifactCache, read: bool, held: ExitStack) -> bool:
+        """Record the run's first miss and take the single-flight lock.
+
+        Only one process builds a given key at a time; concurrent missers
+        block on the per-key flock and (usually) find the entries stored
+        when they get it.  Returns whether this run waited.
+        """
+        obs = self.obs
+        if read:
+            obs.inc("cache.misses")
+            obs.event("cache.miss", key=self.cache_key)
+            logger.info("artifact cache miss (%s)", self.cache_key[:12])
+        waited = held.enter_context(cache.single_flight(self.cache_key))
+        if waited and read:
+            obs.inc("cache.single_flight_waits")
+        return waited
+
+    def _record_hit(self, obs: Observer, waited: Optional[bool]) -> None:
+        """Record a whole hit; ``waited`` marks one found after waiting on
+        another process's build."""
         obs.inc("cache.hits")
-        if single_flight:
+        if waited:
             obs.event("cache.hit", key=self.cache_key, single_flight=True)
         else:
             obs.event("cache.hit", key=self.cache_key)
         logger.info(
             "artifact cache hit%s (%s)",
-            " after single-flight wait" if single_flight else "",
+            " after single-flight wait" if waited else "",
             self.cache_key[:12],
         )
-        for phase in ("model",) + phases:
-            self._record_phase(phase, True, obs)
-        obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-        self.artifacts_from_cache = True
-        return cached
 
-    def _build_locked(
-        self, cache, resume, faults, checkpoint, obs, through
-    ) -> Dict[str, Any]:
-        """The phases up to ``through`` as per-phase load-or-build steps,
-        under the single-flight lock.
-
-        Each phase first tries its own cache entry (so a seed change reuses
-        the graph and tours, a tour-code edit reuses the graph, ...); a
-        phase that builds persists its entry immediately.  Before the graph
-        phase, the incremental preparer may satisfy the missing keys from a
-        *related* prior build via model diffing (see
-        :meth:`_incremental_prepare`).
-        """
-        keys = self.phase_keys
-        read_ok = cache is not None and self.use_cache and not resume
-        # Incremental reuse needs a plain build: resume/budget/faults runs
-        # have their own semantics (partial graphs, injected failures)
-        # that the replay engine deliberately does not reproduce.
-        plain = read_ok and self.budget is None and faults is None
-
+    def _build_model(self, cache: Optional[ArtifactCache], read: bool):
+        """Step 1: the model, plus (with a cache) its fingerprint and the
+        model phase's entry."""
+        obs = self.obs
         with obs.span("phase.model_build"):
             model = self.control.build()
-
         fingerprint = None
         if cache is not None:
             with obs.span("phase.fingerprint"):
                 fingerprint = fingerprint_model(model)
-            model_hit = read_ok and cache.has(keys["model"])
+            model_hit = read and cache.has(self.phase_keys["model"])
             self._record_phase("model", model_hit, obs)
             if not model_hit:
-                cache.store(
-                    keys["model"],
-                    {"fingerprint": fingerprint},
-                    manifest=self._phase_manifest(
-                        "model", stable=fingerprint.stable
-                    ),
+                self._store_entry(
+                    cache, "model", {"fingerprint": fingerprint},
+                    stable=fingerprint.stable,
                 )
+        return model, fingerprint
 
-        prepared: Dict[str, Any] = {}
-        if plain and self.incremental and not cache.has(keys["graph"]):
-            prepared = self._incremental_prepare(
-                cache, keys, model, fingerprint, obs, self.incremental_report
+    def _build_phase(self, phase, built, model, memo, resume, faults):
+        """A fresh build of ``phase`` over the phases in ``built``: its
+        artifact, plus the per-edge instruction costs tours were made with
+        (``None`` for the other phases)."""
+        obs = self.obs
+        if phase == "graph":
+            checkpoint = (
+                CheckpointConfig(self.checkpoint_dir, every_waves=self.checkpoint_every)
+                if self.checkpoint_dir
+                else None
             )
-
-        graph, stats = self._graph_step(
-            cache, read_ok, prepared, model, checkpoint, resume, faults, obs
-        )
-        built: Dict[str, Any] = {"graph": graph, "enumeration": stats}
-        if through != "graph":
-            # One transition-event memo spans both back-half phases: the
-            # tour cost function touches every arc, so vector generation
-            # finds it fully warm and replays no transition twice.  The
-            # incremental preparer may hand over a memo already warmed by
-            # transplanting clean entries from the prior build's sidecar.
-            memo = prepared.get("memo") or TransitionEventMemo(self.control, graph)
-            built["tours"] = self._tours_step(
-                cache, read_ok, prepared, graph, stats, memo, obs
-            )
-            if through == "traces":
-                built["traces"] = self._traces_step(
-                    cache, read_ok, prepared, graph, stats, memo,
-                    built["tours"], obs,
-                )
-
-        self.artifacts_from_cache = False
-        if cache is not None:
-            obs.heartbeat("cache", phase_hits=dict(self.phase_hits))
-            if not stats.truncated:
-                RecentBuilds(cache.cache_dir).record(
-                    flags=self._build_flags(),
-                    keys=keys,
-                    digests=self._phase_digests(),
-                    config=repr(self.model_config),
-                )
-        return built
-
-    def _graph_step(
-        self, cache, read_ok, prepared, model, checkpoint, resume, faults, obs
-    ) -> Tuple[StateGraph, EnumerationStats]:
-        """Step 2: the state graph -- prepared, loaded or enumerated."""
-        keys = self.phase_keys
-        graph = prepared.get("graph")
-        stats = prepared.get("stats")
-        if graph is None and read_ok:
-            entry = cache.load(keys["graph"])
-            if entry is not None:
-                graph, stats = entry["graph"], entry["stats"]
-                self._record_phase("graph", True, obs)
-        if graph is None:
-            if cache is not None and "graph" not in self.phase_hits:
-                self._record_phase("graph", False, obs)
             with obs.span("phase.enumerate", jobs=self.jobs or 0):
-                graph, stats = enumerate_states(
+                return enumerate_states(
                     model,
                     record_all_conditions=self.record_all_conditions,
                     obs=obs,
@@ -492,125 +483,95 @@ class ValidationPipeline:
                     jobs=self.jobs,
                     pool=self.worker_pool(),
                     retry=self.retry,
-                )
-            if cache is not None and not stats.truncated:
-                cache.store(
-                    keys["graph"],
-                    {"graph": graph, "stats": stats},
-                    manifest=self._phase_manifest(
-                        "graph",
-                        num_states=graph.num_states,
-                        num_edges=graph.num_edges,
-                    ),
-                )
-                obs.inc("cache.stores")
-        if stats.truncated:
-            logger.warning(
-                "enumeration truncated by budget (%s): the partial graph "
-                "and whatever is built over it will not be cached",
-                stats.budget_outcome,
-            )
-        return graph, stats
-
-    def _tours_step(
-        self, cache, read_ok, prepared, graph, stats, memo, obs
-    ) -> TourSet:
-        """Step 3's tours over ``graph`` -- prepared, loaded or generated."""
-        keys = self.phase_keys
-        tours = prepared.get("tours")
-        if tours is None and read_ok:
-            entry = cache.load(keys["tours"])
-            if entry is not None:
-                tours = self._tours_from_entry(entry, graph)
-                self._record_phase("tours", True, obs)
-        if tours is None:
-            if cache is not None and "tours" not in self.phase_hits:
-                self._record_phase("tours", False, obs)
+                ), None
+        graph = built["graph"]
+        if phase == "tours":
+            # The generator (and its index) dies on return, before vector
+            # generation.
             with obs.span("phase.tours"):
-                cost = pp_instruction_cost(self.control, graph, memo=memo)
                 generator = IndexedTourGenerator(
                     graph,
-                    instruction_cost=cost,
+                    instruction_cost=pp_instruction_cost(
+                        self.control, graph, memo=memo
+                    ),
                     max_instructions_per_trace=self.max_instructions_per_trace,
                 )
-                tours = generator.generate(obs=obs)
-            if cache is not None and not stats.truncated:
-                self._store_tours(
-                    cache, keys, tours, generator.costs, memo, graph, obs
-                )
-            del generator  # free its index before vector generation
-        return tours
+                return generator.generate(obs=obs), generator.costs
+        with obs.span("phase.vectors", jobs=self.jobs or 0):
+            return VectorGenerator(
+                self.control, graph, seed=self.seed, memo=memo
+            ).generate(list(built["tours"]), obs=obs, pool=self.worker_pool()), None
 
-    def _traces_step(
-        self, cache, read_ok, prepared, graph, stats, memo, tours, obs
-    ) -> TraceSet:
-        """Step 3's vectors from ``tours`` -- prepared, loaded or generated."""
-        keys = self.phase_keys
-        traces = prepared.get("traces")
-        if traces is None and read_ok:
-            entry = cache.load(keys["traces"])
-            if entry is not None:
-                traces = unpack_trace_set(entry["traces"])
-                self._record_phase("traces", True, obs)
-        if traces is None:
-            if cache is not None and "traces" not in self.phase_hits:
-                self._record_phase("traces", False, obs)
-            if self.phase_hits.get("tours") and "tours" not in prepared:
-                # The tours came from their entry, so no cost function
-                # warmed the memo: import the tours sidecar.  The key
-                # chain guarantees its rows were computed for exactly
-                # this model and graph, so every row imports.
-                sidecar = cache.load(keys["splice"])
-                if sidecar is not None:
-                    import_memo(memo, graph, sidecar["memo"])
-            with obs.span("phase.vectors", jobs=self.jobs or 0):
-                traces = VectorGenerator(
-                    self.control, graph, seed=self.seed, memo=memo
-                ).generate(list(tours), obs=obs, pool=self.worker_pool())
-            if cache is not None and not stats.truncated:
-                with obs.span("phase.cache_store"):
-                    cache.store(
-                        keys["traces"],
-                        {"traces": pack_trace_set(traces)},
-                        manifest=self._phase_manifest(
-                            "traces", num_traces=traces.num_traces
-                        ),
-                    )
-                obs.inc("cache.stores")
-        return traces
+    def _load_phase(self, cache: ArtifactCache, phase: str, built) -> Any:
+        """``phase``'s artifact from this build's own entry, over the
+        phases in ``built``; ``None`` on a miss.  The ``splice`` sidecar
+        yields its transition-memo rows."""
+        with self.obs.span("phase.cache_load"):
+            entry = cache.load(self.phase_keys[phase])
+            if entry is None:
+                return None
+            if phase == "graph":
+                return entry["graph"], entry["stats"]
+            if phase == "tours":
+                return self._tours_from_entry(entry, built["graph"])
+            if phase == "splice":
+                return entry["memo"]
+            return unpack_trace_set(entry["traces"])
 
-    def _store_tours(self, cache, keys, tours, costs, memo, graph, obs) -> None:
-        """Persist the tours entry plus its splice sidecar.
+    def _store_phase(self, cache, phase, built, memo, costs, **fields) -> None:
+        """Persist ``phase``'s artifact from ``built`` under this build's
+        key; one ``cache.stores`` each.
 
-        The sidecar (per-edge instruction costs + the memo's transition
-        outcomes, keyed by packed state) is what lets a *later* build
-        splice against this one without replaying transitions.  ``costs``
-        is the per-edge cost list the caller already has (the tour
-        generator's, or the splice check's); tour generation just touched
-        every arc, so the memo is fully warm and exporting it costs only
-        the pickle.
+        The tours carry their splice sidecar: per-edge instruction costs
+        (``costs``, the list the tours were made or checked with) and the
+        memo's transition outcomes, keyed by packed state.  It lets a
+        *later* build splice against this one without replaying
+        transitions; the memo is fully warm here, so exporting it costs
+        only the pickle.
         """
+        graph = built["graph"]
+        with self.obs.span("phase.cache_store"):
+            if phase == "graph":
+                self._store_entry(
+                    cache, "graph", {"graph": graph, "stats": built["enumeration"]},
+                    num_states=graph.num_states, num_edges=graph.num_edges,
+                    **fields,
+                )
+            elif phase == "tours":
+                tours = built["tours"]
+                self._store_entry(
+                    cache, "tours",
+                    {
+                        "tours": [
+                            (list(t.edge_indices), t.instructions) for t in tours
+                        ],
+                        "generation_seconds": tours.stats.generation_seconds,
+                    },
+                    num_tours=len(tours), **fields,
+                )
+                self._store_entry(
+                    cache, "splice",
+                    {"edge_costs": costs, "memo": export_memo(memo, graph)},
+                    **fields,
+                )
+            else:
+                traces = built["traces"]
+                self._store_entry(
+                    cache, "traces", {"traces": pack_trace_set(traces)},
+                    num_traces=traces.num_traces, **fields,
+                )
+        self.obs.inc("cache.stores")
+
+    def _store_entry(self, cache, name: str, entry: Any, **fields: Any) -> None:
+        """``cache.store`` one entry under this build's ``name`` key."""
         cache.store(
-            keys["tours"],
-            {
-                "tours": [(list(t.edge_indices), t.instructions) for t in tours],
-                "generation_seconds": tours.stats.generation_seconds,
-            },
-            manifest=self._phase_manifest("tours", num_tours=len(tours)),
+            self.phase_keys[name], entry,
+            manifest=self._phase_manifest(name, **fields),
         )
-        cache.store(
-            keys["splice"],
-            {
-                "edge_costs": costs,
-                "memo": export_memo(memo, graph),
-            },
-            manifest=self._phase_manifest("splice"),
-        )
-        obs.inc("cache.stores")
 
     @staticmethod
     def _tours_from_entry(entry: Dict[str, Any], graph: StateGraph) -> TourSet:
-        """The :class:`TourSet` a tours entry written by :meth:`_store_tours`
+        """The :class:`TourSet` a tours entry written by :meth:`_store_phase`
         holds, over ``graph``."""
         return TourSet(
             graph,
@@ -619,45 +580,38 @@ class ValidationPipeline:
         )
 
     def _incremental_prepare(
-        self,
-        cache: ArtifactCache,
-        keys: Dict[str, str],
-        model,
-        fingerprint,
-        obs: Observer,
-        report: IncrementalReport,
+        self, cache: ArtifactCache, model, fingerprint
     ) -> Dict[str, Any]:
         """Try to satisfy this build's phase keys from a *related* build.
 
         Scans the recent-builds journal newest-first for a candidate whose
         cached model fingerprint diffs as no-op or localized against the
         current model.  On a no-op the candidate's entries are adopted by
-        byte-copy under this build's keys (the normal load path then finds
-        them); on a localized diff the dirty region is re-enumerated, the
-        graph grafted, and cached tours/traces spliced where sound.
+        byte-copy under this build's keys (:meth:`_run` then loads them);
+        on a localized diff the dirty region is re-enumerated, the graph
+        grafted, and cached tours/traces spliced where sound.
 
         Returns a (possibly empty) dict of prepared artifacts for
-        :meth:`_build_locked` -- ``graph``/``stats``/``memo`` and,
-        when splicing succeeded, ``tours``/``traces``.  Any exception
-        falls back to the cold path: incremental reuse is an
+        :meth:`_run` to take and store (see :meth:`_splice_localized`).
+        Any exception falls back to the cold path: incremental reuse is an
         optimization, never a correctness dependency.
         """
+        report = self.incremental_report
         try:
-            return self._incremental_prepare_inner(
-                cache, keys, model, fingerprint, obs, report
-            )
+            return self._incremental_prepare_inner(cache, model, fingerprint, report)
         except Exception as exc:  # noqa: BLE001 -- fall back to full rebuild
             logger.warning(
                 "incremental preparation failed (%s); falling back to a "
                 "full rebuild", exc,
             )
             report.fallback_reason = f"error: {exc}"
-            obs.inc("incremental.fallbacks")
+            self.obs.inc("incremental.fallbacks")
             return {}
 
     def _incremental_prepare_inner(
-        self, cache, keys, model, fingerprint, obs, report
+        self, cache, model, fingerprint, report
     ) -> Dict[str, Any]:
+        keys = self.phase_keys
         journal = RecentBuilds(cache.cache_dir).entries()
         if not journal:
             report.fallback_reason = "no prior builds in journal"
@@ -689,25 +643,17 @@ class ValidationPipeline:
 
             # Phase adoptability: the candidate's entry is byte-identical
             # to what we would build only if the *code* that phase runs
-            # and the flags it keys on are unchanged.  Chained: a phase
+            # and the flag it keys on are unchanged.  Chained: a phase
             # is only adoptable if everything upstream of it is.
-            graph_ok = (
-                cdigests.get("graph") == digests["graph"]
-                and cflags.get("record_all_conditions")
-                == flags["record_all_conditions"]
-            )
-            tours_ok = (
-                graph_ok
-                and cdigests.get("tours") == digests["tours"]
-                and cflags.get("max_instructions_per_trace")
-                == flags["max_instructions_per_trace"]
-            )
-            traces_ok = (
-                tours_ok
-                and cdigests.get("traces") == digests["traces"]
-                and cflags.get("seed") == flags["seed"]
-            )
-            if not graph_ok:
+            adoptable: Dict[str, bool] = {}
+            upstream = True
+            for phase, flag in PHASE_FLAGS.items():
+                upstream = adoptable[phase] = (
+                    upstream
+                    and cdigests.get(phase) == digests[phase]
+                    and cflags.get(flag) == flags[flag]
+                )
+            if not adoptable["graph"]:
                 last_reason = "graph phase code/flags changed"
                 continue
 
@@ -716,9 +662,7 @@ class ValidationPipeline:
             report.base_key = ckeys.get("traces")
 
             if diff.classification == NO_OP:
-                return self._adopt_no_op(
-                    cache, keys, ckeys, tours_ok, traces_ok, obs, report
-                )
+                return self._adopt_no_op(cache, ckeys, adoptable, report)
 
             # Localized: every added rule must be one of *our* edits so we
             # hold its scope predicate; otherwise the dirty region is
@@ -730,8 +674,7 @@ class ValidationPipeline:
                 last_reason = "added rule not among this pipeline's edits"
                 continue
             prepared = self._splice_localized(
-                cache, keys, ckeys, model, scopes,
-                tours_ok, traces_ok, obs, report,
+                cache, ckeys, model, scopes, adoptable, report
             )
             if prepared:
                 return prepared
@@ -741,28 +684,25 @@ class ValidationPipeline:
         report.fallback_reason = last_reason
         return {}
 
-    def _adopt_no_op(
-        self, cache, keys, ckeys, tours_ok, traces_ok, obs, report
-    ) -> Dict[str, Any]:
+    def _adopt_no_op(self, cache, ckeys, adoptable, report) -> Dict[str, Any]:
         """Byte-copy a no-op candidate's entries under this build's keys.
 
         The diff proved the models semantically identical, so each
         adoptable phase's cached bytes *are* what a cold build would
-        store.  The normal per-phase load path then hits on our keys.
+        store.  :meth:`_run` then loads them from our keys.
         """
+        keys = self.phase_keys
         adopted = []
-        if cache.copy_entry(ckeys["graph"], keys["graph"]):
-            adopted.append("graph")
-            if tours_ok and cache.copy_entry(ckeys["tours"], keys["tours"]):
-                adopted.append("tours")
+        for phase in PHASE_FLAGS:
+            if not (adoptable[phase] and cache.copy_entry(ckeys[phase], keys[phase])):
+                break
+            adopted.append(phase)
+            if phase == "tours":
                 cache.copy_entry(ckeys["splice"], keys["splice"])
-                if traces_ok and cache.copy_entry(
-                    ckeys["traces"], keys["traces"]
-                ):
-                    adopted.append("traces")
         report.adopted_phases = tuple(adopted)
         if not adopted:
             report.fallback_reason = "candidate entries pruned"
+        obs = self.obs
         obs.inc("incremental.adoptions", len(adopted))
         obs.event(
             "incremental.adopt", base=report.base_key, phases=adopted
@@ -774,10 +714,17 @@ class ValidationPipeline:
         return {}
 
     def _splice_localized(
-        self, cache, keys, ckeys, model, scopes, tours_ok, traces_ok,
-        obs, report,
+        self, cache, ckeys, model, scopes, adoptable, report
     ) -> Dict[str, Any]:
-        """Region re-enumeration + graft + tour/trace splice (localized)."""
+        """Region re-enumeration + graft + tour/trace splice (localized).
+
+        Returns what :meth:`_run` takes and stores in place of a build:
+        ``graph`` (with its stats) and, where splicing was sound,
+        ``tours`` (with the per-edge ``costs`` that checked them) and
+        ``traces``; the warmed ``memo``; each phase's cache outcome in
+        ``hits``; and the candidate's key as ``base`` for the manifests.
+        """
+        obs = self.obs
         graph_entry = cache.load(ckeys["graph"])
         if graph_entry is None:
             report.fallback_reason = "candidate graph entry pruned"
@@ -796,20 +743,11 @@ class ValidationPipeline:
         report.replayed_states = counts["replayed"]
         # A zero-state region is a pure replay -- effectively a cache hit;
         # any kernel expansion makes the phase an (incremental) rebuild.
-        self._record_phase("graph", counts["region_states"] == 0, obs)
-        cache.store(
-            keys["graph"],
-            {"graph": graph, "stats": stats},
-            manifest=self._phase_manifest(
-                "graph",
-                num_states=graph.num_states,
-                num_edges=graph.num_edges,
-                incremental_base=ckeys.get("traces"),
-            ),
-        )
-        obs.inc("cache.stores")
-        adopted = ["graph"]
-        prepared: Dict[str, Any] = {"graph": graph, "stats": stats}
+        hits = {"graph": counts["region_states"] == 0}
+        prepared: Dict[str, Any] = {
+            "graph": (graph, stats), "hits": hits, "base": ckeys.get("traces"),
+        }
+        report.adopted_phases = ("graph",)
 
         # Warm the memo with the candidate's transition outcomes for
         # clean states; dirty states recompute under the edited model.
@@ -824,26 +762,21 @@ class ValidationPipeline:
         # same graph content and same per-edge costs (tour generation
         # is a deterministic function of exactly those inputs).
         report.reused_graph = graphs_equal(graph, old_graph)
-        if not (tours_ok and report.reused_graph and sidecar is not None):
-            report.adopted_phases = tuple(adopted)
+        if not (adoptable["tours"] and report.reused_graph and sidecar is not None):
             return prepared
         costs = edge_costs(memo, graph)
         if costs != sidecar["edge_costs"]:
-            report.adopted_phases = tuple(adopted)
             return prepared
         tours_entry = cache.load(ckeys["tours"])
         if tours_entry is None:
-            report.adopted_phases = tuple(adopted)
             return prepared
-        tours = self._tours_from_entry(tours_entry, graph)
-        # Store under *our* keys -- but export our own memo, not the
+        # Stored under *our* keys with our own memo and costs, not the
         # candidate's sidecar: its dirty-state rows reflect the old model.
-        self._store_tours(cache, keys, tours, costs, memo, graph, obs)
-        adopted.append("tours")
-        prepared["tours"] = tours
-        self._record_phase("tours", True, obs)
+        tours = self._tours_from_entry(tours_entry, graph)
+        prepared.update(tours=tours, costs=costs)
+        hits["tours"] = True
 
-        if traces_ok:
+        if adoptable["traces"]:
             traces_entry = cache.load(ckeys["traces"])
             if traces_entry is not None:
                 old_traces = unpack_trace_set(traces_entry["traces"])
@@ -855,24 +788,13 @@ class ValidationPipeline:
                     spliced, reused, regenerated = splice_traces(
                         generator, list(tours), old_traces.traces, tour_clean
                     )
-                traces = TraceSet(traces=spliced)
-                cache.store(
-                    keys["traces"],
-                    {"traces": pack_trace_set(traces)},
-                    manifest=self._phase_manifest(
-                        "traces",
-                        num_traces=traces.num_traces,
-                        incremental_base=ckeys.get("traces"),
-                    ),
-                )
-                obs.inc("cache.stores")
-                adopted.append("traces")
-                prepared["traces"] = traces
+                prepared["traces"] = TraceSet(traces=spliced)
+                hits["traces"] = reused > 0 and regenerated == 0
                 report.spliced_tours = reused
                 report.regenerated_traces = regenerated
                 obs.inc("incremental.spliced_tours", reused)
-                self._record_phase("traces", reused > 0 and regenerated == 0, obs)
 
+        adopted = [phase for phase in PHASE_FLAGS if phase in prepared]
         report.adopted_phases = tuple(adopted)
         obs.event(
             "incremental.splice", base=report.base_key, phases=adopted,

@@ -1,5 +1,6 @@
 """Tests for the persistent artifact cache and its pipeline wiring."""
 
+import contextlib
 import hashlib
 import json
 import pickle
@@ -82,6 +83,37 @@ class TestKeying:
             == {"graph", "tours", "splice", "traces"}
         assert changed(PPModelConfig(fill_words=1), max_instructions_per_trace=400) \
             == set(phases)
+
+    def test_keys_are_pinned(self):
+        # Fixed code digests keep this pin still when sources change; the
+        # hex values are the keys the chain has always produced, so any
+        # change to the key layout shows up here.
+        keys = pipeline_phase_keys(
+            PPModelConfig(fill_words=1),
+            record_all_conditions=True,
+            max_instructions_per_trace=300,
+            seed=7,
+            code_digests={
+                "model": "m" * 64, "graph": "g" * 64,
+                "tours": "t" * 64, "traces": "v" * 64,
+            },
+        )
+        assert keys == {
+            "model": "ec284b4e045a9e108d45b167f5226364f928fd9bb699f2cc414c3f35bf83b5f8",
+            "graph": "2fb035afebd1bde41842bda7c0a405c0900de2f44b8375a3064379572edfb076",
+            "tours": "d78cfd8fea948eafe89969364c127aabf95864d0eec62b8c789bf8be90dc5850",
+            "traces": "ca090cd29b235db9d6d57dd2dd563dd5613425ae474394db45c55655dd3e972b",
+            "splice": "d01dbea05dbf98f373983811fae1867877272f689a20e0c25614eebb96daef0a",
+        }
+
+    def test_phase_flags_follow_the_artifact_phases(self):
+        assert tuple(cache_mod.PHASE_FLAGS) == cache_mod.PHASES[1:]
+        pipeline = ValidationPipeline(seed=5, **SMALL)
+        assert pipeline._build_flags() == {
+            "record_all_conditions": False,
+            "max_instructions_per_trace": 300,
+            "seed": 5,
+        }
 
     def test_code_version_is_memoized_hex(self):
         for phase in ("model", "graph", "tours", "traces"):
@@ -226,6 +258,85 @@ class TestPipelineCaching:
         assert [t.program for t in artifacts.traces] == [
             t.program for t in reference.build().traces
         ]
+
+    def test_seed_change_builds_no_model_and_loads_each_entry_once(
+        self, warm_cache_dir, monkeypatch
+    ):
+        loads = []
+        real_load = ArtifactCache.load
+
+        def counting_load(cache, key):
+            loads.append(key)
+            return real_load(cache, key)
+
+        def no_fingerprint(model):
+            raise AssertionError("a graph hit fingerprinted the model")
+
+        monkeypatch.setattr(ArtifactCache, "load", counting_load)
+        monkeypatch.setattr(pipeline_mod, "fingerprint_model", no_fingerprint)
+        observer = Observer()
+        pipeline = ValidationPipeline(
+            cache_dir=str(warm_cache_dir), seed=98, observer=observer, **SMALL
+        )
+
+        def no_model_build():
+            raise AssertionError("a graph hit built the model")
+
+        pipeline.control.build = no_model_build
+        artifacts = pipeline.build()
+        keys = pipeline.phase_keys
+        assert sorted(loads) == sorted(
+            keys[phase] for phase in ("graph", "tours", "traces", "splice")
+        )
+        assert pipeline.phase_hits == {
+            "model": True, "graph": True, "tours": True, "traces": False,
+        }
+        assert not pipeline.artifacts_from_cache
+        metrics = observer.metrics
+        assert metrics.total("cache.misses") == 1
+        assert metrics.total("cache.hits") == 0
+        assert metrics.total("cache.stores") == 1
+        assert ArtifactCache(warm_cache_dir).has(keys["traces"])
+        cold = ValidationPipeline(seed=98, **SMALL).build()
+        assert artifacts.traces.to_json() == cold.traces.to_json()
+
+    def test_single_flight_wait_loads_the_other_build(
+        self, tmp_path, warm_cache_dir, monkeypatch
+    ):
+        # Another process holds the lock and stores every entry before
+        # this run gets it: the run waits, loads those entries and builds
+        # nothing.
+        cache_dir = tmp_path / "cache"
+        real_single_flight = ArtifactCache.single_flight
+
+        @contextlib.contextmanager
+        def contended(cache, key, **kwargs):
+            shutil.copytree(warm_cache_dir, cache_dir, dirs_exist_ok=True)
+            with real_single_flight(cache, key, **kwargs):
+                yield True
+
+        monkeypatch.setattr(ArtifactCache, "single_flight", contended)
+        observer = Observer()
+        pipeline = ValidationPipeline(
+            cache_dir=str(cache_dir), observer=observer, **SMALL
+        )
+
+        def no_model_build():
+            raise AssertionError("a run that waited built the model")
+
+        pipeline.control.build = no_model_build
+        artifacts = pipeline.build()
+        assert pipeline.artifacts_from_cache
+        assert pipeline.phase_hits == {
+            "model": True, "graph": True, "tours": True, "traces": True,
+        }
+        metrics = observer.metrics
+        assert metrics.total("cache.single_flight_waits") == 1
+        assert metrics.total("cache.misses") == 1
+        assert metrics.total("cache.hits") == 1
+        assert metrics.total("cache.stores") == 0
+        reference = ValidationPipeline(cache_dir=str(warm_cache_dir), **SMALL)
+        assert artifacts.traces.to_json() == reference.build().traces.to_json()
 
     def test_seed_change_misses(self, warm_cache_dir):
         pipeline = ValidationPipeline(cache_dir=str(warm_cache_dir), seed=99, **SMALL)

@@ -9,6 +9,7 @@ graph serializes byte-identically to an undisturbed run.
 """
 
 import json
+import logging
 import multiprocessing
 import os
 import threading
@@ -18,6 +19,7 @@ import pytest
 from repro.core.cache import ArtifactCache
 from repro.core.pipeline import ValidationPipeline
 from repro.enumeration import enumerate_states, enumerate_states_parallel
+from repro.incremental.recent import RecentBuilds
 from repro.obs import Observer, RunReport
 from repro.pp.fsm_model import PPModelConfig, build_pp_control_model
 from repro.resilience import (
@@ -373,8 +375,26 @@ class TestPipelinePropagation:
         artifacts = pipeline.build()
         assert artifacts.enumeration.truncated
         assert pipeline.artifacts.enumeration.truncated
-        # The partial build must not poison the artifact cache.
-        assert not ArtifactCache(cache_dir).has(pipeline.cache_key)
+        # The partial build must not poison the artifact cache: only the
+        # model entry is stored, and no journal record names the build.
+        cache = ArtifactCache(cache_dir)
+        assert not cache.has(pipeline.cache_key)
+        keys = pipeline.phase_keys
+        assert [phase for phase in keys if cache.has(keys[phase])] == ["model"]
+        assert RecentBuilds(cache_dir).entries() == []
+
+    def test_truncation_logs_one_warning(self, tmp_path, caplog):
+        pipeline = ValidationPipeline(
+            model_config=SMALL, cache_dir=str(tmp_path / "cache"),
+            budget=Budget(max_states=300),
+        )
+        with caplog.at_level(logging.WARNING):
+            _, stats = pipeline.build_graph()
+        assert stats.truncated
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1, warnings
+        assert warnings[0].startswith("budget exhausted (max_states)")
 
     def test_truncation_reaches_the_run_report(self):
         observer = Observer()
