@@ -54,8 +54,8 @@ Exit codes (stable; scripts and CI may rely on them):
   detected).
 - ``1`` -- validation outcome failure: an unexpected divergence, or an
   injected bug the generated vectors missed.
-- ``2`` -- usage or input error (bad flags, unreadable files, unusable
-  checkpoint store).
+- ``2`` -- usage or input error (bad flags, unreadable files, a source
+  file ``translate`` or ``murphi`` rejects, unusable checkpoint store).
 - ``3`` -- a model invariant failed on a reachable state
   (:class:`~repro.enumeration.bfs.InvariantViolation`): the abstract
   model itself is wrong, which outranks any validation verdict.
@@ -85,6 +85,7 @@ from repro.bugs import BUGS
 from repro.core.report import format_campaign_table
 from repro.enumeration import StateGraph, enumerate_states
 from repro.enumeration.bfs import InvariantViolation
+from repro.hdl.errors import HdlError
 from repro.obs import (
     Observer,
     ProgressReporter,
@@ -95,6 +96,7 @@ from repro.obs import (
     resolve,
     stderr_if_tty,
 )
+from repro.obs.report import render_incremental
 from repro.pp.fsm_model import PPModelConfig
 from repro.resilience import (
     Budget,
@@ -105,6 +107,7 @@ from repro.resilience import (
     install_term_to_interrupt,
     restore_term_handler,
 )
+from repro.smurphi import MurphiSyntaxError
 from repro.tour import arc_coverage
 
 #: Documented exit codes (see module docstring).  When several apply the
@@ -410,15 +413,9 @@ def _print_cache_status(pipeline) -> None:
         else:
             print(f"artifacts: built and cached ({short})")
     report = pipeline.incremental_report
-    if report is not None and report.attempted:
-        if report.classification == "no-op":
-            print(f"incremental: no-op diff vs {report.base_key[:12]}; "
-                  f"adopted {', '.join(report.adopted_phases) or 'nothing'}")
-        else:
-            print(f"incremental: localized diff vs {report.base_key[:12]}; "
-                  f"re-enumerated {report.region_states} state(s), "
-                  f"replayed {report.replayed_states}, spliced "
-                  f"{report.spliced_tours} trace(s)")
+    incremental = render_incremental(report.to_dict()) if report is not None else None
+    if incremental:
+        print(incremental)
 
 
 def cmd_enumerate(args) -> int:
@@ -570,6 +567,17 @@ def cmd_campaign(args) -> int:
     return EXIT_OK if found == len(results) else EXIT_VALIDATION_FAILED
 
 
+def _source_error(exc: Exception, observer: Optional[Observer] = None) -> int:
+    """Report a source file ``translate`` or ``murphi`` cannot read or
+    rejects on one stderr line (``TranslationError: ...``), after
+    stopping ``observer``'s sampler and profiler."""
+    if observer is not None:
+        observer.close()
+    label = "cannot read source" if isinstance(exc, OSError) else type(exc).__name__
+    print(f"{label}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_translate(args) -> int:
     import dataclasses
 
@@ -579,11 +587,14 @@ def cmd_translate(args) -> int:
     obs = resolve(observer)
     stats = None
     with obs.span("cli.translate"):
-        with open(args.source) as handle:
-            source = handle.read()
-        model, flat = translate_verilog(
-            source, top=args.top, clock=args.clock, obs=obs
-        )
+        try:
+            with open(args.source) as handle:
+                source = handle.read()
+            model, flat = translate_verilog(
+                source, top=args.top, clock=args.clock, obs=obs
+            )
+        except (OSError, HdlError) as exc:
+            return _source_error(exc, observer)
         print(f"translated {args.source} (top: {args.top})")
         print(f"  state variables ({model.state_bits()} bits): "
               f"{', '.join(model.state_var_names)}")
@@ -611,9 +622,12 @@ def cmd_translate(args) -> int:
 def cmd_murphi(args) -> int:
     from repro.smurphi import parse_model
 
-    with open(args.source) as handle:
-        text = handle.read()
-    model = parse_model(text, name=args.source)
+    try:
+        with open(args.source) as handle:
+            text = handle.read()
+        model = parse_model(text, name=args.source)
+    except (OSError, MurphiSyntaxError) as exc:
+        return _source_error(exc)
     print(f"parsed {args.source}: {model!r}")
     graph, stats = enumerate_states(model, max_states=args.max_states)
     print(stats.format_table())

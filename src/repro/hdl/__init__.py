@@ -22,6 +22,12 @@ Supported subset:
   ``// @reset <n>`` (reset value), ``// @free`` (input permuted by the
   enumerator), ``// translate_off`` / ``// translate_on`` (skip
   diagnostic-only code).
+
+Translation (:mod:`repro.translate`) rejects what would fail when the
+model runs: combinational latches and loops, multiple drivers, an
+assignment of the wrong kind for its block, a reduction of anything but
+a plain net, a read of an undeclared net, a clocked read of a net
+nothing drives, and a combinational read before every path assigns.
 """
 
 from repro.hdl.errors import HdlError, LexError, ParseError, ElaborationError

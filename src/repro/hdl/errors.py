@@ -25,4 +25,6 @@ class ElaborationError(HdlError):
 
 class TranslationError(HdlError):
     """A construct cannot be mapped to the Synchronous Murphi semantics
-    (combinational loops, unannotated free inputs, width overflows...)."""
+    (combinational loops, reads that may meet an unassigned net, width
+    overflows...), or a translated ``next_state`` was given other keys
+    than the model's state variables and free inputs."""

@@ -415,12 +415,43 @@ def _render_perf(perf: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
+#: The artifact cache's phases in build order.
+_CACHE_PHASES = ("model", "graph", "tours", "traces")
+
+
 def _render_cache(cache: Mapping[str, Any]) -> str:
+    """A whole hit, a miss, or the phases a partial hit loaded and built;
+    then what the incremental engine did."""
     if not cache.get("enabled"):
         return "disabled"
-    status = "hit" if cache.get("hit") else "miss (built and stored)"
-    key = cache.get("key") or ""
-    return f"{status} ({key[:12]})"
+    key = (cache.get("key") or "")[:12]
+    hits = cache.get("phase_hits") or {}
+    loaded = [phase for phase in _CACHE_PHASES if hits.get(phase)]
+    built = [phase for phase in _CACHE_PHASES if hits.get(phase) is False]
+    if cache.get("hit"):
+        line = f"hit ({key})"
+    elif loaded:
+        line = (f"partial hit ({key}): loaded {', '.join(loaded)}; "
+                f"built and stored {', '.join(built)}")
+    else:
+        line = f"miss (built and stored) ({key})"
+    incremental = render_incremental(cache.get("incremental") or {})
+    return f"{line}\n  {incremental}" if incremental else line
+
+
+def render_incremental(incremental: Mapping[str, Any]) -> Optional[str]:
+    """What the incremental engine did with the prior build it diffed
+    (an :class:`IncrementalReport` as a dict); ``None`` if it found none."""
+    if not incremental.get("attempted"):
+        return None
+    base = (incremental.get("base_key") or "")[:12]
+    if incremental.get("classification") == "no-op":
+        adopted = ", ".join(incremental.get("adopted_phases") or ()) or "nothing"
+        return f"incremental: no-op diff vs {base}; adopted {adopted}"
+    return (f"incremental: localized diff vs {base}; re-enumerated "
+            f"{incremental['region_states']} state(s), replayed "
+            f"{incremental['replayed_states']}, spliced "
+            f"{incremental['spliced_tours']} trace(s)")
 
 
 def _render_tours(stats: Mapping[str, Any],

@@ -14,25 +14,34 @@ Mapping (section 3.1 of the paper):
   marks the nets the designer delimited as control state (validated, and
   used to report the annotated-line statistics the paper quotes).
 
-Combinational latches (a comb block leaving a variable unassigned on some
-path) are rejected: in the stylized subset state must be clocked.
-Combinational cycles are rejected as well.
+Translation rejects every construct that would fail when the model runs
+(:meth:`_Translator._check_statements`): a combinational latch (a comb
+block leaving a variable unassigned on some path -- in the stylized
+subset state must be clocked) or a comb block reading a variable before
+every path has assigned it; combinational cycles and multiple drivers; a
+blocking assignment in a clocked block or a non-blocking one in a
+combinational block; a reduction of anything but a plain net; a read of
+an undeclared net, or a clocked read of a net nothing drives; and any
+operator or expression outside the parser's set.
 
 The model's next-state function is generated Python: :class:`_Codegen`
 emits the scheduled combinational items and the clocked blocks as one
 ``next_state(state, choice)`` function over locals, compiled once per
-design under the filename ``<translated {top}>``.  The AST interpreter
-(``_Translator._next_state``) defines the semantics and is kept as the
-compiled function's test oracle.  The same compilation defines
+design under the filename ``<translated {top}>``.  Its only run-time
+check is on its input: a ``state`` or ``choice`` without exactly the
+state variables and free inputs as keys raises one
+:class:`TranslationError`.  The same compilation defines
 ``expand(key, select)``, which expands a packed state over every choice
 without building dicts; the model carries it as ``generated_expand``,
-and the compiled kernel holds it to ``next_state``.
+and the compiled kernel holds it to ``next_state``.  An AST interpreter
+in the test suite (``tests/oracles.py``) defines the semantics and is
+the generated functions' oracle.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.enumeration.graph import StateGraph
 from repro.hdl import ast
@@ -102,12 +111,12 @@ class _Translator:
         self.widths: Dict[str, int] = {
             name: net.width for name, net in flat.nets.items()
         }
+        self._check_single_driver()
         self.state_names = self._find_state_registers()
         self.choice_names = list(flat.free_inputs)
         self.comb_items = self._schedule_combinational()
         self.clocked_blocks = [b for b in flat.always_blocks if b.clocked]
-        self._check_single_driver()
-        self._checked_fn: Optional[Callable[[Mapping, Mapping], Dict]] = None
+        self._check_statements()
 
     # -- analysis -----------------------------------------------------------
 
@@ -120,8 +129,6 @@ class _Translator:
             if not block.clocked:
                 continue
             for target in _targets(block.body):
-                if target not in self.flat.nets:
-                    raise TranslationError(f"assignment to undeclared net {target!r}")
                 if self.flat.nets[target].kind != "reg":
                     raise TranslationError(
                         f"{target!r} is a wire but assigned in a clocked block"
@@ -140,7 +147,6 @@ class _Translator:
             if block.clocked:
                 continue
             defines = _item_defines(block)
-            self._check_no_comb_latch(block, defines)
             items.append((defines, _item_reads(block) - defines, block))
 
         known = set(self.state_names) | set(self.choice_names)
@@ -166,16 +172,6 @@ class _Translator:
                 )
         return ordered
 
-    def _check_no_comb_latch(self, block: ast.AlwaysBlock, defines: Set[str]) -> None:
-        always_assigned = _assigned_on_all_paths(block.body)
-        latched = defines - always_assigned
-        if latched:
-            raise TranslationError(
-                f"combinational latch inferred on {sorted(latched)}: assign a "
-                "default at the top of the always @(*) block",
-                block.line,
-            )
-
     def _check_single_driver(self) -> None:
         drivers: Dict[str, int] = {}
         for assign in self.flat.assigns:
@@ -189,6 +185,112 @@ class _Translator:
         for name in drivers:
             if name not in self.flat.nets:
                 raise TranslationError(f"assignment to undeclared net {name!r}")
+
+    def _check_statements(self) -> None:
+        """Reject, at translation, every construct that would fail when
+        ``next_state`` runs it: a combinational latch, an assignment of
+        the wrong kind, a read that may meet an unassigned net, and an
+        operator or expression outside the supported set."""
+        known = set(self.state_names) | set(self.choice_names)
+        for item in self.comb_items:
+            if isinstance(item, ast.ContinuousAssign):
+                self._check_expr(item.value, known, False, item.line)
+                known = known | {item.target}
+                continue
+            assigned = self._check_body(item.body, known, None, item.line)
+            latched = _item_defines(item) - assigned
+            if latched:
+                raise TranslationError(
+                    f"combinational latch inferred on {sorted(latched)}: assign a "
+                    "default at the top of the always @(*) block",
+                    item.line,
+                )
+            known = assigned
+        # The state variables some clocked path leaves unassigned: only
+        # these need their implicit hold.
+        self.held = set(self.state_names)
+        for block in self.clocked_blocks:
+            self.held -= self._check_body(block.body, set(), known, block.line)
+
+    def _check_body(
+        self,
+        body: Sequence[ast.Statement],
+        assigned: Set[str],
+        readable: Optional[Set[str]],
+        line: int,
+    ) -> Set[str]:
+        """Check ``body``; return the nets assigned on every path through it.
+
+        A clocked block reads only ``readable``, the nets the comb logic
+        settles; a combinational block (``readable`` is ``None``) reads
+        only what every path has assigned by then.
+        """
+        clocked = readable is not None
+        for statement in body:
+            reads = readable if clocked else assigned
+            if isinstance(statement, ast.Assign):
+                at = statement.line or line
+                if statement.nonblocking != clocked:
+                    raise TranslationError(
+                        "blocking assignment in clocked block (use <=)"
+                        if clocked
+                        else "non-blocking assignment in combinational block",
+                        at,
+                    )
+                self._check_expr(statement.value, reads, clocked, at)
+                assigned = assigned | {statement.target}
+            elif isinstance(statement, ast.If):
+                self._check_expr(statement.condition, reads, clocked, line)
+                assigned = self._check_body(
+                    statement.then_body, assigned, readable, line
+                ) & self._check_body(statement.else_body, assigned, readable, line)
+            elif isinstance(statement, ast.Case):
+                self._check_expr(statement.subject, reads, clocked, line)
+                outcomes = []
+                for keys, case_body in statement.items:
+                    for key in keys or ():
+                        self._check_expr(key, reads, clocked, line)
+                    outcomes.append(
+                        self._check_body(case_body, assigned, readable, line)
+                    )
+                if all(keys is not None for keys, _ in statement.items):
+                    outcomes.append(assigned)  # no default: nothing may run
+                assigned = set.intersection(*outcomes)
+        return assigned
+
+    def _check_expr(
+        self, expr: ast.Expr, readable: Set[str], clocked: bool, line: int
+    ) -> None:
+        parts: Sequence[ast.Expr] = ()
+        if isinstance(expr, (ast.Ident, ast.Index)):
+            name = expr.name if isinstance(expr, ast.Ident) else expr.base
+            if name not in readable:
+                raise TranslationError(
+                    f"read of undeclared net {name!r}" if name not in self.flat.nets
+                    else f"read of undriven net {name!r}" if clocked
+                    else f"read of {name!r} before every path assigns it",
+                    line,
+                )
+            if isinstance(expr, ast.Index):
+                parts = (expr.index,)
+        elif isinstance(expr, ast.Unary):
+            if expr.op not in _UNARY:
+                raise TranslationError(f"unsupported operator {expr.op!r}", line)
+            if expr.op in _REDUCTIONS and not isinstance(expr.operand, ast.Ident):
+                raise TranslationError(
+                    f"reduction {expr.op!r} applies only to a plain net", line
+                )
+            parts = (expr.operand,)
+        elif isinstance(expr, ast.Binary):
+            if expr.op not in _BINARY:
+                raise TranslationError(f"unsupported operator {expr.op!r}", line)
+            parts = (expr.left, expr.right)
+        elif isinstance(expr, ast.Ternary):
+            parts = (expr.condition, expr.if_true, expr.if_false)
+        elif not isinstance(expr, ast.Number):
+            raise TranslationError(f"unsupported expression {expr!r}", line)
+        for part in parts:
+            self._check_expr(part, readable, clocked, line)
 
     # -- model construction ---------------------------------------------------------
 
@@ -225,8 +327,11 @@ class _Translator:
                 ChoicePoint(name, RangeType(0, (1 << self.widths[name]) - 1))
                 for name in self.choice_names
             ]
-        source = _Codegen(self, False, state_vars, choices).source()
-        namespace = self._exec(source, self._next_state_checked)
+        source = _Codegen(self, state_vars, choices).source()
+        # The functions are popped, so neither stays in a cycle with its
+        # own globals.
+        namespace = dict(_RUNTIME)
+        exec(compile(source, f"<translated {self.flat.name}>", "exec"), namespace)
         return SyncModel(
             name=self.flat.name,
             state_vars=state_vars,
@@ -235,199 +340,15 @@ class _Translator:
             generated_expand=namespace.pop("expand"),
         )
 
-    # -- compiled functions -----------------------------------------------------------
-
-    def _exec(self, source: str, checked: Optional[Callable]) -> Dict[str, object]:
-        """Compile and run ``source``; return its globals.
-
-        Callers pop the functions they keep, so no function stays in a
-        cycle with its own globals.
-        """
-        namespace = dict(_RUNTIME, _checked=checked)
-        exec(compile(source, f"<translated {self.flat.name}>", "exec"), namespace)
-        return namespace
-
-    def _next_state_checked(self, state: Mapping, choice: Mapping) -> Dict:
-        """The checked ``next_state``, compiled on first use: the fast one
-        hands it any ``state`` or ``choice`` whose keys are not exactly
-        the state variables and free inputs."""
-        if self._checked_fn is None:
-            source = _Codegen(self, True).source()
-            self._checked_fn = self._exec(source, None).pop("next_state")
-        return self._checked_fn(state, choice)
-
-    # -- reference interpreter (the compiled function's test oracle) -----------------
-
-    def _next_state(self, state: Mapping, choice: Mapping) -> Dict:
-        env: Dict[str, int] = {}
-        env.update(state)
-        env.update(choice)
-        for item in self.comb_items:
-            if isinstance(item, ast.ContinuousAssign):
-                env[item.target] = self._mask(item.target, self._eval(item.value, env))
-            else:
-                self._exec_block(item.body, env)
-        updates: Dict[str, int] = {}
-        for block in self.clocked_blocks:
-            self._exec_clocked(block.body, env, updates)
-        return {
-            name: updates.get(name, state[name]) for name in self.state_names
-        }
-
-    def _exec_block(self, body: Sequence[ast.Statement], env: Dict[str, int]) -> None:
-        for statement in body:
-            if isinstance(statement, ast.Assign):
-                if statement.nonblocking:
-                    raise TranslationError(
-                        "non-blocking assignment in combinational block",
-                        statement.line,
-                    )
-                env[statement.target] = self._mask(
-                    statement.target, self._eval(statement.value, env)
-                )
-            elif isinstance(statement, ast.If):
-                branch = (
-                    statement.then_body
-                    if self._eval(statement.condition, env)
-                    else statement.else_body
-                )
-                self._exec_block(branch, env)
-            elif isinstance(statement, ast.Case):
-                self._exec_block(self._case_branch(statement, env), env)
-
-    def _exec_clocked(
-        self, body: Sequence[ast.Statement], env: Mapping, updates: Dict[str, int]
-    ) -> None:
-        for statement in body:
-            if isinstance(statement, ast.Assign):
-                if not statement.nonblocking:
-                    raise TranslationError(
-                        "blocking assignment in clocked block (use <=)",
-                        statement.line,
-                    )
-                updates[statement.target] = self._mask(
-                    statement.target, self._eval(statement.value, env)
-                )
-            elif isinstance(statement, ast.If):
-                branch = (
-                    statement.then_body
-                    if self._eval(statement.condition, env)
-                    else statement.else_body
-                )
-                self._exec_clocked(branch, env, updates)
-            elif isinstance(statement, ast.Case):
-                self._exec_clocked(self._case_branch(statement, env), env, updates)
-
-    def _case_branch(self, statement: ast.Case, env: Mapping) -> List[ast.Statement]:
-        subject = self._eval(statement.subject, env)
-        default: List[ast.Statement] = []
-        for keys, body in statement.items:
-            if keys is None:
-                default = body
-                continue
-            if any(self._eval(k, env) == subject for k in keys):
-                return body
-        return default
-
-    def _mask(self, name: str, value: int) -> int:
-        return value & ((1 << self.widths[name]) - 1)
-
-    def _eval(self, expr: ast.Expr, env: Mapping) -> int:
-        if isinstance(expr, ast.Number):
-            value = expr.value
-            if expr.width:
-                value &= (1 << expr.width) - 1
-            return value
-        if isinstance(expr, ast.Ident):
-            try:
-                return int(env[expr.name])
-            except KeyError:
-                raise TranslationError(f"read of undriven net {expr.name!r}") from None
-        if isinstance(expr, ast.Index):
-            base = env.get(expr.base)
-            if base is None:
-                raise TranslationError(f"read of undriven net {expr.base!r}")
-            return (int(base) >> self._eval(expr.index, env)) & 1
-        if isinstance(expr, ast.Unary):
-            return self._eval_unary(expr, env)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, env)
-        if isinstance(expr, ast.Ternary):
-            if self._eval(expr.condition, env):
-                return self._eval(expr.if_true, env)
-            return self._eval(expr.if_false, env)
-        raise TranslationError(f"unsupported expression {expr!r}")
-
-    def _eval_unary(self, expr: ast.Unary, env: Mapping) -> int:
-        if expr.op in ("&", "|", "^"):
-            # Reduction operators need a width: only direct net reads.
-            if not isinstance(expr.operand, ast.Ident):
-                raise TranslationError(
-                    f"reduction {expr.op!r} applies only to a plain net"
-                )
-            width = self.widths[expr.operand.name]
-            bits = [
-                (self._eval(expr.operand, env) >> i) & 1 for i in range(width)
-            ]
-            if expr.op == "&":
-                return int(all(bits))
-            if expr.op == "|":
-                return int(any(bits))
-            result = 0
-            for bit in bits:
-                result ^= bit
-            return result
-        operand = self._eval(expr.operand, env)
-        if expr.op == "!":
-            return int(operand == 0)
-        if expr.op == "~":
-            width = (
-                self.widths[expr.operand.name]
-                if isinstance(expr.operand, ast.Ident)
-                else 32
-            )
-            return (~operand) & ((1 << width) - 1)
-        if expr.op == "-":
-            return -operand
-        return operand  # unary +
-
-    def _eval_binary(self, expr: ast.Binary, env: Mapping) -> int:
-        op = expr.op
-        if op == "&&":
-            return int(bool(self._eval(expr.left, env)) and bool(self._eval(expr.right, env)))
-        if op == "||":
-            return int(bool(self._eval(expr.left, env)) or bool(self._eval(expr.right, env)))
-        left = self._eval(expr.left, env)
-        right = self._eval(expr.right, env)
-        table: Dict[str, Callable[[], int]] = {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-            "/": lambda: left // right if right else 0,
-            "%": lambda: left % right if right else 0,
-            "&": lambda: left & right,
-            "|": lambda: left | right,
-            "^": lambda: left ^ right,
-            "<<": lambda: left << right,
-            ">>": lambda: left >> right,
-            "==": lambda: int(left == right),
-            "!=": lambda: int(left != right),
-            "<": lambda: int(left < right),
-            "<=": lambda: int(left <= right),
-            ">": lambda: int(left > right),
-            ">=": lambda: int(left >= right),
-        }
-        if op not in table:
-            raise TranslationError(f"unsupported operator {op!r}")
-        return table[op]()
-
 
 # ---------------------------------------------------------------- code generation
 
-#: Binary operators Python evaluates exactly as the interpreter does.
-_NATIVE_BINARY = frozenset(
-    ("+", "-", "*", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=")
-)
+_UNARY = frozenset(("!", "~", "-", "+", "&", "|", "^"))
+_REDUCTIONS = frozenset(("&", "|", "^"))
+_BINARY = frozenset((
+    "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
+    "==", "!=", "<", "<=", ">", ">=", "&&", "||",
+))
 
 
 def _number(expr: ast.Number) -> int:
@@ -444,46 +365,36 @@ def _mod(left: int, right: int) -> int:
     return left % right if right else 0
 
 
-def _undriven(name: str) -> int:
-    raise TranslationError(f"read of undriven net {name!r}")
-
-
-def _fail(message: str, *evaluated: int) -> int:
-    """Raise ``message`` after the caller's operands were evaluated."""
-    raise TranslationError(message)
-
-
-def _no_width(name: str, *evaluated: int) -> int:
-    """The interpreter's width lookup of an undeclared net."""
-    raise KeyError(name)
+def _key_mismatch(
+    state: Mapping, choice: Mapping, state_names: Tuple, choice_names: Tuple
+) -> TranslationError:
+    """The error for a ``state`` or ``choice`` whose keys are not exactly
+    the state variables or free inputs."""
+    problems = []
+    for kind, given, names in (("state", state, state_names),
+                               ("choice", choice, choice_names)):
+        missing = [name for name in names if name not in given]
+        unexpected = [key for key in given if key not in names]
+        problems += [f"{kind} lacks {missing}"] if missing else []
+        problems += [f"{kind} has unexpected {unexpected}"] if unexpected else []
+    return TranslationError("next_state keys: " + "; ".join(problems))
 
 
 #: Globals of every generated function.
-_RUNTIME = {
-    "_TranslationError": TranslationError,
-    "_div": _div,
-    "_mod": _mod,
-    "_undriven": _undriven,
-    "_fail": _fail,
-    "_no_width": _no_width,
-}
+_RUNTIME = {"_div": _div, "_mod": _mod, "_key_mismatch": _key_mismatch}
 
 
 class _Codegen:
-    """Emits the source of ``next_state(state, choice)`` and, for the fast
-    variant, ``expand(key, select)``.
+    """Emits the source of ``next_state(state, choice)`` and
+    ``expand(key, select)`` for a design the translator has checked.
 
-    Each net lives in a Python local (``v<i>_<name>``); each non-blocking
-    target gets a second local (``u<i>_<name>``) so that clocked blocks
-    read the old register values.  A definite-assignment analysis decides,
-    per read, whether the net is certainly bound there; only the other
-    reads are checked, against a ``None`` the prelude binds.
-
-    The fast variant (``checked=False``) loads every state variable and
-    free input up front, so those reads are never checked.  The checked
-    variant binds every checked net from the interpreter's ``env``
-    (``state`` updated by ``choice``) and starts with nothing bound, which
-    reproduces the interpreter's failures on incomplete or extra keys.
+    Each net lives in a Python local (``v<i>_<name>``); each state
+    variable gets a second local (``u<i>_<name>``), its next value, so
+    clocked blocks read the old register values; it starts as the old
+    value (the implicit hold) if some clocked path leaves it unassigned.  ``next_state`` loads every state variable
+    and free input up front; a ``state`` or ``choice`` without exactly
+    those keys raises one :class:`TranslationError` naming the missing
+    and unexpected keys.
 
     ``expand`` is ``next_state`` over every choice of one packed state at
     once.  It unpacks each state variable from ``key`` by shift and mask,
@@ -499,101 +410,66 @@ class _Codegen:
     def __init__(
         self,
         translator: _Translator,
-        checked: bool,
-        state_vars: Sequence[StateVar] = (),
-        choices: Sequence[ChoicePoint] = (),
+        state_vars: Sequence[StateVar],
+        choices: Sequence[ChoicePoint],
     ):
         self.translator = translator
-        self.checked = checked
         self.widths = translator.widths
         self.state_vars = list(state_vars)
         self.choices = list(choices)
         self.locals: Dict[str, str] = {}
-        #: Nets read where they may be unassigned, in first-read order.
-        self.unbound_reads: Dict[str, None] = {}
-        self.readable: Optional[Set[str]] = None  # fixed in clocked blocks
         self.temps = 0
 
     def source(self) -> str:
         t = self.translator
-        inputs = list(t.state_names) + list(t.choice_names)
-        defined: Set[str] = set() if self.checked else set(inputs)
-
         comb: List[List[str]] = []  # the lines of each comb item
         for item in t.comb_items:
             lines: List[str] = []
             if isinstance(item, ast.ContinuousAssign):
-                value = self._masked(item.target, item.value, defined)
+                value = self._masked(item.target, item.value)
                 lines.append(f"    {self._local(item.target)} = {value}")
-                defined = defined | {item.target}
             else:
-                defined = self._block(item.body, lines, 1, defined, clocked=False)
+                self._block(item.body, lines, 1, clocked=False)
             comb.append(lines)
-
-        self.readable = defined
         clocked: List[str] = []
-        assigned: Set[str] = set()
         for block in t.clocked_blocks:
-            assigned = self._block(block.body, clocked, 1, assigned, clocked=True)
-        held = [name for name in t.state_names if name not in assigned]
+            self._block(block.body, clocked, 1, clocked=True)
+        holds = [
+            f"    {self._next(name)} = {self._local(name)}"
+            for name in t.state_names if name in t.held
+        ]
 
-        lines = ["def next_state(state, choice):"]
-        if self.checked:
-            lines += ["    _env = dict(state)", "    _env.update(choice)"]
-            lines += [
-                f"    {self._local(name)} = _env.get({name!r})"
-                for name in self.unbound_reads
-            ]
-        else:
-            lines += [
-                f"    if len(state) != {len(t.state_names)} "
-                f"or len(choice) != {len(t.choice_names)}:",
-                "        return _checked(state, choice)",
-                "    try:",
-            ]
-            lines += [
-                f"        {self._local(name)} = state[{name!r}]"
-                for name in t.state_names
-            ]
-            lines += [
-                f"        {self._local(name)} = choice[{name!r}]"
-                for name in t.choice_names
-            ]
-            if not inputs:
-                lines.append("        pass")
-            lines += [
-                "    except KeyError:",
-                "        return _checked(state, choice)",
-            ]
-            lines += [
-                f"    {self._local(name)} = None" for name in self.unbound_reads
-            ]
+        names = (tuple(t.state_names), tuple(t.choice_names))
+        mismatch = f"_key_mismatch(state, choice, {names[0]!r}, {names[1]!r})"
+        lines = [
+            "def next_state(state, choice):",
+            f"    if len(state) != {len(names[0])} or len(choice) != {len(names[1])}:",
+            f"        raise {mismatch}",
+            "    try:",
+        ]
+        lines += [
+            f"        {self._local(name)} = state[{name!r}]" for name in t.state_names
+        ]
+        lines += [
+            f"        {self._local(name)} = choice[{name!r}]" for name in t.choice_names
+        ]
+        if not t.state_names and not t.choice_names:
+            lines.append("        pass")
+        lines += ["    except KeyError:", f"        raise {mismatch} from None"]
         lines += [line for item_lines in comb for line in item_lines]
-        # A held register keeps ``state[name]``; the checked variant looks
-        # it up only after the clocked blocks ran, as the interpreter does.
-        for name in held:
-            initial = "None" if self.checked else self._local(name)
-            lines.append(f"    {self._next(name)} = {initial}")
-        lines += clocked
-        if self.checked:
-            lines.append(f"    for _name in {tuple(t.state_names)!r}: state[_name]")
-        entries = []
-        for name in t.state_names:
-            value = self._next(name)
-            if self.checked and name in held:
-                value = f"(state[{name!r}] if {value} is None else {value})"
-            entries.append(f"{name!r}: {value}")
-        lines.append("    return {" + ", ".join(entries) + "}")
-        if not self.checked:
-            lines += self._expand(comb, held, clocked)
+        lines += holds + clocked
+        entries = ", ".join(f"{name!r}: {self._next(name)}" for name in t.state_names)
+        lines.append("    return {" + entries + "}")
+        lines += self._expand(comb, holds, clocked)
         return "\n".join(lines) + "\n"
 
     def _expand(
-        self, comb: List[List[str]], held: List[str], clocked: List[str]
+        self, comb: List[List[str]], holds: List[str], clocked: List[str]
     ) -> List[str]:
         """The lines of ``expand(key, select)``; ``comb`` holds the lines
-        of each scheduled comb item, ``clocked`` those of the clocked
-        blocks, both as ``next_state`` runs them."""
+        of each scheduled comb item, ``holds`` and ``clocked`` those of
+        the next-value locals and the clocked blocks, all as
+        ``next_state`` runs them."""
         t = self.translator
         # A translated state variable is RangeType(0, 2**width - 1), so its
         # packed index is its value: unpacking is a shift and a mask.
@@ -615,11 +491,9 @@ class _Codegen:
             lines.append(f"    {self._local(name)} = {shifted} & {mask}")
         state = ", ".join(f"{name!r}: {self._local(name)}" for name, _, _ in fields)
         lines.append(f"    _mask, _table = select({{{state}}})")
-        lines += [f"    {self._local(name)} = None" for name in self.unbound_reads]
 
         per_state = set(t.state_names)  # nets fixed for the whole state
         loop: List[str] = []
-        loop_defines: Set[str] = set()
         for item, item_lines in zip(t.comb_items, comb):
             defines = _item_defines(item)
             if _item_reads(item) - defines <= per_state:
@@ -627,21 +501,12 @@ class _Codegen:
                 per_state |= defines
             else:
                 loop += item_lines
-                loop_defines |= defines
 
         lines += ["    _row = []", "    _append = _row.append", "    for _, _cond in _table:"]
         if self.choices:
             targets = "".join(f"{self._local(c.name)}, " for c in self.choices)
             lines.append(f"        {targets}= _cond")
-        # A loop item may read its own target before assigning it; that
-        # read must fail as in ``next_state``, not see the last choice's.
-        lines += [
-            f"        {self._local(name)} = None"
-            for name in self.unbound_reads if name in loop_defines
-        ]
-        lines += ["    " + line for line in loop]
-        lines += [f"        {self._next(name)} = {self._local(name)}" for name in held]
-        lines += ["    " + line for line in clocked]
+        lines += ["    " + line for line in loop + holds + clocked]
         successor = " | ".join(
             f"({self._next(name)} << {offset})" if offset else self._next(name)
             for name, offset, _ in fields
@@ -662,191 +527,127 @@ class _Codegen:
     def _next(self, name: str) -> str:
         return "u" + self._local(name)[1:]
 
-    def _read(self, name: str, bound: Set[str]) -> str:
-        local = self._local(name)
-        if name in bound:
-            return local
-        self.unbound_reads[name] = None
-        return f"({local} if {local} is not None else _undriven({name!r}))"
-
     # -- statements ------------------------------------------------------------
 
     def _block(
-        self,
-        body: Sequence[ast.Statement],
-        out: List[str],
-        depth: int,
-        defined: Set[str],
-        clocked: bool,
-    ) -> Set[str]:
-        """Emit ``body``; return the targets definitely assigned after it.
-
-        Comb blocks read what they define; clocked blocks read the fixed
-        ``self.readable`` and define next-state targets.
-        """
+        self, body: Sequence[ast.Statement], out: List[str], depth: int, clocked: bool
+    ) -> None:
+        """Emit ``body``: comb blocks assign nets, clocked blocks next values."""
         pad = "    " * depth
         start = len(out)
         for statement in body:
-            bound = self.readable if clocked else defined
             if isinstance(statement, ast.Assign):
-                if statement.nonblocking != clocked:
-                    message = (
-                        "blocking assignment in clocked block (use <=)"
-                        if clocked
-                        else "non-blocking assignment in combinational block"
-                    )
-                    out.append(
-                        f"{pad}raise _TranslationError({message!r}, {statement.line})"
-                    )
-                    continue
-                value = self._masked(statement.target, statement.value, bound)
                 target = (
                     self._next(statement.target) if clocked
                     else self._local(statement.target)
                 )
+                value = self._masked(statement.target, statement.value)
                 out.append(f"{pad}{target} = {value}")
-                defined = defined | {statement.target}
             elif isinstance(statement, ast.If):
-                out.append(f"{pad}if {self._cond(statement.condition, bound)}:")
-                then_defined = self._block(
-                    statement.then_body, out, depth + 1, defined, clocked
-                )
-                else_defined = defined
+                out.append(f"{pad}if {self._cond(statement.condition)}:")
+                self._block(statement.then_body, out, depth + 1, clocked)
                 if statement.else_body:
                     out.append(f"{pad}else:")
-                    else_defined = self._block(
-                        statement.else_body, out, depth + 1, defined, clocked
-                    )
-                defined = then_defined & else_defined
+                    self._block(statement.else_body, out, depth + 1, clocked)
             elif isinstance(statement, ast.Case):
-                defined = self._case(statement, out, depth, defined, clocked, bound)
+                self._case(statement, out, depth, clocked)
         if len(out) == start:
             out.append(f"{pad}pass")
-        return defined
 
     def _case(
-        self,
-        statement: ast.Case,
-        out: List[str],
-        depth: int,
-        defined: Set[str],
-        clocked: bool,
-        bound: Set[str],
-    ) -> Set[str]:
+        self, statement: ast.Case, out: List[str], depth: int, clocked: bool
+    ) -> None:
         """First matching item wins; the last ``default`` is the fallback."""
         pad = "    " * depth
         subject = f"_c{self.temps}"
         self.temps += 1
-        out.append(f"{pad}{subject} = {self._expr(statement.subject, bound)}")
+        out.append(f"{pad}{subject} = {self._expr(statement.subject)}")
         default: List[ast.Statement] = []
-        outcomes: List[Set[str]] = []
         keyword = "if"
         for keys, body in statement.items:
             if keys is None:
                 default = body
                 continue
-            matches = " or ".join(
-                f"{self._expr(key, bound)} == {subject}" for key in keys
-            )
+            matches = " or ".join(f"{self._expr(key)} == {subject}" for key in keys)
             out.append(f"{pad}{keyword} {matches or 'False'}:")
-            outcomes.append(self._block(body, out, depth + 1, defined, clocked))
+            self._block(body, out, depth + 1, clocked)
             keyword = "elif"
         if keyword == "if":  # no keyed item: the default always runs
-            return self._block(default, out, depth, defined, clocked)
-        if default:
+            self._block(default, out, depth, clocked)
+        elif default:
             out.append(f"{pad}else:")
-            outcomes.append(self._block(default, out, depth + 1, defined, clocked))
-        else:
-            outcomes.append(defined)
-        return set.intersection(*outcomes)
+            self._block(default, out, depth + 1, clocked)
 
     # -- expressions -------------------------------------------------------------
 
-    def _masked(self, target: str, expr: ast.Expr, bound: Set[str]) -> str:
+    def _masked(self, target: str, expr: ast.Expr) -> str:
         mask = (1 << self.widths[target]) - 1
         if isinstance(expr, ast.Number):
             return repr(_number(expr) & mask)
-        return f"({self._expr(expr, bound)} & {mask})"
+        return f"({self._expr(expr)} & {mask})"
 
-    def _cond(self, expr: ast.Expr, bound: Set[str]) -> str:
+    def _cond(self, expr: ast.Expr) -> str:
         """An expression with the truth value of ``expr``, not its value."""
         if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
             joiner = "and" if expr.op == "&&" else "or"
-            return (
-                f"({self._cond(expr.left, bound)} {joiner} "
-                f"{self._cond(expr.right, bound)})"
-            )
+            return f"({self._cond(expr.left)} {joiner} {self._cond(expr.right)})"
         if isinstance(expr, ast.Unary) and expr.op == "!":
-            return f"(not {self._cond(expr.operand, bound)})"
-        return self._expr(expr, bound)
+            return f"(not {self._cond(expr.operand)})"
+        return self._expr(expr)
 
-    def _expr(self, expr: ast.Expr, bound: Set[str]) -> str:
+    def _expr(self, expr: ast.Expr) -> str:
         """A parenthesized (or atomic) Python expression for ``expr``.
 
-        Operands are evaluated in the interpreter's order, so a failing
-        read raises for the same net.
+        Operands are evaluated left to right, so a negative shift raises
+        its ``ValueError`` where the Verilog evaluates it.
         """
         if isinstance(expr, ast.Number):
             value = _number(expr)
             return repr(value) if value >= 0 else f"({value!r})"
         if isinstance(expr, ast.Ident):
-            return self._read(expr.name, bound)
+            return self._local(expr.name)
         if isinstance(expr, ast.Index):
-            base = self._read(expr.base, bound)
-            return f"(({base} >> {self._expr(expr.index, bound)}) & 1)"
+            return f"(({self._local(expr.base)} >> {self._expr(expr.index)}) & 1)"
         if isinstance(expr, ast.Unary):
-            return self._unary(expr, bound)
+            return self._unary(expr)
         if isinstance(expr, ast.Binary):
-            return self._binary(expr, bound)
-        if isinstance(expr, ast.Ternary):
-            return (
-                f"({self._expr(expr.if_true, bound)} "
-                f"if {self._cond(expr.condition, bound)} "
-                f"else {self._expr(expr.if_false, bound)})"
-            )
-        return f"_fail({f'unsupported expression {expr!r}'!r})"
+            return self._binary(expr)
+        # The translator admits no expression but these and ``?:``.
+        return (
+            f"({self._expr(expr.if_true)} if {self._cond(expr.condition)} "
+            f"else {self._expr(expr.if_false)})"
+        )
 
-    def _unary(self, expr: ast.Unary, bound: Set[str]) -> str:
+    def _unary(self, expr: ast.Unary) -> str:
         op, operand = expr.op, expr.operand
-        if op in ("&", "|", "^"):
-            if not isinstance(operand, ast.Ident):
-                message = f"reduction {op!r} applies only to a plain net"
-                return f"_fail({message!r})"
-            if operand.name not in self.widths:
-                return f"_no_width({operand.name!r})"
+        if op in _REDUCTIONS:  # of a plain net, as the translator checked
             mask = (1 << self.widths[operand.name]) - 1
-            bits = f"({self._read(operand.name, bound)} & {mask})"
+            bits = f"({self._local(operand.name)} & {mask})"
             if op == "&":
                 return f"({bits} == {mask})"
             if op == "|":
                 return f"({bits} != 0)"
             return f"(bin({bits}).count('1') & 1)"
         if op == "!":
-            return f"(not {self._cond(operand, bound)})"
-        value = self._expr(operand, bound)
+            return f"(not {self._cond(operand)})"
+        value = self._expr(operand)
         if op == "~":
-            if not isinstance(operand, ast.Ident):
-                return f"(~{value} & {(1 << 32) - 1})"
-            if operand.name not in self.widths:
-                return f"_no_width({operand.name!r}, {value})"
-            return f"(~{value} & {(1 << self.widths[operand.name]) - 1})"
+            width = self.widths[operand.name] if isinstance(operand, ast.Ident) else 32
+            return f"(~{value} & {(1 << width) - 1})"
         if op == "-":
             return f"(-{value})"
         return value  # unary +
 
-    def _binary(self, expr: ast.Binary, bound: Set[str]) -> str:
+    def _binary(self, expr: ast.Binary) -> str:
         op = expr.op
         if op in ("&&", "||"):
-            return f"(1 if {self._cond(expr, bound)} else 0)"
-        left = self._expr(expr.left, bound)
-        right = self._expr(expr.right, bound)
-        if op in _NATIVE_BINARY:
-            return f"({left} {op} {right})"
+            return f"(1 if {self._cond(expr)} else 0)"
+        left, right = self._expr(expr.left), self._expr(expr.right)
         if op == "/":
             return f"_div({left}, {right})"
         if op == "%":
             return f"_mod({left}, {right})"
-        return f"_fail({f'unsupported operator {op!r}'!r}, {left}, {right})"
+        return f"({left} {op} {right})"
 
 
 # ---------------------------------------------------------------- static helpers
@@ -878,29 +679,6 @@ def _item_reads(item) -> Set[str]:
     if isinstance(item, ast.ContinuousAssign):
         return _expr_uses(item.value)
     return _block_uses(item.body)
-
-
-def _assigned_on_all_paths(body: Sequence[ast.Statement]) -> Set[str]:
-    assigned: Set[str] = set()
-    for statement in body:
-        if isinstance(statement, ast.Assign):
-            assigned.add(statement.target)
-        elif isinstance(statement, ast.If):
-            then_set = _assigned_on_all_paths(statement.then_body)
-            else_set = _assigned_on_all_paths(statement.else_body)
-            assigned |= then_set & else_set
-        elif isinstance(statement, ast.Case):
-            has_default = any(keys is None for keys, _ in statement.items)
-            if statement.items and has_default:
-                sets = [
-                    _assigned_on_all_paths(case_body)
-                    for _, case_body in statement.items
-                ]
-                common = sets[0]
-                for other in sets[1:]:
-                    common &= other
-                assigned |= common
-    return assigned
 
 
 def _expr_uses(expr: ast.Expr) -> Set[str]:

@@ -1,7 +1,8 @@
 """Reference implementations kept as test oracles.
 
 Production has one path per layer: the compiled transition kernel, the
-indexed tour generator and the closure state codec.  The literal,
+indexed tour generator, the closure state codec and the translator's
+generated ``next_state``.  The literal,
 obviously-correct versions they are checked against live here, so the
 golden and property tests can compare the fast path with them:
 
@@ -13,7 +14,10 @@ golden and property tests can compare the fast path with them:
 - :class:`ReferenceStateCodec`: the field-by-field state codec, one
   ``FiniteType`` method call per variable;
 - :func:`out_adjacency`: the per-state ``((edge index, dst), ...)`` rows
-  the reference tour generator walks.
+  the reference tour generator walks;
+- :class:`TranslationInterpreter`: the translator's AST interpreter, one
+  tree walk per ``next_state`` call, the semantics the generated
+  ``next_state`` and ``expand`` of a translated design are held to.
 """
 
 from __future__ import annotations
@@ -21,12 +25,16 @@ from __future__ import annotations
 import time
 import weakref
 from collections import deque
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.enumeration.graph import StateGraph
+from repro.hdl import ast
+from repro.hdl.elaborate import FlatDesign
+from repro.hdl.errors import TranslationError
 from repro.obs.observer import Observer, resolve
 from repro.smurphi.model import StateVar, SyncModel
 from repro.tour.fig33 import InstructionCost, Tour, TourSet, _unit_cost
+from repro.translate.translator import _Translator
 
 
 #: ``graph -> ((num_states, num_edges), rows)``: see :func:`out_adjacency`.
@@ -331,3 +339,187 @@ class TourGenerator:
             traversed[index] = True
             untraversed_out[edge.src] -= 1
             self._remaining -= 1
+
+
+class TranslationInterpreter:
+    """The translator's reference semantics: :meth:`next_state` walks the
+    design's AST on every call, over one ``env`` dict (``state`` updated
+    by ``choice``, then every net as the scheduled comb items assign it).
+
+    It raises :class:`TranslationError` where a construct fails when it
+    runs -- a read of a net ``env`` lacks, an assignment of the wrong
+    kind, an unsupported operator -- which ``translate()`` rejects up
+    front; on a design ``translate()`` accepts and a well-formed input it
+    never does.  A negative shift or bit index raises ``ValueError``, as
+    in the generated function.
+    """
+
+    def __init__(self, flat: FlatDesign):
+        analysis = _Translator(flat)
+        self.widths = analysis.widths
+        self.state_names = analysis.state_names
+        self.comb_items = analysis.comb_items
+        self.clocked_blocks = analysis.clocked_blocks
+
+    def next_state(self, state: Mapping, choice: Mapping) -> Dict:
+        env: Dict[str, int] = {}
+        env.update(state)
+        env.update(choice)
+        for item in self.comb_items:
+            if isinstance(item, ast.ContinuousAssign):
+                env[item.target] = self._mask(item.target, self._eval(item.value, env))
+            else:
+                self._exec_block(item.body, env)
+        updates: Dict[str, int] = {}
+        for block in self.clocked_blocks:
+            self._exec_clocked(block.body, env, updates)
+        return {
+            name: updates.get(name, state[name]) for name in self.state_names
+        }
+
+    def _exec_block(self, body: Sequence[ast.Statement], env: Dict[str, int]) -> None:
+        for statement in body:
+            if isinstance(statement, ast.Assign):
+                if statement.nonblocking:
+                    raise TranslationError(
+                        "non-blocking assignment in combinational block",
+                        statement.line,
+                    )
+                env[statement.target] = self._mask(
+                    statement.target, self._eval(statement.value, env)
+                )
+            elif isinstance(statement, ast.If):
+                branch = (
+                    statement.then_body
+                    if self._eval(statement.condition, env)
+                    else statement.else_body
+                )
+                self._exec_block(branch, env)
+            elif isinstance(statement, ast.Case):
+                self._exec_block(self._case_branch(statement, env), env)
+
+    def _exec_clocked(
+        self, body: Sequence[ast.Statement], env: Mapping, updates: Dict[str, int]
+    ) -> None:
+        for statement in body:
+            if isinstance(statement, ast.Assign):
+                if not statement.nonblocking:
+                    raise TranslationError(
+                        "blocking assignment in clocked block (use <=)",
+                        statement.line,
+                    )
+                updates[statement.target] = self._mask(
+                    statement.target, self._eval(statement.value, env)
+                )
+            elif isinstance(statement, ast.If):
+                branch = (
+                    statement.then_body
+                    if self._eval(statement.condition, env)
+                    else statement.else_body
+                )
+                self._exec_clocked(branch, env, updates)
+            elif isinstance(statement, ast.Case):
+                self._exec_clocked(self._case_branch(statement, env), env, updates)
+
+    def _case_branch(self, statement: ast.Case, env: Mapping) -> List[ast.Statement]:
+        subject = self._eval(statement.subject, env)
+        default: List[ast.Statement] = []
+        for keys, body in statement.items:
+            if keys is None:
+                default = body
+                continue
+            if any(self._eval(k, env) == subject for k in keys):
+                return body
+        return default
+
+    def _mask(self, name: str, value: int) -> int:
+        return value & ((1 << self.widths[name]) - 1)
+
+    def _eval(self, expr: ast.Expr, env: Mapping) -> int:
+        if isinstance(expr, ast.Number):
+            value = expr.value
+            if expr.width:
+                value &= (1 << expr.width) - 1
+            return value
+        if isinstance(expr, ast.Ident):
+            try:
+                return int(env[expr.name])
+            except KeyError:
+                raise TranslationError(f"read of undriven net {expr.name!r}") from None
+        if isinstance(expr, ast.Index):
+            base = env.get(expr.base)
+            if base is None:
+                raise TranslationError(f"read of undriven net {expr.base!r}")
+            return (int(base) >> self._eval(expr.index, env)) & 1
+        if isinstance(expr, ast.Unary):
+            return self._eval_unary(expr, env)
+        if isinstance(expr, ast.Binary):
+            return self._eval_binary(expr, env)
+        if isinstance(expr, ast.Ternary):
+            if self._eval(expr.condition, env):
+                return self._eval(expr.if_true, env)
+            return self._eval(expr.if_false, env)
+        raise TranslationError(f"unsupported expression {expr!r}")
+
+    def _eval_unary(self, expr: ast.Unary, env: Mapping) -> int:
+        if expr.op in ("&", "|", "^"):
+            # Reduction operators need a width: only direct net reads.
+            if not isinstance(expr.operand, ast.Ident):
+                raise TranslationError(
+                    f"reduction {expr.op!r} applies only to a plain net"
+                )
+            width = self.widths[expr.operand.name]
+            bits = [
+                (self._eval(expr.operand, env) >> i) & 1 for i in range(width)
+            ]
+            if expr.op == "&":
+                return int(all(bits))
+            if expr.op == "|":
+                return int(any(bits))
+            result = 0
+            for bit in bits:
+                result ^= bit
+            return result
+        operand = self._eval(expr.operand, env)
+        if expr.op == "!":
+            return int(operand == 0)
+        if expr.op == "~":
+            width = (
+                self.widths[expr.operand.name]
+                if isinstance(expr.operand, ast.Ident)
+                else 32
+            )
+            return (~operand) & ((1 << width) - 1)
+        if expr.op == "-":
+            return -operand
+        return operand  # unary +
+
+    def _eval_binary(self, expr: ast.Binary, env: Mapping) -> int:
+        op = expr.op
+        if op == "&&":
+            return int(bool(self._eval(expr.left, env)) and bool(self._eval(expr.right, env)))
+        if op == "||":
+            return int(bool(self._eval(expr.left, env)) or bool(self._eval(expr.right, env)))
+        left = self._eval(expr.left, env)
+        right = self._eval(expr.right, env)
+        table: Dict[str, Callable[[], int]] = {
+            "+": lambda: left + right,
+            "-": lambda: left - right,
+            "*": lambda: left * right,
+            "/": lambda: left // right if right else 0,
+            "%": lambda: left % right if right else 0,
+            "&": lambda: left & right,
+            "|": lambda: left | right,
+            "^": lambda: left ^ right,
+            "<<": lambda: left << right,
+            ">>": lambda: left >> right,
+            "==": lambda: int(left == right),
+            "!=": lambda: int(left != right),
+            "<": lambda: int(left < right),
+            "<=": lambda: int(left <= right),
+            ">": lambda: int(left > right),
+            ">=": lambda: int(left >= right),
+        }
+        if op not in table:
+            raise TranslationError(f"unsupported operator {op!r}")
+        return table[op]()

@@ -244,6 +244,48 @@ class TestMisc:
         assert main(["murphi", str(source)]) == 0
         assert "Number of States" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            pytest.param(
+                ["translate", "--top", "m"],
+                "module m (input clk);\n  wire x;\n  wire y;\n  assign x = y;\nendmodule\n",
+                "TranslationError: combinational loop or undriven net involving: x "
+                "(unresolved reads: ['y'])",
+                id="translate-rejected",
+            ),
+            pytest.param(
+                ["translate", "--top", "m"], "module m (input clk);\n  assign = ;\n",
+                "ParseError: line 2: ", id="verilog-parse-error",
+            ),
+            pytest.param(
+                ["translate", "--top", "top"], "module m (input clk);\nendmodule\n",
+                "ElaborationError: top module 'top' not found", id="elaboration-error",
+            ),
+            pytest.param(
+                ["murphi"], "var n : 0..3;\nrule begin n' := ; end\n",
+                "MurphiSyntaxError: line 2: ", id="murphi-syntax-error",
+            ),
+            pytest.param(
+                ["translate", "--top", "m"], None, "cannot read source: [Errno 2] ",
+                id="translate-missing-file",
+            ),
+            pytest.param(
+                ["murphi"], None, "cannot read source: [Errno 2] ",
+                id="murphi-missing-file",
+            ),
+        ],
+    )
+    def test_bad_source_is_one_line_and_exit_2(self, tmp_path, capsys, command, text, line):
+        source = tmp_path / "source"
+        if text is not None:
+            source.write_text(text)
+        assert main([command[0], str(source), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(line)
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and not captured.out
+
 
 class TestObservabilityFlags:
     BASE = ["validate", "--fill-words", "1", "--limit", "300"]

@@ -306,6 +306,52 @@ class TestRunReport:
         assert "pipeline.build" in text
         assert "span coverage of root wall time" in text
 
+    @staticmethod
+    def _cache(hits, **incremental):
+        return {
+            "enabled": True,
+            "hit": all(hits.values()),
+            "key": "14a581b1e9a172a4c612",
+            "phase_hits": hits,
+            "incremental": {"enabled": True, "attempted": False, **incremental},
+        }
+
+    def test_render_cache_partial_hit(self, tmp_path):
+        """A seed change over a warm cache loads the graph and tours and
+        builds only the traces; the JSON round trip sorts the phases."""
+        hits = {"model": True, "graph": True, "tours": True, "traces": False}
+        path = tmp_path / "partial.json"
+        RunReport(command="validate", cache=self._cache(hits)).write(str(path))
+        assert RunReport.load(str(path)).render().splitlines()[1] == (
+            "  cache: partial hit (14a581b1e9a1): loaded model, graph, tours; "
+            "built and stored traces"
+        )
+
+    def test_render_cache_whole_hit_miss_and_incremental(self):
+        def cache_lines(hits, **incremental):
+            text = RunReport(command="v", cache=self._cache(hits, **incremental)).render()
+            return text.splitlines()[1:]
+
+        phases = ("model", "graph", "tours", "traces")
+        assert cache_lines(dict.fromkeys(phases, True)) == [
+            "  cache: hit (14a581b1e9a1)"
+        ]
+        assert cache_lines(
+            dict.fromkeys(phases, False), fallback_reason="no prior builds in journal"
+        ) == ["  cache: miss (built and stored) (14a581b1e9a1)"]
+        assert cache_lines(
+            dict.fromkeys(phases, False), attempted=True, classification="no-op",
+            base_key="0123456789abcdef", adopted_phases=["graph", "tours"],
+        )[1] == "  incremental: no-op diff vs 0123456789ab; adopted graph, tours"
+        assert cache_lines(
+            dict.fromkeys(phases, False), attempted=True,
+            classification="localized", base_key="0123456789abcdef",
+            region_states=12, replayed_states=1497, spliced_tours=30,
+        )[1] == (
+            "  incremental: localized diff vs 0123456789ab; re-enumerated 12 "
+            "state(s), replayed 1497, spliced 30 trace(s)"
+        )
+
     def test_validate_flags_missing_fields(self):
         problems = validate_run_report({
             "schema": RUN_REPORT_SCHEMA,

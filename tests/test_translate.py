@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.enumeration import enumerate_states
 from repro.enumeration.kernel import CompiledKernel, compile_model
 from repro.hdl import ElaborationError, parse, elaborate
+from repro.hdl import ast as hdl_ast
 from repro.hdl.parser import _PRECEDENCE
 from repro.pp.fsm_model import PPModelConfig
 from repro.pp.verilog_src import (
@@ -23,6 +24,7 @@ from repro.smurphi.fingerprint import fingerprint_model
 from repro.smurphi.state import StateCodec
 from repro.translate import TranslationError, translate, translate_verilog, input_vectors_for_walk
 from repro.translate.translator import _Codegen, _Translator
+from tests.oracles import TranslationInterpreter
 
 COUNTER = """
 module counter (
@@ -97,7 +99,7 @@ endmodule
 """
 
 # A comb block reading its own target before assigning it: the read
-# fails only on the cycles that take the ``if``.
+# would fail only on the cycles that take the ``if``.
 SELF_READ = """
 module m (input clk, input a);
   reg t;
@@ -223,9 +225,107 @@ endmodule
             translate_verilog(source, top="m")
 
     def test_blocking_in_clocked_rejected(self):
-        model, _ = translate_verilog(BLOCKING_IN_CLOCKED, top="m")
-        with pytest.raises(TranslationError, match="blocking"):
-            model.step({"q": 0}, {"a": 1})
+        with pytest.raises(
+            TranslationError, match=r"^line 4: blocking assignment in clocked block"
+        ):
+            translate_verilog(BLOCKING_IN_CLOCKED, top="m")
+
+    def test_nonblocking_in_comb_rejected(self):
+        source = """
+module m (input clk, input a);
+  reg t;
+  reg q;
+  always @(*) begin
+    t = 0;
+    if (a) t <= 1;
+  end
+  always @(posedge clk) q <= t;
+endmodule
+"""
+        with pytest.raises(
+            TranslationError,
+            match=r"^line 7: non-blocking assignment in combinational block$",
+        ):
+            translate_verilog(source, top="m")
+
+    def test_reduction_of_an_expression_rejected(self):
+        source = """
+module m (input clk, input [1:0] a);
+  reg q;
+  always @(posedge clk) if (a) q <= ^(a + 1);
+endmodule
+"""
+        with pytest.raises(
+            TranslationError, match=r"reduction '\^' applies only to a plain net$"
+        ):
+            translate_verilog(source, top="m")
+
+    @pytest.mark.parametrize("read", ["nodecl", "nodecl[1]", "~nodecl", "&nodecl"])
+    def test_read_of_undeclared_net_rejected(self, read):
+        source = f"""
+module m (input clk, input a);
+  reg q;
+  always @(posedge clk) if (a) q <= {read};
+endmodule
+"""
+        with pytest.raises(
+            TranslationError, match=r"^line 4: read of undeclared net 'nodecl'$"
+        ):
+            translate_verilog(source, top="m")
+
+    def test_clocked_read_of_undriven_net_rejected(self):
+        source = """
+module m (input clk, input a);
+  wire ghost;
+  reg q;
+  always @(posedge clk) begin
+    if (a) q <= ghost;
+  end
+endmodule
+"""
+        with pytest.raises(
+            TranslationError, match=r"^line 6: read of undriven net 'ghost'$"
+        ):
+            translate_verilog(source, top="m")
+
+    def test_self_read_rejected(self):
+        with pytest.raises(
+            TranslationError, match=r"^line 6: read of 't' before every path assigns it$"
+        ):
+            translate_verilog(SELF_READ, top="m")
+
+    def test_read_after_every_path_assigns_accepted(self):
+        source = """
+module m (input clk, input a);
+  reg t;
+  reg q;
+  always @(*) begin
+    if (a) t = 1; else t = 0;
+    case (a)
+      0: t = t;
+      default: t = !t;
+    endcase
+  end
+  always @(posedge clk) q <= t;
+endmodule
+"""
+        model, _ = translate_verilog(source, top="m")
+        assert model.step({"q": 0}, {"a": 1}) == {"q": 0}
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (hdl_ast.Binary("**", hdl_ast.Ident("a"), hdl_ast.Number(2)),
+             r"unsupported operator '\*\*'"),
+            (hdl_ast.Unary("~&", hdl_ast.Ident("a")), r"unsupported operator '~&'"),
+            (hdl_ast.Expr(), r"unsupported expression Expr\(\)"),
+        ],
+    )
+    def test_expression_outside_the_parsers_set_rejected(self, value, message):
+        flat = elaborate(parse(WRAPPING), "m")
+        flat.always_blocks[0].body[0].value = value  # beyond the parser's output
+        with pytest.raises(TranslationError, match=message):
+            translate(flat)
 
     def test_wire_assigned_in_clocked_rejected(self):
         source = """
@@ -351,9 +451,12 @@ class TestInputVectors:
 # ------------------------------------------------ compiled function vs oracle
 #
 # ``translate`` compiles the design into one Python next-state function;
-# the interpreter (``_Translator._next_state``) is kept as its oracle.
-# For every input both return equal dicts (same key order, same value
-# types) or raise the same exception type with the same message.
+# the interpreter (``tests/oracles.py``) is its oracle.  For every
+# well-formed input both return equal dicts (same key order, same value
+# types) or raise the same ``ValueError`` (a negative shift or bit
+# index); neither raises ``TranslationError``, since translation rejects
+# every design that could.  Any other input raises one ``TranslationError``
+# naming the keys.
 
 #: Every design of this file that translates, with its top module.
 TRANSLATABLE = {
@@ -363,10 +466,8 @@ TRANSLATABLE = {
     "case-fsm": (CASE_FSM, "m"),
     "comb-feeds-state": (COMB_FEEDS_STATE, "m"),
     "comb-always": (COMB_ALWAYS, "m"),
-    "blocking-in-clocked": (BLOCKING_IN_CLOCKED, "m"),
     "hierarchy": (TestElaboration.HIERARCHY, "top"),
     "edges": (EDGES, "edges"),
-    "self-read": (SELF_READ, "m"),
 }
 
 
@@ -380,23 +481,38 @@ def _outcome(next_state, state, choice):
 
 def _assert_matches_oracle(flat, inputs, choices_override=None):
     compiled = translate(flat, choices_override)._next_state
-    oracle = _Translator(flat, choices_override)._next_state
+    oracle = TranslationInterpreter(flat).next_state
     for state, choice in inputs:
         expected = _outcome(oracle, state, choice)
+        assert isinstance(expected, str) or expected[0] is ValueError, (
+            state, choice, expected,
+        )
         assert _outcome(compiled, state, choice) == expected, (state, choice)
 
 
 def _malformed(state, choice):
-    """``(state, choice)`` with one key missing, an unknown key, or a
-    choice key shadowing a state variable."""
+    """``(state, choice, problem)``: the input with one key missing, an
+    unknown key, or a choice key shadowing a state variable, and the part
+    of the error message that names it."""
     for name in state:
-        yield {k: v for k, v in state.items() if k != name}, choice
+        yield {k: v for k, v in state.items() if k != name}, choice, (
+            f"state lacks [{name!r}]"
+        )
     for name in choice:
-        yield state, {k: v for k, v in choice.items() if k != name}
-    yield {**state, "ghost": 1}, choice
-    yield state, {**choice, "ghost": 1}
+        yield state, {k: v for k, v in choice.items() if k != name}, (
+            f"choice lacks [{name!r}]"
+        )
+    yield {**state, "ghost": 1}, choice, "state has unexpected ['ghost']"
+    yield state, {**choice, "ghost": 1}, "choice has unexpected ['ghost']"
     for name in state:
-        yield state, {**choice, name: 0}
+        yield state, {**choice, name: 0}, f"choice has unexpected [{name!r}]"
+
+
+def _assert_rejects_malformed(model, state, choice):
+    for bad_state, bad_choice, problem in _malformed(state, choice):
+        with pytest.raises(TranslationError) as caught:
+            model._next_state(bad_state, bad_choice)
+        assert str(caught.value) == f"next_state keys: {problem}"
 
 
 def _domain_inputs(model, limit=2048):
@@ -419,9 +535,20 @@ class TestCompiledMatchesOracle:
     def test_every_input_of_each_design(self, design):
         source, top = TRANSLATABLE[design]
         flat = elaborate(parse(source), top)
-        inputs = _domain_inputs(translate(flat))
-        malformed = [bad for good in inputs[:4] for bad in _malformed(*good)]
-        _assert_matches_oracle(flat, inputs + malformed)
+        model = translate(flat)
+        inputs = _domain_inputs(model)
+        _assert_matches_oracle(flat, inputs)
+        for state, choice in inputs[:4]:
+            _assert_rejects_malformed(model, state, choice)
+
+    def test_key_mismatch_names_every_bad_key(self):
+        model, _ = translate_verilog(COMB_FEEDS_STATE, top="m")
+        with pytest.raises(TranslationError) as caught:
+            model.step({"ghost": 0}, {"b": 1, "a": 0, "q": 1})
+        assert str(caught.value) == (
+            "next_state keys: state lacks ['q']; state has unexpected ['ghost']; "
+            "choice has unexpected ['q']"
+        )
 
     def test_every_transition_of_the_pp_control_graph(self):
         flat = elaborate(parse(pp_control_verilog(fill_words=1)), "pp_control")
@@ -459,8 +586,8 @@ class TestCompiledMatchesOracle:
                 c.name: data.draw(st.integers(0, c.type.hi)) for c in model.choices
             }
             inputs.append((state, choice))
-        inputs += list(_malformed(*inputs[0]))
         _assert_matches_oracle(flat, inputs)
+        _assert_rejects_malformed(model, *inputs[0])
 
 
 # ------------------------------------------------ generated expand vs dict path
@@ -558,24 +685,21 @@ class TestGeneratedSourcePython39:
     invisible to byte-compilation checks, so parse it with 3.9's grammar."""
 
     @staticmethod
-    def _sources(flat, choices_override=None):
+    def _source(flat, choices_override=None):
         translator = _Translator(flat, choices_override)
         model = translator.build()
-        fast = _Codegen(translator, False, model.state_vars, model.choices).source()
-        return fast, _Codegen(translator, True).source()
+        return _Codegen(translator, model.state_vars, model.choices).source()
 
     @pytest.mark.parametrize("design", sorted(TRANSLATABLE))
     def test_each_design(self, design):
         source, top = TRANSLATABLE[design]
-        for generated in self._sources(elaborate(parse(source), top)):
-            ast.parse(generated, feature_version=(3, 9))
+        ast.parse(self._source(elaborate(parse(source), top)), feature_version=(3, 9))
 
     def test_pp_control(self):
         flat = elaborate(parse(pp_control_verilog(fill_words=2)), "pp_control")
-        fast, checked = self._sources(flat, pp_control_choices())
-        assert "def expand(key, select):" in fast
-        for generated in (fast, checked):
-            ast.parse(generated, feature_version=(3, 9))
+        generated = self._source(flat, pp_control_choices())
+        assert "def expand(key, select):" in generated
+        ast.parse(generated, feature_version=(3, 9))
 
 
 _BINARY_OPS = [op for level in _PRECEDENCE for op in level]
