@@ -567,12 +567,9 @@ def cmd_campaign(args) -> int:
     return EXIT_OK if found == len(results) else EXIT_VALIDATION_FAILED
 
 
-def _source_error(exc: Exception, observer: Optional[Observer] = None) -> int:
+def _source_error(exc: Exception) -> int:
     """Report a source file ``translate`` or ``murphi`` cannot read or
-    rejects on one stderr line (``TranslationError: ...``), after
-    stopping ``observer``'s sampler and profiler."""
-    if observer is not None:
-        observer.close()
+    rejects on one stderr line (``TranslationError: ...``)."""
     label = "cannot read source" if isinstance(exc, OSError) else type(exc).__name__
     print(f"{label}: {exc}", file=sys.stderr)
     return EXIT_USAGE
@@ -585,7 +582,7 @@ def cmd_translate(args) -> int:
 
     observer = _make_observer(args)
     obs = resolve(observer)
-    stats = None
+    stats = error = None
     with obs.span("cli.translate"):
         try:
             with open(args.source) as handle:
@@ -594,20 +591,22 @@ def cmd_translate(args) -> int:
                 source, top=args.top, clock=args.clock, obs=obs
             )
         except (OSError, HdlError) as exc:
-            return _source_error(exc, observer)
-        print(f"translated {args.source} (top: {args.top})")
-        print(f"  state variables ({model.state_bits()} bits): "
-              f"{', '.join(model.state_var_names)}")
-        print(f"  free inputs: {', '.join(model.choice_names)}")
-        if args.enumerate:
-            with obs.span("phase.enumerate"):
-                graph, stats = enumerate_states(
-                    model, max_states=args.max_states, obs=obs
-                )
-            print(stats.format_table())
-            if args.graph_out:
-                atomic_write_text(args.graph_out, graph.to_json())
-                print(f"state graph written to {args.graph_out}")
+            # Reported after the span ends and the requested files exist.
+            error = exc
+        else:
+            print(f"translated {args.source} (top: {args.top})")
+            print(f"  state variables ({model.state_bits()} bits): "
+                  f"{', '.join(model.state_var_names)}")
+            print(f"  free inputs: {', '.join(model.choice_names)}")
+            if args.enumerate:
+                with obs.span("phase.enumerate"):
+                    graph, stats = enumerate_states(
+                        model, max_states=args.max_states, obs=obs
+                    )
+                print(stats.format_table())
+                if args.graph_out:
+                    atomic_write_text(args.graph_out, graph.to_json())
+                    print(f"state graph written to {args.graph_out}")
     run_report = None
     if observer is not None:
         run_report = RunReport.from_observer(
@@ -616,7 +615,7 @@ def cmd_translate(args) -> int:
             enumeration=dataclasses.asdict(stats) if stats else None,
         )
     _finish_observer(args, observer, run_report)
-    return 0
+    return EXIT_OK if error is None else _source_error(error)
 
 
 def cmd_murphi(args) -> int:

@@ -505,7 +505,7 @@ class ValidationPipeline:
     def _load_phase(self, cache: ArtifactCache, phase: str, built) -> Any:
         """``phase``'s artifact from this build's own entry, over the
         phases in ``built``; ``None`` on a miss.  The ``splice`` sidecar
-        yields its transition-memo rows."""
+        yields its exported transition memo."""
         with self.obs.span("phase.cache_load"):
             entry = cache.load(self.phase_keys[phase])
             if entry is None:
@@ -751,9 +751,11 @@ class ValidationPipeline:
 
         # Warm the memo with the candidate's transition outcomes for
         # clean states; dirty states recompute under the edited model.
+        # The outcomes are only ours if the candidate ran our tours-phase
+        # code (the memo's own module is hashed there, not into the graph).
         memo = TransitionEventMemo(self.control, graph)
         clean = clean_flags_for(graph, old_graph, dirty)
-        sidecar = cache.load(ckeys.get("splice", ""))
+        sidecar = cache.load(ckeys.get("splice", "")) if adoptable["tours"] else None
         if sidecar is not None:
             import_memo(memo, graph, sidecar["memo"], clean=clean)
         prepared["memo"] = memo
@@ -762,7 +764,7 @@ class ValidationPipeline:
         # same graph content and same per-edge costs (tour generation
         # is a deterministic function of exactly those inputs).
         report.reused_graph = graphs_equal(graph, old_graph)
-        if not (adoptable["tours"] and report.reused_graph and sidecar is not None):
+        if not (report.reused_graph and sidecar is not None):
             return prepared
         costs = edge_costs(memo, graph)
         if costs != sidecar["edge_costs"]:

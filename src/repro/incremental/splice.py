@@ -5,7 +5,7 @@ After a localized re-enumeration, most of the graph -- and therefore most
 tours and vector traces -- is untouched.  This module decides, edge by
 edge and tour by tour, what can be kept:
 
-- a **memo entry** ``(src_state, condition) -> transition outcome`` is
+- a **memo row** ``(src_state, condition) -> transition outcome`` is
   valid for the new model iff the source state is clean (no added rule's
   scope covers it);
 - a cached **tour set** is reusable wholesale iff the new graph is
@@ -32,6 +32,8 @@ from repro.smurphi.model import SyncModel
 from repro.smurphi.state import StateCodec
 from repro.tour.fig33 import Tour
 from repro.vectors.generator import (
+    UNSET,
+    PPInstructionCost,
     TestVectorTrace,
     TransitionEventMemo,
     VectorGenerator,
@@ -87,48 +89,82 @@ def clean_flags_for(
 # -- memo sidecar --------------------------------------------------------------
 
 
-def export_memo(
-    memo: TransitionEventMemo, graph: StateGraph
-) -> List[Tuple[int, Tuple, Tuple]]:
-    """Flatten a memo to ``(packed_src_key, condition, entry)`` rows.
+def export_memo(memo: TransitionEventMemo, graph: StateGraph) -> Dict[str, List]:
+    """Flatten a memo to its outcome table plus one
+    ``(packed_src_key, condition, outcome_id)`` row per computed arc.
 
     Packed keys (not graph ids) make the export graph-independent: a
     later build interns its own ids and imports whatever keys it knows.
+    The rows hold ids into the shared table, so the pickle stores each
+    distinct outcome once.
     """
-    return [
-        (graph.state_key(src), condition, entry)
-        for (src, condition), entry in memo._entries.items()
-    ]
+    key = graph.state_key
+    src = graph.edge_src
+    conditions = graph.conditions
+    edge_cond = graph.edge_cond
+    return {
+        "outcomes": memo.outcomes,
+        "rows": [
+            (key(src[index]), conditions[edge_cond[index]], outcome_id)
+            for index, outcome_id in enumerate(memo.edge_outcome)
+            if outcome_id != UNSET
+        ],
+    }
 
 
 def import_memo(
     memo: TransitionEventMemo,
     graph: StateGraph,
-    rows: Sequence[Tuple[int, Tuple, Tuple]],
+    exported: Mapping[str, List],
     clean: Optional[Sequence[bool]] = None,
 ) -> int:
-    """Transplant exported rows whose source state exists (and is clean).
+    """Fill ``memo``'s column from :func:`export_memo` rows whose arc
+    exists in ``graph`` (and whose source state is clean).
 
     ``clean=None`` trusts every row (key-chain-equal builds: same model,
-    same graph); otherwise only rows landing on a clean state import --
-    a dirty state's cached outcome was computed under the old model and
-    must be recomputed.  Returns the number of rows imported.
+    same graph); otherwise only rows leaving a clean state import -- a
+    dirty state's cached outcome was computed under the old model and
+    must be recomputed.  Each source state's arcs are read once from
+    ``graph``'s CSR, and each table outcome a row uses is interned once.
+    Returns the number of rows imported.
     """
+    outcomes = exported["outcomes"]
+    ids: List[Optional[int]] = [None] * len(outcomes)
+    cond_ids: Dict[Tuple, int] = {}
+    for cond_id, condition in enumerate(graph.conditions):
+        cond_ids.setdefault(condition, cond_id)
+    indptr, order = graph.out_csr()
+    edge_cond = graph.edge_cond
+    column = memo.edge_outcome
     imported = 0
-    for packed_key, condition, entry in rows:
-        state_id = graph.state_id_of_key(packed_key)
-        if state_id is None:
+    last_key = arcs = None
+    for packed_key, condition, outcome in exported["rows"]:
+        if packed_key != last_key:
+            # Rows come grouped by source state: read its CSR row once.
+            last_key = packed_key
+            state_id = graph.state_id_of_key(packed_key)
+            arcs = None
+            if state_id is not None and (clean is None or clean[state_id]):
+                arcs = {
+                    edge_cond[index]: index
+                    for index in order[indptr[state_id]:indptr[state_id + 1]]
+                }
+        if arcs is None:
             continue
-        if clean is not None and not clean[state_id]:
+        index = arcs.get(cond_ids.get(condition))
+        if index is None:
             continue
-        memo._entries[(state_id, tuple(condition))] = tuple(entry)
+        outcome_id = ids[outcome]
+        if outcome_id is None:
+            outcome_id = ids[outcome] = memo.intern(outcomes[outcome])
+        column[index] = outcome_id
         imported += 1
     return imported
 
 
 def edge_costs(memo: TransitionEventMemo, graph: StateGraph) -> List[int]:
     """Per-edge instruction costs via the memo (warm entries are free)."""
-    return [memo.lookup_edge(i)[3] for i in range(graph.num_edges)]
+    return PPInstructionCost(memo).edge_costs(graph)
 
 
 # -- trace splicing ------------------------------------------------------------

@@ -441,9 +441,11 @@ def _render_cache(cache: Mapping[str, Any]) -> str:
 
 def render_incremental(incremental: Mapping[str, Any]) -> Optional[str]:
     """What the incremental engine did with the prior build it diffed
-    (an :class:`IncrementalReport` as a dict); ``None`` if it found none."""
+    (an :class:`IncrementalReport` as a dict), or why it fell back;
+    ``None`` if it did neither."""
     if not incremental.get("attempted"):
-        return None
+        reason = incremental.get("fallback_reason")
+        return f"incremental: fell back ({reason})" if reason else None
     base = (incremental.get("base_key") or "")[:12]
     if incremental.get("classification") == "no-op":
         adopted = ", ".join(incremental.get("adopted_phases") or ()) or "nothing"

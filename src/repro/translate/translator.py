@@ -139,15 +139,20 @@ class _Translator:
         return state
 
     def _schedule_combinational(self) -> List:
-        """Topologically order continuous assigns and comb always blocks."""
+        """Topologically order continuous assigns and comb always blocks.
+
+        Reads of undeclared nets do not order anything: the statement
+        check names them with their line, as it does in a clocked block.
+        """
+        declared = self.flat.nets.keys()
         items: List[Tuple[Set[str], Set[str], object]] = []  # (defs, uses, item)
         for assign in self.flat.assigns:
-            items.append((_item_defines(assign), _item_reads(assign), assign))
+            items.append((_item_defines(assign), _item_reads(assign) & declared, assign))
         for block in self.flat.always_blocks:
             if block.clocked:
                 continue
             defines = _item_defines(block)
-            items.append((defines, _item_reads(block) - defines, block))
+            items.append((defines, (_item_reads(block) - defines) & declared, block))
 
         known = set(self.state_names) | set(self.choice_names)
         ordered: List = []

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +63,10 @@ _LD = InstructionClass.LD
 _SD = InstructionClass.SD
 #: Instruction class of each ``fetch`` event's class name.
 _CLASS_BY_NAME = {klass.value: klass for klass in InstructionClass}
+
+#: :attr:`TransitionEventMemo.edge_outcome` value of an arc whose outcome
+#: is not computed (or imported) yet.
+UNSET = -1
 
 
 def check_address_pool(address_pool: Sequence[int]) -> List[int]:
@@ -262,18 +267,14 @@ def unpack_trace_set(payload: Dict) -> TraceSet:
 
 
 class TransitionEventMemo:
-    """Per-model memo of everything vector generation needs per arc.
+    """Per-graph memo of everything vector generation needs per arc.
 
     Both :func:`pp_instruction_cost` (the tour phase's cost function) and
-    :class:`VectorGenerator` replay the model's transition for the same
-    ``(src_state, condition)`` pairs; before this memo existed each side
-    unpacked the state and ran the step function independently -- twice
-    per arc inside the generator alone (``transition_events`` + ``step``
-    both call ``_step``).  One :meth:`lookup` now runs ``_step`` exactly
-    once per unique pair and caches the complete outcome tuple
-    ``(events, src_mem, st_pend_after, instructions)``:
+    :class:`VectorGenerator` read the model's transition for the same
+    arcs.  The memo runs ``_step`` exactly once per arc and keeps its
+    outcome ``(events, src_mem, st_pend_after, instructions, advanced)``:
 
-    - ``events``: the interface-event list, in emission order;
+    - ``events``: the interface-event tuple, in emission order;
     - ``src_mem``: the source state's ``mem`` stage (split-store address
       tracking needs it);
     - ``st_pend_after``: whether a store is still pending *after* the
@@ -282,35 +283,65 @@ class TransitionEventMemo:
       way Table 3.3 counts them;
     - ``advanced``: whether the pipe advanced (stage-index bookkeeping).
 
-    Keys are ``(state_id, condition)`` so the memo is valid for exactly
-    one enumerated graph; share one instance per pipeline build.  Arcs
-    with the same ``(src, condition)`` share one entry; the additional
-    per-edge-index view (:meth:`lookup_edge`) just skips re-deriving the
-    key on the generator's hot path.  Source states are unpacked with
-    the model's :class:`~repro.smurphi.state.StateCodec`.
+    Storage is columnar, like the graph's arcs.  ``outcomes`` is the
+    table of distinct outcomes in first-seen order (a few hundred per
+    model, against thousands to millions of arcs), interned by content;
+    ``edge_outcome`` is an ``array('i')`` column holding each arc's
+    outcome id, :data:`UNSET` until the arc is computed or imported.
+    Only :meth:`lookup_edge` and
+    :func:`repro.incremental.splice.import_memo` (with ids from
+    :meth:`intern`) write them; everything else reads.  The memo is valid for exactly one enumerated graph;
+    share one instance per pipeline build.  Source states are unpacked
+    with the model's :class:`~repro.smurphi.state.StateCodec`.
     """
 
     def __init__(self, model: PPControlModel, graph: StateGraph):
         self.model = model
         self.graph = graph
         self.codec = StateCodec(model.state_vars)
-        self._entries: Dict[Tuple[int, Tuple], Tuple] = {}
-        self._by_edge: List[Optional[Tuple]] = [None] * graph.num_edges
+        self.outcomes: List[Tuple] = []
+        self._outcome_ids: Dict[Tuple, int] = {}
+        self.edge_outcome = array("i", [UNSET]) * graph.num_edges
         self.computed = 0
         self.hits = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Arcs whose outcome the memo holds."""
+        return len(self.edge_outcome) - self.edge_outcome.count(UNSET)
+
+    def intern(self, outcome: Tuple) -> int:
+        """The id of ``outcome`` in :attr:`outcomes`, appending it if no
+        equal outcome is there yet."""
+        outcome_id = self._outcome_ids.get(outcome)
+        if outcome_id is None:
+            outcome_id = self._outcome_ids[outcome] = len(self.outcomes)
+            self.outcomes.append(outcome)
+        return outcome_id
 
     def lookup(self, src: int, condition: Tuple) -> Tuple:
-        """Return ``(events, src_mem, st_pend_after, instructions, advanced)``."""
-        key = (src, condition)
-        entry = self._entries.get(key)
-        if entry is not None:
+        """Return ``(events, src_mem, st_pend_after, instructions, advanced)``
+        for the arc leaving ``src`` under ``condition``, found through the
+        graph's CSR (:meth:`lookup_edge` of that arc); ``KeyError`` if
+        the graph has no such arc."""
+        graph = self.graph
+        conditions = graph.conditions
+        edge_cond = graph.edge_cond
+        for index in graph.out_edge_indices(src):
+            if conditions[edge_cond[index]] == condition:
+                return self.lookup_edge(index)
+        raise KeyError((src, condition))
+
+    def lookup_edge(self, edge_index: int) -> Tuple:
+        """The outcome of arc ``edge_index``, replayed on first use (one
+        :attr:`computed` each)."""
+        outcome_id = self.edge_outcome[edge_index]
+        if outcome_id != UNSET:
             self.hits += 1
-            return entry
+            return self.outcomes[outcome_id]
         self.computed += 1
-        state = self.codec.unpack(self.graph.state_key(src))
+        graph = self.graph
+        state = self.codec.unpack(graph.state_key(graph.edge_src[edge_index]))
+        condition = graph.conditions[graph.edge_cond[edge_index]]
         choice = dict(zip(self.model.choice_names, condition))
         next_state, events = self.model._step(state, choice)
         instructions = 0
@@ -321,27 +352,11 @@ class TransitionEventMemo:
                 instructions += 2 if event[3] else 1
             elif kind == "pipe_advance":
                 advanced = True
-        entry = (
-            events, state["mem"], bool(next_state["st_pend"]),
+        outcome_id = self.edge_outcome[edge_index] = self.intern((
+            tuple(events), state["mem"], bool(next_state["st_pend"]),
             instructions, advanced,
-        )
-        self._entries[key] = entry
-        return entry
-
-    def lookup_edge(self, edge_index: int) -> Tuple:
-        """:meth:`lookup` keyed by edge index (same entries, no key
-        re-derivation -- distinct arcs may share one entry)."""
-        entry = self._by_edge[edge_index]
-        if entry is not None:
-            self.hits += 1
-            return entry
-        graph = self.graph
-        entry = self.lookup(
-            graph.edge_src[edge_index],
-            graph.conditions[graph.edge_cond[edge_index]],
-        )
-        self._by_edge[edge_index] = entry
-        return entry
+        ))
+        return self.outcomes[outcome_id]
 
 
 #: The generator worker tasks run, published for the length of one
@@ -497,7 +512,7 @@ class VectorGenerator:
 
     # -- the mapping --------------------------------------------------------------
 
-    def _transition(self, edge_index: int) -> Tuple[List[Tuple], str, bool, bool]:
+    def _transition(self, edge_index: int) -> Tuple[Tuple, str, bool, bool]:
         """``(events, src_mem, st_pend_after, advanced)`` for one arc,
         from the memo."""
         events, src_mem, st_pend_after, _, advanced = self.memo.lookup_edge(
@@ -625,8 +640,8 @@ class PPInstructionCost:
 
     Called with an :class:`Edge` (the Fig. 3.3 reference oracle calls it
     per traversal); :meth:`edge_costs` is the indexed generator's path,
-    every arc at once from the graph's columns, read by edge index on
-    every traversal after that.
+    every arc at once through :meth:`TransitionEventMemo.lookup_edge`,
+    read by edge index on every traversal after that.
     """
 
     def __init__(self, memo: TransitionEventMemo):
@@ -636,12 +651,8 @@ class PPInstructionCost:
         return self.memo.lookup(edge.src, edge.condition)[3]
 
     def edge_costs(self, graph: StateGraph) -> List[int]:
-        lookup = self.memo.lookup
-        conditions = graph.conditions
-        return [
-            lookup(src, conditions[cond])[3]
-            for src, cond in zip(graph.edge_src, graph.edge_cond)
-        ]
+        lookup_edge = self.memo.lookup_edge
+        return [lookup_edge(index)[3] for index in range(graph.num_edges)]
 
 
 def pp_instruction_cost(

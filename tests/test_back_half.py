@@ -20,6 +20,7 @@ scale:
 
 import pickle
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -30,6 +31,7 @@ from repro.enumeration import WorkerPool, enumerate_states
 from repro.harness import compare as compare_mod
 from repro.harness.compare import run_vector_trace, run_vector_traces
 from repro.obs import MetricsRegistry, Observer
+from repro.pp import fsm_model as fsm_model_mod
 from repro.pp.branches import BranchPPControlModel, BranchVectorGenerator
 from repro.pp.fsm_model import PPControlModel, PPModelConfig
 from repro.pp.rtl.core import CoreConfig, PPCore, predecode
@@ -179,7 +181,7 @@ class TestTransitionEventMemo:
             )
             state = codec.unpack(graph.state_key(edge.src))
             choice = dict(zip(control.choice_names, edge.condition))
-            assert events == control.transition_events(state, choice)
+            assert list(events) == control.transition_events(state, choice)
             assert src_mem == state["mem"]
             assert st_pend_after == bool(control.step(state, choice)["st_pend"])
             assert advanced == any(e[0] == "pipe_advance" for e in events)
@@ -202,6 +204,33 @@ class TestTransitionEventMemo:
         edge = graph.edge(0)
         assert memo.lookup(edge.src, edge.condition) is entry
         assert memo.lookup_edge(0) is entry
+        with pytest.raises(KeyError):
+            memo.lookup(edge.src, (None,) * len(edge.condition))
+
+    def test_memo_retains_under_32_bytes_per_arc(self):
+        """Bytes still alive after a full cost pass at fw=2 that were
+        allocated by the memo or the model's step: an outcome-id column
+        plus a table of the few hundred distinct outcomes.  One event list
+        and outcome tuple per arc (about 410 B) cannot come in under the
+        bound; the columnar memo takes about 20 B."""
+        control = PPControlModel(PPModelConfig(fill_words=2))
+        graph, _ = enumerate_states(control.build())
+        tracemalloc.start()
+        try:
+            memo = TransitionEventMemo(control, graph)
+            pp_instruction_cost(control, graph, memo=memo).edge_costs(graph)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges == 13_329
+        assert len(memo) == graph.num_edges
+        retained = sum(
+            stat.size for stat in snapshot.filter_traces([
+                tracemalloc.Filter(True, generator_mod.__file__),
+                tracemalloc.Filter(True, fsm_model_mod.__file__),
+            ]).statistics("filename")
+        )
+        assert retained / graph.num_edges <= 32
 
     def test_cost_function_matches_pre_memo_semantics(self, control, graph):
         cost = pp_instruction_cost(control, graph)

@@ -286,6 +286,29 @@ class TestMisc:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and not captured.out
 
+    def test_rejected_source_still_writes_every_requested_file(self, tmp_path, capsys):
+        """The ``cli.translate`` span ends and every requested file is
+        written before the one stderr line and exit 2."""
+        from repro.obs import validate_run_report
+
+        source = tmp_path / "bad.v"
+        source.write_text("module m (input clk);\n  reg q;\n"
+                          "  always @(posedge clk) q <= nodecl;\nendmodule\n")
+        trace, metrics, profile = (tmp_path / n for n in ("t.json", "m.json", "p.txt"))
+        assert main([
+            "translate", str(source), "--top", "m", "--trace-out", str(trace),
+            "--metrics-out", str(metrics), "--profile-out", str(profile),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "TranslationError: line 3: read of undeclared net 'nodecl'\n"
+        )
+        spans = [e for e in json.loads(trace.read_text())["traceEvents"]
+                 if e["name"] == "cli.translate"]
+        assert [e["ph"] for e in spans] == ["B", "E"]
+        assert validate_run_report(json.loads(metrics.read_text())) == []
+        assert profile.exists()
+
 
 class TestObservabilityFlags:
     BASE = ["validate", "--fill-words", "1", "--limit", "300"]

@@ -8,6 +8,7 @@ artifacts (graph / tours / traces) byte for byte.
 """
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,10 +25,17 @@ from repro.incremental.edits import (
 )
 from repro.incremental.recent import RecentBuilds
 from repro.incremental.replay import incremental_enumerate
-from repro.incremental.splice import dirty_flags
+from repro.incremental.splice import (
+    clean_flags_for,
+    dirty_flags,
+    edge_costs,
+    export_memo,
+    import_memo,
+)
 from repro.obs import Observer, ProgressReporter, read_heartbeats
 from repro.pp.fsm_model import PPModelConfig, pp_control_model
 from repro.smurphi.fingerprint import fingerprint_model
+from repro.vectors.generator import UNSET, TransitionEventMemo
 
 SMALL = PPModelConfig(fill_words=1)
 LIMIT = 100  # short traces keep each build around a second
@@ -231,6 +239,97 @@ class TestAdoptionAndSplice:
         report = warm.incremental_report
         assert report.classification == LOCALIZED
         assert _artifact_bytes(warm) == _cold_bytes(stacked)
+
+
+    def test_sidecar_not_imported_when_the_tours_code_changed(
+        self, tmp_path, monkeypatch
+    ):
+        """The memo's outcome code is hashed into the tours digest, not the
+        graph's: a candidate whose recorded tours digest differs still
+        lends its graph, but its transition outcomes are never imported."""
+        cache_dir = tmp_path / "cache"
+        _pipeline(str(cache_dir)).build()
+        journal = RecentBuilds(cache_dir)
+        (entry,) = journal.entries()
+        journal.record(
+            flags=entry["flags"], keys=entry["keys"], config=entry["config"],
+            digests={**entry["digests"], "tours": "another tours digest"},
+        )
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return import_memo(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "import_memo", spy)
+        edits = resolve_edits(["inbox-flip-refill"])
+        warm = _pipeline(str(cache_dir), edits=edits)
+        warm.build()
+        report = warm.incremental_report
+        assert report.classification == LOCALIZED
+        assert report.adopted_phases == ("graph",)
+        assert calls == []
+        assert _artifact_bytes(warm) == _cold_bytes(edits)
+
+
+class TestMemoSidecar:
+    """``export_memo``/``import_memo``: the outcome table plus one row per
+    computed arc, pickled and transplanted by packed state key."""
+
+    @staticmethod
+    def _warm_memo(control, graph):
+        memo = TransitionEventMemo(control, graph)
+        edge_costs(memo, graph)
+        return memo
+
+    @pytest.mark.parametrize("fill_words", [1, 2])
+    def test_round_trip_matches_a_fresh_memo(self, fill_words):
+        control = pp_control_model(PPModelConfig(fill_words=fill_words))
+        graph, _ = enumerate_states(control.build())
+        memo = self._warm_memo(control, graph)
+        exported = pickle.loads(pickle.dumps(export_memo(memo, graph)))
+        assert len(exported["rows"]) == graph.num_edges
+        # Distinct outcomes are few; the pickle keeps each one once.
+        assert len(exported["outcomes"]) < graph.num_edges // 20
+
+        imported = TransitionEventMemo(control, graph)
+        assert import_memo(imported, graph, exported) == graph.num_edges
+        assert len(imported) == graph.num_edges
+        fresh = TransitionEventMemo(control, graph)
+        for index in range(graph.num_edges):
+            assert imported.lookup_edge(index) == fresh.lookup_edge(index)
+        assert imported.computed == 0
+
+        # Dirty states import nothing; clean ones import every arc.
+        clean = [state % 3 != 0 for state in range(graph.num_states)]
+        partial = TransitionEventMemo(control, graph)
+        src = graph.edge_src
+        assert import_memo(partial, graph, exported, clean=clean) == sum(
+            clean[s] for s in src
+        )
+        assert [o != UNSET for o in partial.edge_outcome] == [clean[s] for s in src]
+
+    def test_transplant_into_an_edited_graph(self):
+        """Rows exported from the base graph land on the edited graph's
+        clean arcs with the outcome the edited model computes there."""
+        base = pp_control_model(SMALL)
+        old_graph, _ = enumerate_states(base.build())
+        exported = export_memo(self._warm_memo(base, old_graph), old_graph)
+        edits = resolve_edits(["send-clears-stpend"])
+        control = EditedPPControl(base, edits)
+        model = control.build()
+        dirty = dirty_flags(model, old_graph, [e.scope for e in edits])
+        graph, _, _ = incremental_enumerate(model, old_graph, dirty)
+        clean = clean_flags_for(graph, old_graph, dirty)
+
+        memo = TransitionEventMemo(control, graph)
+        imported = import_memo(memo, graph, exported, clean=clean)
+        assert 0 < imported < graph.num_edges
+        fresh = TransitionEventMemo(control, graph)
+        for index, outcome_id in enumerate(memo.edge_outcome):
+            if outcome_id != UNSET:
+                assert clean[graph.edge_src[index]]
+                assert memo.outcomes[outcome_id] == fresh.lookup_edge(index)
 
 
 class TestReplayAccounting:

@@ -338,7 +338,14 @@ class TestRunReport:
         ]
         assert cache_lines(
             dict.fromkeys(phases, False), fallback_reason="no prior builds in journal"
-        ) == ["  cache: miss (built and stored) (14a581b1e9a1)"]
+        ) == [
+            "  cache: miss (built and stored) (14a581b1e9a1)",
+            "  incremental: fell back (no prior builds in journal)",
+        ]
+        assert cache_lines(
+            dict.fromkeys(phases, False),
+            fallback_reason="structural diff: state variable added",
+        )[1] == "  incremental: fell back (structural diff: state variable added)"
         assert cache_lines(
             dict.fromkeys(phases, False), attempted=True, classification="no-op",
             base_key="0123456789abcdef", adopted_phases=["graph", "tours"],

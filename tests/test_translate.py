@@ -273,6 +273,35 @@ endmodule
         ):
             translate_verilog(source, top="m")
 
+    @pytest.mark.parametrize("source, line", [
+        ("""
+module m (input clk, input a);
+  wire x;
+  reg q;
+  assign x = a & nodecl;
+  always @(posedge clk) q <= x;
+endmodule
+""", 5),
+        ("""
+module m (input clk, input a);
+  reg t;
+  reg q;
+  always @(*) begin
+    t = 0;
+    if (a) t = ~nodecl;
+  end
+  always @(posedge clk) q <= t;
+endmodule
+""", 7),
+    ], ids=["assign", "comb-block"])
+    def test_combinational_read_of_undeclared_net_rejected(self, source, line):
+        """A combinational read names the net and its line, as a clocked
+        read does, instead of surfacing as an unschedulable loop."""
+        with pytest.raises(
+            TranslationError, match=rf"^line {line}: read of undeclared net 'nodecl'$"
+        ):
+            translate_verilog(source, top="m")
+
     def test_clocked_read_of_undriven_net_rejected(self):
         source = """
 module m (input clk, input a);
